@@ -4,45 +4,27 @@ Alternatives are first sifted against basic-attribute thresholds, then a
 ladder search filters the survivors by strict dominance over importance-
 ranked attribute groups until exactly one remains.  Prospect-theory and
 image-theory baseline choosers are included for side-by-side comparison.
+
+The names below are the documented public API; everything else is reached
+through its submodule (``ladderchoice.values``, ``ladderchoice.oracle``, ...).
 """
 
-from .baselines import (
-    BaselineResult,
-    Lottery,
-    PtParams,
-    TheoryRow,
-    UnsupportedLotteryError,
-    compare_theories,
-    compatibility_screen,
-    cpt_evaluate,
-    it_choose,
-    pt_proxy_choose,
-    pt_value,
-    pt_weight,
-)
-from .ladder import DominanceMode, decide_task, dominant_set, dominates, lsp, single_plan_gate
+from .baselines import compare_theories
+from .ladder import DominanceMode, decide_task, lsp
 from .model import (
     Alternative,
     Attribute,
-    AttributeValue,
     DecisionTask,
     DominancePartition,
-    Elimination,
-    LadderOutcome,
-    LevelRecord,
-    SiftResult,
     Threshold,
     Verdict,
-    Violation,
     at_least,
     category,
     crisp,
     interval,
     ordinal,
     validate_task,
-    values_equal,
 )
-from .oracle import brute_force_dominant, brute_force_lt, random_task
 from .scenario import (
     ScenarioError,
     outcome_to_json,
@@ -51,59 +33,30 @@ from .scenario import (
     serialize_task,
 )
 from .sift import psp
-from .values import PartialOrdering, compare_values, ordinal_from_label, satisfies_threshold
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Alternative",
     "Attribute",
-    "AttributeValue",
-    "BaselineResult",
     "DecisionTask",
     "DominanceMode",
     "DominancePartition",
-    "Elimination",
-    "LadderOutcome",
-    "LevelRecord",
-    "Lottery",
-    "PartialOrdering",
-    "PtParams",
     "ScenarioError",
-    "SiftResult",
-    "TheoryRow",
     "Threshold",
-    "UnsupportedLotteryError",
     "Verdict",
-    "Violation",
     "at_least",
-    "brute_force_dominant",
-    "brute_force_lt",
     "category",
     "compare_theories",
-    "compare_values",
-    "compatibility_screen",
-    "cpt_evaluate",
     "crisp",
     "decide_task",
-    "dominant_set",
-    "dominates",
     "interval",
-    "it_choose",
     "lsp",
     "ordinal",
-    "ordinal_from_label",
     "outcome_to_json",
     "parse_scenario",
     "psp",
-    "pt_proxy_choose",
-    "pt_value",
-    "pt_weight",
-    "random_task",
-    "satisfies_threshold",
     "serialize_outcome",
     "serialize_task",
-    "single_plan_gate",
     "validate_task",
-    "values_equal",
 ]

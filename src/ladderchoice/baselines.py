@@ -17,11 +17,12 @@ reports Undecidable.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
-from .ladder import DominanceMode, decide_task
+from .ladder import DominanceMode, decide_task, dominant_set
 from .model import DecisionTask, Verdict
-from .values import PartialOrdering, compare_values, satisfies_threshold
+from .sift import psp
 
 
 @dataclass(frozen=True)
@@ -106,21 +107,6 @@ class BaselineResult:
         return self.chosen is None
 
 
-def _unique_best(candidate_ids, attribute_id: int, task: DecisionTask) -> BaselineResult:
-    """The id strictly better than every rival on one attribute, else Undecidable."""
-    polarity = task.attribute(attribute_id).polarity
-    alts = {cid: task.alternative(cid) for cid in candidate_ids}
-    for cid in candidate_ids:
-        if all(
-            compare_values(alts[cid].values[attribute_id], alts[other].values[attribute_id], polarity)
-            is PartialOrdering.BETTER
-            for other in candidate_ids
-            if other != cid
-        ):
-            return BaselineResult(cid)
-    return BaselineResult(None, f"no alternative is strictly best on attribute {attribute_id}")
-
-
 def pt_proxy_choose(task: DecisionTask, risk_attribute_id: int) -> BaselineResult:
     """Risk-minimizing chooser: the unique best value on a designated risk attribute.
 
@@ -135,22 +121,22 @@ def pt_proxy_choose(task: DecisionTask, risk_attribute_id: int) -> BaselineResul
         raise ValueError(f"risk attribute must be an ordinal or numeric cost, got attribute {attr.id} ({attr.kind}/{attr.polarity})")
     if not task.alternatives:
         return BaselineResult(None, "no alternatives")
-    return _unique_best([a.id for a in task.alternatives], risk_attribute_id, task)
+    best = dominant_set([a.id for a in task.alternatives], {risk_attribute_id}, DominanceMode.GLOBAL, task)
+    if not best:
+        return BaselineResult(None, f"no alternative is strictly best on attribute {risk_attribute_id}")
+    return BaselineResult(best[0])
 
 
 def compatibility_screen(task: DecisionTask, rejection_budget: int = 0) -> tuple[str, ...]:
     """Ids of alternatives violating at most ``rejection_budget`` basic thresholds.
 
-    A zero budget reproduces the sifting stage's feasible set exactly.
+    Violations are counted from the sifting stage's eliminations, so a zero
+    budget reproduces its feasible set exactly.
     """
     if rejection_budget < 0:
         raise ValueError("rejection_budget must be >= 0")
-    return tuple(
-        alt.id
-        for alt in task.alternatives
-        if sum(1 for t in task.thresholds if not satisfies_threshold(alt.values[t.attribute_id], t))
-        <= rejection_budget
-    )
+    violations = Counter(e.alternative_id for e in psp(task).eliminations)
+    return tuple(alt.id for alt in task.alternatives if violations[alt.id] <= rejection_budget)
 
 
 def it_choose(
@@ -175,9 +161,10 @@ def it_choose(
         raise ValueError(f"profitability attribute {profit_attribute_id} is not part of the task")
     if task.attribute(profit_attribute_id).kind != "numeric":
         return BaselineResult(None, f"attribute {profit_attribute_id} is not a quantitative criterion")
-    if len(survivors) == 1:
-        return BaselineResult(survivors[0])
-    return _unique_best(survivors, profit_attribute_id, task)
+    best = dominant_set(survivors, {profit_attribute_id}, DominanceMode.GLOBAL, task)
+    if not best:
+        return BaselineResult(None, f"no alternative is strictly best on attribute {profit_attribute_id}")
+    return BaselineResult(best[0])
 
 
 THEORIES = ("lt", "pt", "it")

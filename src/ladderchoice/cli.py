@@ -23,7 +23,7 @@ from .baselines import THEORIES, compare_theories
 from .ladder import DominanceMode, decide_task
 from .model import DecisionTask, Verdict
 from .oracle import brute_force_lt, random_task
-from .scenario import ScenarioError, outcome_to_json, parse_scenario
+from .scenario import ScenarioError, level_line, outcome_to_json, parse_scenario
 
 _VERDICT_EXIT = {
     Verdict.CHOSEN: 0,
@@ -66,12 +66,7 @@ def cmd_decide(path: str, mode: DominanceMode, as_json: bool) -> int:
         print(f"eliminated {e.alternative_id} | attribute {e.attribute_id} | {e.threshold} | value {e.value}")
     print(f"feasible [{','.join(sifted.feasible)}]")
     for record in outcome.trace:
-        attrs = ",".join(str(a) for a in sorted(record.attribute_ids))
-        print(
-            f"level {record.r} | attrs {{{attrs}}}"
-            f" | before [{','.join(record.survivors_before)}]"
-            f" | after [{','.join(record.survivors_after)}]"
-        )
+        print(level_line(record))
     if outcome.verdict is Verdict.CHOSEN:
         print(f"Chosen: {outcome.chosen}")
     else:

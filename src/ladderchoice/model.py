@@ -22,6 +22,20 @@ ORDINAL_LEVELS = {label: i + 1 for i, label in enumerate(ORDINAL_LABELS)}
 NUMERIC_KINDS = ("crisp", "interval", "at_least")
 
 
+def _is_level(x: object) -> bool:
+    """Whether ``x`` is a level of the fixed 1..5 scale; ``True`` is an ``int`` but not a level."""
+    return not isinstance(x, bool) and x in (1, 2, 3, 4, 5)
+
+
+def label_level(label: str, extra_labels: Optional[dict[str, int]] = None) -> int:
+    """Level of a scale label: an attribute's declared extra label, else one of the five built-in ones."""
+    if extra_labels and label in extra_labels:
+        return extra_labels[label]
+    if label not in ORDINAL_LEVELS:
+        raise ValueError(f"unknown ordinal label {label!r}")
+    return ORDINAL_LEVELS[label]
+
+
 @dataclass(frozen=True)
 class AttributeValue:
     """Tagged value an alternative can take on one attribute.
@@ -54,7 +68,7 @@ class AttributeValue:
             if self.lo is None or not math.isfinite(self.lo):
                 raise ValueError("at_least needs a finite lower bound")
         elif self.kind == "ordinal":
-            if self.level not in (1, 2, 3, 4, 5):
+            if not _is_level(self.level):
                 raise ValueError(f"ordinal level must be in 1..5, got {self.level!r}")
         elif self.kind == "category":
             if not self.label:
@@ -95,24 +109,29 @@ def format_number(x: float) -> str:
     return str(x)
 
 
+def _as_number(x: object, what: str) -> float:
+    """``x`` as a float; booleans and anything but an int or a float are refused, not coerced."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"{what} must be a number, got {x!r}")
+    return float(x)
+
+
 def crisp(x: float) -> AttributeValue:
-    return AttributeValue("crisp", lo=float(x))
+    return AttributeValue("crisp", lo=_as_number(x, "crisp value"))
 
 
 def interval(lo: float, hi: float) -> AttributeValue:
-    return AttributeValue("interval", lo=float(lo), hi=float(hi))
+    return AttributeValue("interval", lo=_as_number(lo, "interval bound"), hi=_as_number(hi, "interval bound"))
 
 
 def at_least(x: float) -> AttributeValue:
-    return AttributeValue("at_least", lo=float(x))
+    return AttributeValue("at_least", lo=_as_number(x, "at_least bound"))
 
 
 def ordinal(level_or_label: Union[int, str]) -> AttributeValue:
     """Build an ordinal value from a level (1..5) or a canonical scale label."""
     if isinstance(level_or_label, str):
-        if level_or_label not in ORDINAL_LEVELS:
-            raise ValueError(f"unknown ordinal label {level_or_label!r}")
-        return AttributeValue("ordinal", level=ORDINAL_LEVELS[level_or_label])
+        level_or_label = label_level(level_or_label)
     return AttributeValue("ordinal", level=level_or_label)
 
 
@@ -162,7 +181,7 @@ class Attribute:
             raise ValueError(f"attribute {self.id} ({self.kind}) needs polarity 'cost' or 'benefit'")
         if self.labels is not None:
             for lab, lvl in self.labels.items():
-                if lvl not in (1, 2, 3, 4, 5):
+                if not _is_level(lvl):
                     raise ValueError(f"label {lab!r} maps to level {lvl!r}, expected 1..5")
 
 
@@ -192,11 +211,12 @@ class Threshold:
         if self.op not in THRESHOLD_OPS:
             raise ValueError(f"unknown threshold op {self.op!r}")
         if self.op in ("max", "min"):
-            if not isinstance(self.bound, (int, float)) or not math.isfinite(self.bound):
+            bound = _as_number(self.bound, f"{self.op} threshold bound")
+            if not math.isfinite(bound):
                 raise ValueError(f"{self.op} threshold needs a finite numeric bound")
-            object.__setattr__(self, "bound", float(self.bound))
+            object.__setattr__(self, "bound", bound)
         elif self.op in ("min_level", "max_level"):
-            if self.bound not in (1, 2, 3, 4, 5):
+            if not _is_level(self.bound):
                 raise ValueError(f"{self.op} threshold needs a level in 1..5, got {self.bound!r}")
         else:
             labels = frozenset(self.bound)
@@ -249,8 +269,8 @@ class Alternative:
     values: dict[int, AttributeValue]
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("alternative needs a non-empty id")
+        if not isinstance(self.id, str) or not self.id:
+            raise ValueError(f"alternative needs a non-empty string id, got {self.id!r}")
 
 
 @dataclass(frozen=True)
@@ -273,6 +293,8 @@ class DecisionTask:
     aspiration: Optional[tuple[Threshold, ...]] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.task_id, str):
+            raise ValueError(f"task_id must be a string, got {self.task_id!r}")
         object.__setattr__(self, "attributes", tuple(self.attributes))
         object.__setattr__(self, "basic_ids", frozenset(self.basic_ids))
         object.__setattr__(
@@ -300,14 +322,6 @@ class DecisionTask:
                 return alt
         raise KeyError(alt_id)
 
-    def ordinal_labels(self, attribute_id: int) -> dict[str, int]:
-        """Label vocabulary for an ordinal attribute: the fixed scale plus declared extras."""
-        vocab = dict(ORDINAL_LEVELS)
-        attr = self._by_id.get(attribute_id)
-        if attr is not None and attr.labels:
-            vocab.update(attr.labels)
-        return vocab
-
 
 def alternatives_equal(a: Alternative, b: Alternative, attribute_ids) -> bool:
     """Whether two alternatives carry semantically equal values on every given attribute."""
@@ -332,11 +346,7 @@ class SiftResult:
     eliminations: tuple[Elimination, ...]
 
     def eliminated_ids(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for e in self.eliminations:
-            if e.alternative_id not in seen:
-                seen.append(e.alternative_id)
-        return tuple(seen)
+        return tuple(dict.fromkeys(e.alternative_id for e in self.eliminations))
 
 
 class Verdict(Enum):

@@ -26,16 +26,17 @@ from .model import (
     DecisionTask,
     DominancePartition,
     LadderOutcome,
+    LevelRecord,
     Threshold,
     Violation,
     at_least,
     category,
     crisp,
     interval,
+    label_level,
     ordinal,
     validate_task,
 )
-from .values import ordinal_from_label
 
 CATEGORIES = (
     "syntax",
@@ -68,7 +69,8 @@ class ScenarioError(Exception):
         column: Optional[int] = None,
         violations: tuple[Violation, ...] = (),
     ) -> None:
-        assert category_name in CATEGORIES, category_name
+        if category_name not in CATEGORIES:
+            raise ValueError(f"unknown scenario error category {category_name!r}")
         position = f" (line {line}, column {column})" if line is not None else ""
         super().__init__(f"{category_name}{position}: {message}")
         self.category = category_name
@@ -99,8 +101,6 @@ def _parse_attribute(raw: Any) -> Attribute:
 
 def _parse_value(raw: Any, attribute: Optional[Attribute], context: str) -> AttributeValue:
     try:
-        if isinstance(raw, bool):
-            raise ValueError("booleans are not attribute values")
         if isinstance(raw, (int, float)):
             return crisp(raw)
         if isinstance(raw, dict) and len(raw) == 1:
@@ -113,14 +113,12 @@ def _parse_value(raw: Any, attribute: Optional[Attribute], context: str) -> Attr
             if tag == "ordinal":
                 if isinstance(payload, str):
                     extras = attribute.labels if attribute is not None else None
-                    return ordinal(ordinal_from_label(payload, extras))
+                    return ordinal(label_level(payload, extras))
                 return ordinal(payload)
             if tag == "category":
                 return category(payload)
             raise ValueError(f"unknown value tag {tag!r}")
         raise ValueError(f"unrecognized value encoding {raw!r}")
-    except ScenarioError:
-        raise
     except (ValueError, TypeError) as exc:
         raise ScenarioError("value", f"{context}: {exc}") from exc
 
@@ -208,15 +206,18 @@ def parse_scenario(text: str) -> DecisionTask:
         except ValueError as exc:
             raise ScenarioError("schema", f"alternative: {exc}") from exc
 
-    task = DecisionTask(
-        task_id=task_id,
-        attributes=tuple(attributes),
-        basic_ids=frozenset(basic_ids),
-        thresholds=tuple(thresholds),
-        partition=partition,
-        alternatives=tuple(alternatives),
-        aspiration=aspiration,
-    )
+    try:
+        task = DecisionTask(
+            task_id=task_id,
+            attributes=tuple(attributes),
+            basic_ids=frozenset(basic_ids),
+            thresholds=tuple(thresholds),
+            partition=partition,
+            alternatives=tuple(alternatives),
+            aspiration=aspiration,
+        )
+    except ValueError as exc:
+        raise ScenarioError("schema", f"scenario: {exc}") from exc
     violations = validate_task(task)
     if violations:
         first = _VIOLATION_CATEGORY.get(violations[0].code, "invariant")
@@ -282,12 +283,16 @@ def serialize_task(task: DecisionTask) -> str:
 def serialize_outcome(outcome: LadderOutcome) -> str:
     """Stable plain-text trace: a verdict header, then one line per visited level."""
     lines = [f"{outcome.verdict.value} {outcome.chosen if outcome.chosen is not None else '-'}"]
-    for record in outcome.trace:
-        attrs = ",".join(str(a) for a in sorted(record.attribute_ids))
-        before = ",".join(record.survivors_before)
-        after = ",".join(record.survivors_after)
-        lines.append(f"level {record.r} | attrs {{{attrs}}} | before [{before}] | after [{after}]")
+    lines.extend(level_line(record) for record in outcome.trace)
     return "\n".join(lines)
+
+
+def level_line(record: LevelRecord) -> str:
+    """One ladder rung as a plain-text trace line: its rank, attributes and survivors before and after."""
+    attrs = ",".join(str(a) for a in sorted(record.attribute_ids))
+    before = ",".join(record.survivors_before)
+    after = ",".join(record.survivors_after)
+    return f"level {record.r} | attrs {{{attrs}}} | before [{before}] | after [{after}]"
 
 
 def outcome_to_json(outcome: LadderOutcome) -> dict[str, Any]:

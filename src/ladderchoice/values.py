@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .model import ORDINAL_LEVELS, AttributeValue, Threshold
+from .model import AttributeValue, Threshold
 
 
 class PartialOrdering(Enum):
@@ -94,13 +94,3 @@ def satisfies_threshold(value: AttributeValue, threshold: Threshold) -> bool:
     if value.kind != "category":
         raise ValueError(f"allowed threshold cannot judge a {value.kind} value")
     return value.label in threshold.bound
-
-
-def ordinal_from_label(label: str, extra_labels: dict[str, int] | None = None) -> int:
-    """Map a scale label to its level, honoring any declared extra vocabulary."""
-    vocab = dict(ORDINAL_LEVELS)
-    if extra_labels:
-        vocab.update(extra_labels)
-    if label not in vocab:
-        raise ValueError(f"unknown ordinal label {label!r}")
-    return vocab[label]

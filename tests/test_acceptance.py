@@ -19,18 +19,17 @@ from ladderchoice import (
     Threshold,
     Verdict,
     at_least,
-    brute_force_lt,
     compare_theories,
     crisp,
     decide_task,
-    dominates,
     interval,
     parse_scenario,
     psp,
-    random_task,
     serialize_task,
 )
 from ladderchoice.cli import main, run_batch
+from ladderchoice.ladder import dominates
+from ladderchoice.oracle import brute_force_lt, random_task
 
 from conftest import CASES, fixture_path, load_case
 
@@ -257,7 +256,7 @@ def test_criterion_5_invariant_suites():
 
 def test_criterion_6_baseline_numerics():
     with criterion(6, "baseline value and weighting numerics"):
-        from ladderchoice import pt_value, pt_weight
+        from ladderchoice.baselines import pt_value, pt_weight
 
         assert abs(pt_value(100.0) - math.exp(0.88 * math.log(100.0))) < 1e-6
         assert pt_weight(0.0, 0.61) == 0.0

@@ -7,20 +7,19 @@ import random
 
 import pytest
 
-from ladderchoice import (
+from ladderchoice import compare_theories, psp
+from ladderchoice.baselines import (
     Lottery,
     PtParams,
     UnsupportedLotteryError,
-    compare_theories,
     compatibility_screen,
     cpt_evaluate,
     it_choose,
-    psp,
     pt_proxy_choose,
     pt_value,
     pt_weight,
-    random_task,
 )
+from ladderchoice.oracle import _naive_passes, brute_force_dominant, random_task
 
 # frozen against independent exp/log evaluation of the closed forms
 VALUE_100 = 57.543993733715695       # exp(0.88 * log(100))
@@ -180,3 +179,46 @@ class TestComparisonHarness:
     def test_unknown_theory_rejected(self, case1):
         with pytest.raises(ValueError):
             compare_theories(case1, theories=("expected-utility",))
+
+
+def oracle_tasks():
+    for seed in range(300):
+        yield random_task(seed, n_alternatives=2 + seed % 6, n_attributes=1 + seed % 5, n_levels=1 + seed % 3)
+
+
+def oracle_screen(task, budget):
+    """Ids with at most ``budget`` failed thresholds, counted with the oracle's own predicate."""
+    return tuple(
+        alt.id
+        for alt in task.alternatives
+        if sum(not _naive_passes(alt.values[t.attribute_id], t) for t in task.thresholds) <= budget
+    )
+
+
+def oracle_best(candidates, attribute_id, task):
+    best = brute_force_dominant(candidates, [attribute_id], "global", task)
+    return best[0] if best else None
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("budget", [0, 1, 2, 3])
+    def test_screen_matches_a_naive_violation_count(self, budget):
+        for task in oracle_tasks():
+            assert compatibility_screen(task, budget) == oracle_screen(task, budget)
+
+    def test_pt_proxy_picks_the_naive_unique_best(self):
+        for task in oracle_tasks():
+            everyone = [alt.id for alt in task.alternatives]
+            for attr in task.attributes:
+                if attr.polarity == "cost":
+                    assert pt_proxy_choose(task, attr.id).chosen == oracle_best(everyone, attr.id, task)
+
+    def test_it_choose_ranks_the_naive_screen(self):
+        for task in oracle_tasks():
+            for attr in task.attributes:
+                if attr.kind != "numeric":
+                    continue
+                for budget in range(3):
+                    survivors = oracle_screen(task, budget)
+                    expected = oracle_best(survivors, attr.id, task) if survivors else None
+                    assert it_choose(task, attr.id, budget).chosen == expected

@@ -50,7 +50,23 @@ GATED = """
 """
 
 
+NUMERIC_ID = json.loads(DEADLOCK)
+NUMERIC_ID["alternatives"][0]["id"] = 7
+NUMERIC_TASK_ID = json.loads(DEADLOCK)
+NUMERIC_TASK_ID["task_id"] = 7
+
+
 class TestDecide:
+    @pytest.mark.parametrize("doc", [NUMERIC_ID, NUMERIC_TASK_ID], ids=["alternative-id", "task-id"])
+    def test_id_that_is_not_a_string_is_a_schema_error(self, doc, tmp_path, capsys):
+        path = tmp_path / "numeric_id.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "decide", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: schema: ")
+        assert "string" in err
+
     def test_case1_report_and_exit_code(self, capsys):
         code, out, _ = run(capsys, "decide", CASE1)
         assert code == 0

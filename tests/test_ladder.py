@@ -16,18 +16,15 @@ from ladderchoice import (
     Threshold,
     Verdict,
     at_least,
-    brute_force_dominant,
     crisp,
     decide_task,
-    dominant_set,
-    dominates,
     interval,
     lsp,
     psp,
-    random_task,
-    single_plan_gate,
     validate_task,
 )
+from ladderchoice.ladder import dominant_set, dominates, single_plan_gate
+from ladderchoice.oracle import brute_force_dominant, random_task
 
 GLOBAL = DominanceMode.GLOBAL
 UNDOM = DominanceMode.UNDOMINATED

@@ -19,8 +19,8 @@ from ladderchoice import (
     interval,
     ordinal,
     validate_task,
-    values_equal,
 )
+from ladderchoice.model import values_equal
 
 
 def make_task(**overrides) -> DecisionTask:

@@ -2,15 +2,8 @@
 
 from __future__ import annotations
 
-from ladderchoice import (
-    DominanceMode,
-    Verdict,
-    brute_force_dominant,
-    brute_force_lt,
-    decide_task,
-    random_task,
-    validate_task,
-)
+from ladderchoice import DominanceMode, Verdict, decide_task, validate_task
+from ladderchoice.oracle import brute_force_dominant, brute_force_lt, random_task
 
 
 class TestGenerator:

@@ -8,18 +8,18 @@ from pathlib import Path
 import pytest
 
 from ladderchoice import (
-    LadderOutcome,
-    LevelRecord,
     ScenarioError,
     Verdict,
     decide_task,
     outcome_to_json,
     parse_scenario,
-    random_task,
     serialize_outcome,
     serialize_task,
 )
-from conftest import CASES, load_case
+from ladderchoice.cli import main
+from ladderchoice.model import LadderOutcome, LevelRecord
+from ladderchoice.oracle import random_task
+from conftest import CASES, fixture_path, load_case
 
 DATA = Path(__file__).parent / "data"
 
@@ -101,6 +101,40 @@ class TestRejections:
         with pytest.raises(ScenarioError) as excinfo:
             parse_scenario(text)
         assert excinfo.value.violations
+
+    # (path into case1's document, replacement): a boolean where a level or a number is read
+    BOOLEANS = [
+        (("alternatives", 0, "values", "1"), True),
+        (("alternatives", 0, "values", "1"), {"interval": [True, 3]}),
+        (("alternatives", 0, "values", "1"), {"at_least": True}),
+        (("alternatives", 0, "values", "3"), {"ordinal": True}),
+        (("basic", "thresholds", "1"), {"max": True}),
+        (("basic", "thresholds", "3"), {"min_level": True}),
+        (("attributes", 2, "labels"), {"meh": True}),
+    ]
+
+    @pytest.mark.parametrize(
+        "path,replacement", BOOLEANS, ids=["crisp", "interval", "at_least", "ordinal", "max", "min_level", "labels"]
+    )
+    def test_boolean_is_not_a_level_or_a_number(self, path, replacement, tmp_path, capsys):
+        doc = json.loads(fixture_path("case1").read_text(encoding="utf-8"))
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = replacement
+        text = json.dumps(doc)
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario(text)
+        assert excinfo.value.category in ("value", "schema")
+        scenario = tmp_path / "booleans.json"
+        scenario.write_text(text, encoding="utf-8")
+        assert main(["validate", str(scenario)]) == 1
+        assert f"{scenario}: {excinfo.value.category}" in capsys.readouterr().err
+
+    def test_unknown_category_is_refused(self):
+        with pytest.raises(ValueError):
+            ScenarioError("bogus", "x")
 
 
 class TestRoundTrip:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from ladderchoice import psp, random_task, satisfies_threshold
+from ladderchoice import psp
+from ladderchoice.oracle import random_task
+from ladderchoice.values import satisfies_threshold
 
 
 def restrict(task, keep_ids):

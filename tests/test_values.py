@@ -6,18 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ladderchoice import (
-    PartialOrdering as Ord,
-    Threshold,
-    at_least,
-    category,
-    compare_values,
-    crisp,
-    interval,
-    ordinal,
-    ordinal_from_label,
-    satisfies_threshold,
-)
+from ladderchoice import Threshold, at_least, category, crisp, interval, ordinal
+from ladderchoice.model import label_level
+from ladderchoice.values import PartialOrdering as Ord, compare_values, satisfies_threshold
 
 finite = st.one_of(
     st.integers(min_value=-50, max_value=50).map(float),
@@ -113,20 +104,20 @@ class TestThresholdExamples:
 
 class TestOrdinalLabels:
     def test_canonical_scale(self):
-        assert ordinal_from_label("very_low") == 1
-        assert ordinal_from_label("low") == 2
-        assert ordinal_from_label("moderate") == 3
-        assert ordinal_from_label("high") == 4
-        assert ordinal_from_label("very_high") == 5
+        assert label_level("very_low") == 1
+        assert label_level("low") == 2
+        assert label_level("moderate") == 3
+        assert label_level("high") == 4
+        assert label_level("very_high") == 5
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError):
-            ordinal_from_label("medium")
+            label_level("medium")
 
     def test_declared_extras_extend_the_scale(self):
-        assert ordinal_from_label("meh", {"meh": 3}) == 3
+        assert label_level("meh", {"meh": 3}) == 3
         with pytest.raises(ValueError):
-            ordinal_from_label("meh")
+            label_level("meh")
 
 
 class TestCompareProperties:
