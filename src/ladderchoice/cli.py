@@ -34,7 +34,10 @@ _VERDICT_EXIT = {
 
 
 def _load(path: str) -> DecisionTask:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError("syntax", f"not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     return parse_scenario(text)
 
 
@@ -110,6 +113,9 @@ def cmd_validate(paths: list[str]) -> int:
             _load(path)
         except FileNotFoundError:
             print(f"{path}: error: file not found", file=sys.stderr)
+            ok = False
+        except OSError as exc:
+            print(f"{path}: error: cannot read file: {exc.strerror}", file=sys.stderr)
             ok = False
         except ScenarioError as exc:
             ok = False
@@ -209,6 +215,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return cmd_batch(args.seed, args.count, _mode(args.mode))
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,21 @@ alternative remains.  Two dominance modes are supported:
 * ``UNDOMINATED`` keeps every alternative not strictly dominated by some
   rival; the set can never become empty, but may stay plural all the way
   down, ending in ``NoUniqueChoice``.
+
+Cost of one rung over n candidates and m attributes, with :func:`dominates`
+the only dominance predicate:
+
+* ``GLOBAL`` is a champion scan: keep a candidate, replace it whenever it
+  fails to dominate the next one, then check the survivor against everyone,
+  O(n·m).
+* ``UNDOMINATED`` is Sort-Filter-Skyline (Chomicki et al., ICDE 2003):
+  presort by a score that strictly rises under dominance, then compare each
+  candidate only with the window of undominated ones found so far,
+  O(n log n + n·k·m) for a final window of k.  When nothing dominates
+  anything, k = n and the pass is quadratic again.
+
+The duplicate screen of :func:`~ladderchoice.model.validate_task` is linear
+too: it groups alternatives by their tuple of value keys.
 """
 
 from __future__ import annotations
@@ -65,18 +80,59 @@ def dominant_set(
     in both modes.
     """
     attrs = frozenset(attrs)
-    alts = {cid: task.alternative(cid) for cid in candidates}
+    alts = [task.alternative(cid) for cid in candidates]
+    if len(alts) < 2:
+        return tuple(candidates)
     if mode is DominanceMode.UNDOMINATED:
-        return tuple(
-            cid
-            for cid in candidates
-            if not any(dominates(alts[other], alts[cid], attrs, task) for other in candidates if other != cid)
-        )
-    return tuple(
-        cid
-        for cid in candidates
-        if all(dominates(alts[cid], alts[other], attrs, task) for other in candidates if other != cid)
-    )
+        kept = _skyline(alts, attrs, task)
+        return tuple(cid for cid, keep in zip(candidates, kept) if keep)
+    champion = alts[0]
+    for alt in alts[1:]:
+        if not dominates(champion, alt, attrs, task):
+            champion = alt
+    if all(dominates(champion, alt, attrs, task) for alt in alts if alt.id != champion.id):
+        return tuple(cid for cid in candidates if cid == champion.id)
+    return ()
+
+
+def _presort_scores(alts: Sequence[Alternative], attrs: frozenset[int], task: DecisionTask) -> list[int]:
+    """A score per alternative that strictly rises under strict dominance on ``attrs``.
+
+    Each numeric or ordinal attribute adds, signed by its polarity, the dense
+    rank of every coordinate of the value key (``lo`` and ``hi``, or the
+    level) among the alternatives.  A dominator is at least as good on every
+    coordinate and better on one, so its sum is strictly larger.  Categories
+    add 0: a differing label blocks dominance, an equal one adds nothing.
+    """
+    scores = [0] * len(alts)
+    for aid in attrs:
+        attr = task.attribute(aid)
+        if attr.kind == "categorical":
+            continue
+        sign = -1 if attr.polarity == "cost" else 1
+        for coordinate in zip(*(alt.values[aid].key[1:] for alt in alts)):
+            rank = {x: r for r, x in enumerate(sorted(set(coordinate)))}
+            for i, x in enumerate(coordinate):
+                scores[i] += sign * rank[x]
+    return scores
+
+
+def _skyline(alts: Sequence[Alternative], attrs: frozenset[int], task: DecisionTask) -> list[bool]:
+    """Sort-Filter-Skyline: for each alternative, whether no rival strictly dominates it.
+
+    Visiting alternatives by falling presort score puts every dominator before
+    what it dominates, and each dominated alternative has an undominated
+    dominator (dominance is a strict partial order), so comparing against the
+    window of undominated alternatives found so far is enough.
+    """
+    scores = _presort_scores(alts, attrs, task)
+    kept = [False] * len(alts)
+    window: list[Alternative] = []
+    for i in sorted(range(len(alts)), key=scores.__getitem__, reverse=True):
+        if not any(dominates(w, alts[i], attrs, task) for w in window):
+            window.append(alts[i])
+            kept[i] = True
+    return kept
 
 
 def single_plan_gate(alt: Alternative, task: DecisionTask) -> LadderOutcome:

@@ -11,9 +11,10 @@ constructors, while cross-object consistency is reported (never raised) by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import combinations
 from typing import Optional, Union
 
 ORDINAL_LABELS = ("very_low", "low", "moderate", "high", "very_high")
@@ -22,9 +23,14 @@ ORDINAL_LEVELS = {label: i + 1 for i, label in enumerate(ORDINAL_LABELS)}
 NUMERIC_KINDS = ("crisp", "interval", "at_least")
 
 
+def _is_int(x: object) -> bool:
+    """Whether ``x`` is an ``int`` and not a ``bool``; ``3.0`` is refused, not coerced."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _is_level(x: object) -> bool:
-    """Whether ``x`` is a level of the fixed 1..5 scale; ``True`` is an ``int`` but not a level."""
-    return not isinstance(x, bool) and x in (1, 2, 3, 4, 5)
+    """Whether ``x`` is a level of the fixed 1..5 scale."""
+    return _is_int(x) and 1 <= x <= 5
 
 
 def label_level(label: str, extra_labels: Optional[dict[str, int]] = None) -> int:
@@ -52,11 +58,15 @@ class AttributeValue:
     hi: Optional[float] = None
     level: Optional[int] = None
     label: Optional[str] = None
+    # canonical equality key: ("n", lo, hi) for the numeric shapes, ("o", level)
+    # or ("c", label); two values are semantically equal exactly when their keys are
+    key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind == "crisp":
             if self.lo is None or not math.isfinite(self.lo):
                 raise ValueError("crisp value must be a finite number")
+            key = ("n", self.lo, self.lo)
         elif self.kind == "interval":
             if self.lo is None or self.hi is None:
                 raise ValueError("interval needs both bounds")
@@ -64,17 +74,22 @@ class AttributeValue:
                 raise ValueError("interval bounds must be finite")
             if self.lo > self.hi:
                 raise ValueError(f"interval lower bound {self.lo} exceeds upper bound {self.hi}")
+            key = ("n", self.lo, self.hi)
         elif self.kind == "at_least":
             if self.lo is None or not math.isfinite(self.lo):
                 raise ValueError("at_least needs a finite lower bound")
+            key = ("n", self.lo, math.inf)
         elif self.kind == "ordinal":
             if not _is_level(self.level):
                 raise ValueError(f"ordinal level must be in 1..5, got {self.level!r}")
+            key = ("o", self.level)
         elif self.kind == "category":
             if not self.label:
                 raise ValueError("category needs a non-empty label")
+            key = ("c", self.label)
         else:
             raise ValueError(f"unknown value kind {self.kind!r}")
+        object.__setattr__(self, "key", key)
 
     @property
     def is_numeric(self) -> bool:
@@ -82,13 +97,9 @@ class AttributeValue:
 
     def bounds(self) -> tuple[float, float]:
         """Numeric values as a (lo, hi) pair; crisp is degenerate, at_least is unbounded above."""
-        if self.kind == "crisp":
-            return (self.lo, self.lo)
-        if self.kind == "interval":
-            return (self.lo, self.hi)
-        if self.kind == "at_least":
-            return (self.lo, math.inf)
-        raise ValueError(f"{self.kind} value has no numeric bounds")
+        if self.key[0] != "n":
+            raise ValueError(f"{self.kind} value has no numeric bounds")
+        return self.key[1:]
 
     def __str__(self) -> str:
         if self.kind == "crisp":
@@ -145,13 +156,7 @@ def values_equal(a: AttributeValue, b: AttributeValue) -> bool:
     A crisp number equals the degenerate interval with the same endpoints.
     Values of different families are never equal.
     """
-    if a.is_numeric and b.is_numeric:
-        return a.bounds() == b.bounds()
-    if a.kind == "ordinal" and b.kind == "ordinal":
-        return a.level == b.level
-    if a.kind == "category" and b.kind == "category":
-        return a.label == b.label
-    return False
+    return a.key == b.key
 
 
 @dataclass(frozen=True)
@@ -170,7 +175,7 @@ class Attribute:
     labels: Optional[dict[str, int]] = None  # extra ordinal labels -> level, beyond the built-in five
 
     def __post_init__(self) -> None:
-        if not isinstance(self.id, int) or self.id <= 0:
+        if not _is_int(self.id) or self.id <= 0:
             raise ValueError(f"attribute id must be a positive integer, got {self.id!r}")
         if self.kind not in ("numeric", "ordinal", "categorical"):
             raise ValueError(f"unknown attribute kind {self.kind!r}")
@@ -242,7 +247,12 @@ class DominancePartition:
     levels: tuple[frozenset[int], ...]
 
     def __init__(self, levels) -> None:
-        normalized = tuple(frozenset(level) for level in levels)
+        raw = tuple(tuple(level) for level in levels)
+        for level in raw:
+            for aid in level:
+                if not _is_int(aid):
+                    raise ValueError(f"partition entries must be integer attribute ids, got {aid!r}")
+        normalized = tuple(frozenset(level) for level in raw)
         if not normalized:
             raise ValueError("partition needs at least one level")
         if any(not level for level in normalized):
@@ -296,7 +306,11 @@ class DecisionTask:
         if not isinstance(self.task_id, str):
             raise ValueError(f"task_id must be a string, got {self.task_id!r}")
         object.__setattr__(self, "attributes", tuple(self.attributes))
-        object.__setattr__(self, "basic_ids", frozenset(self.basic_ids))
+        basic_ids = tuple(self.basic_ids)
+        for aid in basic_ids:
+            if not _is_int(aid):
+                raise ValueError(f"basic ids must be integer attribute ids, got {aid!r}")
+        object.__setattr__(self, "basic_ids", frozenset(basic_ids))
         object.__setattr__(
             self, "thresholds", tuple(sorted(self.thresholds, key=lambda t: t.attribute_id))
         )
@@ -316,16 +330,16 @@ class DecisionTask:
     def attribute_ids(self) -> frozenset[int]:
         return frozenset(a.id for a in self.attributes)
 
-    def alternative(self, alt_id: str) -> Alternative:
+    @cached_property
+    def _alternative_by_id(self) -> dict[str, Alternative]:
+        index: dict[str, Alternative] = {}
         for alt in self.alternatives:
-            if alt.id == alt_id:
-                return alt
-        raise KeyError(alt_id)
+            index.setdefault(alt.id, alt)
+        return index
 
-
-def alternatives_equal(a: Alternative, b: Alternative, attribute_ids) -> bool:
-    """Whether two alternatives carry semantically equal values on every given attribute."""
-    return all(values_equal(a.values[i], b.values[i]) for i in attribute_ids)
+    def alternative(self, alt_id: str) -> Alternative:
+        """The first alternative with this id; ``KeyError`` if there is none."""
+        return self._alternative_by_id[alt_id]
 
 
 @dataclass(frozen=True)
@@ -514,21 +528,24 @@ def validate_task(task: DecisionTask) -> list[Violation]:
                     )
                 )
 
-    # complete-equality screen over basic + dominance attributes
-    relevant = (task.basic_ids | partition_ids) & all_ids
+    # complete-equality screen over basic + dominance attributes: alternatives
+    # grouped by their tuple of value keys, pairs reported in (i, j) order
+    relevant = sorted((task.basic_ids | partition_ids) & all_ids)
     comparable = [
         alt
         for alt in task.alternatives
         if all(aid in alt.values and _value_kind_matches(task._by_id[aid], alt.values[aid]) for aid in relevant)
     ]
-    for i, first in enumerate(comparable):
-        for second in comparable[i + 1 :]:
-            if alternatives_equal(first, second, relevant):
-                violations.append(
-                    Violation(
-                        "duplicate-alternative",
-                        f"alternatives {first.id!r} and {second.id!r} are completely equal on every screened attribute",
-                    )
-                )
+    groups: dict[tuple, list[int]] = {}
+    for index, alt in enumerate(comparable):
+        groups.setdefault(tuple(alt.values[aid].key for aid in relevant), []).append(index)
+    pairs = sorted(pair for group in groups.values() for pair in combinations(group, 2))
+    for i, j in pairs:
+        violations.append(
+            Violation(
+                "duplicate-alternative",
+                f"alternatives {comparable[i].id!r} and {comparable[j].id!r} are completely equal on every screened attribute",
+            )
+        )
 
     return violations

@@ -8,6 +8,7 @@ meaningful check rather than a tautology.  Speed is a non-goal.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from typing import Iterable, Optional, Sequence
@@ -19,7 +20,6 @@ from .model import (
     DecisionTask,
     DominancePartition,
     Threshold,
-    alternatives_equal,
     at_least,
     category,
     crisp,
@@ -170,6 +170,23 @@ def _random_value(rng: random.Random, attr: Attribute, total_order_only: bool) -
     return at_least(rng.randint(0, 20))
 
 
+def _value_domain(attr: Attribute, total_order_only: bool) -> list[AttributeValue]:
+    """Every value :func:`_random_value` can draw for ``attr``, one per canonical key."""
+    if attr.kind == "ordinal":
+        drawable = [ordinal(level) for level in range(1, 6)]
+    elif attr.kind == "categorical":
+        drawable = [category(label) for label in CATEGORY_POOL]
+    else:
+        drawable = [crisp(x) for x in range(21)]
+        if not total_order_only:
+            drawable += [interval(lo, lo + width) for lo in range(16) for width in range(9)]
+            drawable += [at_least(x) for x in range(21)]
+    domain: dict[tuple, AttributeValue] = {}
+    for value in drawable:
+        domain.setdefault(value.key, value)
+    return list(domain.values())
+
+
 def _random_threshold(rng: random.Random, attr: Attribute) -> Threshold:
     # loose bounds so the feasible set is rarely empty
     if attr.kind == "numeric":
@@ -195,10 +212,12 @@ def random_task(
 
     ``total_order_only`` restricts values to crisp numbers and ordinals so
     every per-attribute comparison is a total order.  Alternatives that would
-    duplicate an earlier one are resampled; when the drawn attributes cannot
-    tell the requested number of alternatives apart (e.g. one ordinal
-    attribute has only five distinct values), the count is capped at the
-    number of distinguishable value vectors.
+    duplicate an earlier one are resampled; if a thousand draws in a row are
+    all taken, the rest are drawn without replacement from the value vectors
+    still free.  When the drawn attributes cannot tell the requested number
+    of alternatives apart (e.g. one ordinal attribute has only five distinct
+    values), the count is capped at the number of distinguishable value
+    vectors.
     """
     if n_alternatives < 1 or n_attributes < 1 or n_levels < 1:
         raise ValueError("dimensions must be positive")
@@ -235,17 +254,27 @@ def random_task(
     thresholds = tuple(_random_threshold(rng, a) for a in attributes)
 
     alternatives: list[Alternative] = []
+    seen: set[tuple] = set()
+    unused: Optional[list[tuple[AttributeValue, ...]]] = None
     for index in range(n_alternatives):
-        for _ in range(1000):
-            candidate = Alternative(
-                id=f"alt{index + 1}",
-                values={a.id: _random_value(rng, a, total_order_only) for a in attributes},
-            )
-            if not any(alternatives_equal(candidate, existing, ids) for existing in alternatives):
-                alternatives.append(candidate)
-                break
-        else:
-            raise RuntimeError(f"could not generate a distinct alternative (seed {seed})")
+        if unused is None:
+            for _ in range(1000):
+                values = {a.id: _random_value(rng, a, total_order_only) for a in attributes}
+                if tuple(values[aid].key for aid in ids) not in seen:
+                    break
+            else:
+                # rejection sampling stalls once nearly every value vector is
+                # taken: draw the rest without replacement from the free ones
+                domains = [_value_domain(a, total_order_only) for a in attributes]
+                unused = [
+                    vector
+                    for vector in itertools.product(*domains)
+                    if tuple(v.key for v in vector) not in seen
+                ]
+        if unused is not None:
+            values = dict(zip(ids, unused.pop(rng.randrange(len(unused)))))
+        seen.add(tuple(values[aid].key for aid in ids))
+        alternatives.append(Alternative(id=f"alt{index + 1}", values=values))
 
     task = DecisionTask(
         task_id=f"random-{seed}",

@@ -154,6 +154,8 @@ def parse_scenario(text: str) -> DecisionTask:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError("syntax", exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except RecursionError as exc:
+        raise ScenarioError("syntax", "nesting too deep to decode") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("schema", "scenario must be a JSON object")
 
@@ -210,7 +212,7 @@ def parse_scenario(text: str) -> DecisionTask:
         task = DecisionTask(
             task_id=task_id,
             attributes=tuple(attributes),
-            basic_ids=frozenset(basic_ids),
+            basic_ids=basic_ids,
             thresholds=tuple(thresholds),
             partition=partition,
             alternatives=tuple(alternatives),

@@ -132,6 +132,35 @@ class TestDecide:
         assert "not found" in err
 
 
+def unreadable(kind: str, tmp_path: Path) -> str:
+    """A path that is not a readable scenario text: a directory, non-UTF-8 bytes, or 200,000-deep nesting."""
+    if kind == "directory":
+        return str(tmp_path)
+    path = tmp_path / f"{kind}.json"
+    if kind == "not-utf8":
+        path.write_bytes(b'{"task_id": "caf\xe9"}')
+    else:
+        path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    return str(path)
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8", "deep-nesting"])
+    @pytest.mark.parametrize(
+        "argv", [["decide"], ["compare", "--theories", "lt"], ["validate"]], ids=["decide", "compare", "validate"]
+    )
+    def test_error_line_and_exit_1(self, argv, kind, tmp_path, capsys):
+        path = unreadable(kind, tmp_path)
+        code, out, err = run(capsys, *argv, path)
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        expected = {"directory": "Is a directory", "not-utf8": "syntax: not UTF-8 text", "deep-nesting": "syntax: nesting too deep"}
+        assert expected[kind] in err
+        prefix = f"{path}: " if argv[0] == "validate" else "error: "
+        assert err.startswith(prefix)
+
+
 class TestCompare:
     def test_case2_rows(self, capsys):
         code, out, _ = run(

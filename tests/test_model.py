@@ -21,6 +21,7 @@ from ladderchoice import (
     validate_task,
 )
 from ladderchoice.model import values_equal
+from ladderchoice.oracle import random_task
 
 
 def make_task(**overrides) -> DecisionTask:
@@ -242,3 +243,96 @@ class TestValidateTask:
             clone = Alternative("c", dict(base.alternatives[rng.randrange(2)].values))
             task = make_task(alternatives=base.alternatives + (clone,))
             assert any(v.code == "duplicate-alternative" for v in validate_task(task))
+
+
+def _naive_same(a, b) -> bool:
+    """Semantic equality written out from the kinds, without the canonical key."""
+    bounds = {
+        "crisp": lambda v: (v.lo, v.lo),
+        "interval": lambda v: (v.lo, v.hi),
+        "at_least": lambda v: (v.lo, float("inf")),
+    }
+    if a.kind in bounds and b.kind in bounds:
+        return bounds[a.kind](a) == bounds[b.kind](b)
+    if a.kind == b.kind == "ordinal":
+        return a.level == b.level
+    return a.kind == b.kind == "category" and a.label == b.label
+
+
+def naive_duplicate_messages(task: DecisionTask) -> list[str]:
+    """The complete-equality screen as a pairwise loop over every (i, j), i < j."""
+    relevant = (task.basic_ids | task.partition.all_ids()) & task.attribute_ids()
+    alts = task.alternatives
+    return [
+        f"alternatives {first.id!r} and {second.id!r} are completely equal on every screened attribute"
+        for i, first in enumerate(alts)
+        for second in alts[i + 1 :]
+        if all(_naive_same(first.values[aid], second.values[aid]) for aid in relevant)
+    ]
+
+
+def duplicate_messages(task: DecisionTask) -> list[str]:
+    return [v.message for v in validate_task(task) if v.code == "duplicate-alternative"]
+
+
+def _twin(value):
+    """A different spelling of the same value: crisp x as [x, x], a zero with the other sign."""
+    if value.kind == "crisp":
+        return interval(value.lo, value.lo) if value.lo else crisp(-value.lo)
+    if value.kind == "interval" and value.lo == value.hi:
+        return crisp(value.lo)
+    return value
+
+
+class TestDuplicateScreen:
+    def test_interleaved_groups_keep_pair_order(self):
+        a, b = {1: crisp(50), 2: ordinal(4)}, {1: crisp(60), 2: ordinal(3)}
+        task = make_task(
+            alternatives=(
+                Alternative("p0", a),
+                Alternative("p1", b),
+                Alternative("p2", dict(b)),
+                Alternative("p3", dict(a)),
+                Alternative("p4", dict(a)),
+            )
+        )
+        assert duplicate_messages(task) == naive_duplicate_messages(task)
+        assert [m.split(" are ")[0] for m in duplicate_messages(task)] == [
+            "alternatives 'p0' and 'p3'",
+            "alternatives 'p0' and 'p4'",
+            "alternatives 'p1' and 'p2'",
+            "alternatives 'p3' and 'p4'",
+        ]
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [(crisp(3), interval(3, 3)), (crisp(0.0), crisp(-0.0)), (interval(-0.0, 0.0), crisp(0))],
+        ids=["crisp-vs-degenerate-interval", "zero-vs-negative-zero", "signed-zero-interval"],
+    )
+    def test_equal_spellings_are_duplicates(self, first, second):
+        task = make_task(
+            alternatives=(Alternative("a", {1: first, 2: ordinal(4)}), Alternative("b", {1: second, 2: ordinal(4)}))
+        )
+        assert values_equal(first, second)
+        assert duplicate_messages(task) == naive_duplicate_messages(task) != []
+
+    def test_matches_pairwise_screen_on_large_tasks(self):
+        rng = random.Random(29)
+        for seed, n in [(1, 40), (2, 120), (3, 300), (4, 300)]:
+            base = random_task(seed, n_alternatives=n, n_attributes=4, n_levels=2)
+            alternatives = list(base.alternatives)
+            for k in range(n // 10):
+                source = rng.choice(base.alternatives)
+                values = {aid: (_twin(v) if rng.random() < 0.5 else v) for aid, v in source.values.items()}
+                alternatives.insert(rng.randrange(len(alternatives) + 1), Alternative(f"dup{k}", values))
+            task = DecisionTask(
+                task_id=base.task_id,
+                attributes=base.attributes,
+                basic_ids=base.basic_ids,
+                thresholds=base.thresholds,
+                partition=base.partition,
+                alternatives=tuple(alternatives),
+            )
+            expected = naive_duplicate_messages(task)
+            assert len(expected) >= n // 10
+            assert duplicate_messages(task) == expected

@@ -2,8 +2,19 @@
 
 from __future__ import annotations
 
-from ladderchoice import DominanceMode, Verdict, decide_task, validate_task
+import hashlib
+import random
+
+import pytest
+
+from ladderchoice import DominanceMode, Verdict, decide_task, psp, serialize_task, validate_task
+from ladderchoice.ladder import dominant_set
 from ladderchoice.oracle import brute_force_dominant, brute_force_lt, random_task
+
+# sha256 over serialize_task of the tasks `batch --seed 7 --count 1000` draws, then of
+# random_task(seed, 4, 5, 2, total_order_only=True) for seeds 0..49: the generator's
+# stream is pinned, so the tasks every seeded test and sweep checks stay the same
+GENERATOR_DIGEST = "e1bd62a8d9174a7078e4dfbd09bc60541a1dd7053cde452a4f8965c39a45133d"
 
 
 class TestGenerator:
@@ -35,6 +46,35 @@ class TestGenerator:
         assert 1 <= len(task.alternatives) <= 21
         assert validate_task(task) == []
 
+    def test_stream_is_unchanged(self):
+        digest = hashlib.sha256()
+        for seed in range(7, 1007):
+            dims = random.Random(seed ^ 0x5EED)
+            task = random_task(
+                seed,
+                n_alternatives=dims.randint(1, 6),
+                n_attributes=dims.randint(1, 5),
+                n_levels=dims.randint(1, 3),
+            )
+            digest.update(serialize_task(task).encode())
+        for seed in range(50):
+            task = random_task(seed, n_alternatives=4, n_attributes=5, n_levels=2, total_order_only=True)
+            digest.update(serialize_task(task).encode())
+        assert digest.hexdigest() == GENERATOR_DIGEST
+
+    @pytest.mark.parametrize(
+        "seed,n_alternatives,capacity",
+        [(5, 1000, 5**4), (21, 5000, 21 * 5**3)],
+        ids=["four-ordinals", "one-numeric-three-ordinals"],
+    )
+    def test_nearly_full_value_space_is_filled(self, seed, n_alternatives, capacity):
+        # every distinct value vector is used; rejection sampling alone cannot
+        # draw the last few of them
+        task = random_task(seed, n_alternatives=n_alternatives, n_attributes=4, total_order_only=True)
+        assert len(task.alternatives) == capacity
+        assert validate_task(task) == []
+        assert random_task(seed, n_alternatives=n_alternatives, n_attributes=4, total_order_only=True) == task
+
     def test_rejects_non_positive_dimensions(self):
         import pytest
 
@@ -62,3 +102,37 @@ class TestBruteForce:
             for mode in DominanceMode:
                 _, outcome = decide_task(task, mode)
                 assert (outcome.verdict.value, outcome.chosen) == brute_force_lt(task, mode.value)
+
+
+# (n_alternatives, n_attributes, n_levels, seeds): few trials at large n, where the
+# champion scan and Sort-Filter-Skyline do real work
+LARGE = [(60, 4, 2, range(20)), (150, 5, 3, range(6)), (300, 4, 2, range(3)), (300, 6, 3, range(3))]
+
+
+class TestAgreementAtLargeN:
+    @pytest.mark.parametrize("total_order_only", [False, True], ids=["partial-order", "total-order"])
+    @pytest.mark.parametrize("n,n_attributes,n_levels,seeds", LARGE, ids=[f"n{n}-m{m}" for n, m, *_ in LARGE])
+    def test_dominant_set_and_decide_task(self, n, n_attributes, n_levels, seeds, total_order_only):
+        for seed in seeds:
+            task = random_task(seed, n, n_attributes, n_levels, total_order_only=total_order_only)
+            everyone = [a.id for a in task.alternatives]
+            for candidates in (everyone, list(psp(task).feasible)):
+                for r in range(1, task.partition.level_count + 1):
+                    attrs = task.partition.level(r)
+                    for mode in DominanceMode:
+                        assert dominant_set(candidates, attrs, mode, task) == brute_force_dominant(
+                            candidates, attrs, mode.value, task
+                        ), (seed, r, mode)
+            for mode in DominanceMode:
+                _, outcome = decide_task(task, mode)
+                assert (outcome.verdict.value, outcome.chosen) == brute_force_lt(task, mode.value), (seed, mode)
+
+    def test_lone_and_repeated_candidates(self):
+        task = random_task(3, 40, 3, 1)
+        attrs = task.partition.level(1)
+        first, second = task.alternatives[0].id, task.alternatives[1].id
+        for mode in DominanceMode:
+            for candidates in ([], [first], [first, first], [first, second, first]):
+                assert dominant_set(candidates, attrs, mode, task) == brute_force_dominant(
+                    candidates, attrs, mode.value, task
+                )

@@ -81,6 +81,24 @@ REJECTIONS = [
 ]
 
 
+def assert_case1_refused(path, replacement, tmp_path, capsys):
+    """case1 with one entry replaced is a value or schema error, and `validate` exits 1 naming it."""
+    doc = json.loads(fixture_path("case1").read_text(encoding="utf-8"))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = replacement
+    text = json.dumps(doc)
+    with pytest.raises(ScenarioError) as excinfo:
+        parse_scenario(text)
+    assert excinfo.value.category in ("value", "schema")
+    scenario = tmp_path / "mutated.json"
+    scenario.write_text(text, encoding="utf-8")
+    assert main(["validate", str(scenario)]) == 1
+    assert f"{scenario}: {excinfo.value.category}" in capsys.readouterr().err
+
+
 class TestRejections:
     @pytest.mark.parametrize("filename,expected_category", REJECTIONS)
     def test_malformed_file_rejected_with_category(self, filename, expected_category):
@@ -117,20 +135,27 @@ class TestRejections:
         "path,replacement", BOOLEANS, ids=["crisp", "interval", "at_least", "ordinal", "max", "min_level", "labels"]
     )
     def test_boolean_is_not_a_level_or_a_number(self, path, replacement, tmp_path, capsys):
-        doc = json.loads(fixture_path("case1").read_text(encoding="utf-8"))
-        *parents, last = path
-        target = doc
-        for key in parents:
-            target = target[key]
-        target[last] = replacement
-        text = json.dumps(doc)
-        with pytest.raises(ScenarioError) as excinfo:
-            parse_scenario(text)
-        assert excinfo.value.category in ("value", "schema")
-        scenario = tmp_path / "booleans.json"
-        scenario.write_text(text, encoding="utf-8")
-        assert main(["validate", str(scenario)]) == 1
-        assert f"{scenario}: {excinfo.value.category}" in capsys.readouterr().err
+        assert_case1_refused(path, replacement, tmp_path, capsys)
+
+    # (path into case1's document, replacement): an attribute id or a level of the wrong type
+    WRONG_TYPES = [
+        (("basic", "ids"), ["1", 2, 3, 4, 5]),
+        (("basic", "ids"), [True, 2, 3, 4, 5]),
+        (("attributes", 0, "id"), True),
+        (("dominance", "levels", 0, 0), True),
+        (("dominance", "levels", 0, 0), 1.0),
+        (("alternatives", 0, "values", "3"), {"ordinal": 3.0}),
+        (("basic", "thresholds", "3"), {"min_level": 3.0}),
+    ]
+
+    @pytest.mark.parametrize(
+        "path,replacement",
+        WRONG_TYPES,
+        ids=["string-basic-id", "boolean-basic-id", "boolean-attribute-id", "boolean-partition-entry",
+             "float-partition-entry", "float-ordinal", "float-min-level"],
+    )
+    def test_id_or_level_of_the_wrong_type(self, path, replacement, tmp_path, capsys):
+        assert_case1_refused(path, replacement, tmp_path, capsys)
 
     def test_unknown_category_is_refused(self):
         with pytest.raises(ValueError):
