@@ -84,6 +84,8 @@ class AttributeValue:
                 raise ValueError(f"ordinal level must be in 1..5, got {self.level!r}")
             key = ("o", self.level)
         elif self.kind == "category":
+            if not isinstance(self.label, str):
+                raise ValueError(f"category label must be a string, got {self.label!r}")
             if not self.label:
                 raise ValueError("category needs a non-empty label")
             key = ("c", self.label)
@@ -121,10 +123,13 @@ def format_number(x: float) -> str:
 
 
 def _as_number(x: object, what: str) -> float:
-    """``x`` as a float; booleans and anything but an int or a float are refused, not coerced."""
+    """``x`` as a float; booleans, anything but an int or a float, and ints beyond float range are refused."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ValueError(f"{what} must be a number, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{what} must be a finite number, got an integer too large for a float") from None
 
 
 def crisp(x: float) -> AttributeValue:
@@ -197,6 +202,13 @@ _OPS_FOR_KIND = {
     "numeric": ("max", "min"),
     "ordinal": ("min_level", "max_level"),
     "categorical": ("allowed",),
+}
+
+# which value kinds an attribute of each kind can carry
+_VALUE_KINDS_FOR_KIND = {
+    "numeric": NUMERIC_KINDS,
+    "ordinal": ("ordinal",),
+    "categorical": ("category",),
 }
 
 
@@ -404,14 +416,6 @@ class Violation:
         return f"{self.code}: {self.message}"
 
 
-def _value_kind_matches(attr: Attribute, value: AttributeValue) -> bool:
-    if attr.kind == "numeric":
-        return value.is_numeric
-    if attr.kind == "ordinal":
-        return value.kind == "ordinal"
-    return value.kind == "category"
-
-
 def _threshold_kind_matches(attr: Attribute, t: Threshold) -> bool:
     return t.op in _OPS_FOR_KIND[attr.kind]
 
@@ -502,43 +506,52 @@ def validate_task(task: DecisionTask) -> list[Violation]:
                     Violation("kind-mismatch", f"aspiration threshold '{t}' does not fit attribute {t.attribute_id}")
                 )
 
+    # one pass per alternative: id, coverage and kind checks, and its value-key
+    # tuple for the complete-equality screen over basic + dominance attributes;
+    # duplicate pairs are reported in (i, j) order over the comparable alternatives
+    relevant = (task.basic_ids | partition_ids) & all_ids
+    checks = [(aid, attr.kind, _VALUE_KINDS_FOR_KIND[attr.kind]) for aid, attr in sorted(task._by_id.items())]
+    screened = sorted(relevant)
     alt_ids_seen: set[str] = set()
+    comparable: list[Alternative] = []
+    groups: dict[tuple, list[int]] = {}
     for alt in task.alternatives:
         if alt.id in alt_ids_seen:
             violations.append(Violation("duplicate-alternative-id", f"alternative id {alt.id!r} declared twice"))
         alt_ids_seen.add(alt.id)
 
-        missing_values = all_ids - set(alt.values)
-        if missing_values:
-            violations.append(
-                Violation("missing-value", f"alternative {alt.id!r} lacks value(s) for attribute(s) {sorted(missing_values)}")
-            )
-        extra_values = set(alt.values) - all_ids
-        if extra_values:
-            violations.append(
-                Violation("unknown-reference", f"alternative {alt.id!r} has value(s) for undeclared attribute(s) {sorted(extra_values)}")
-            )
-        for aid in sorted(set(alt.values) & all_ids):
-            attr = task._by_id[aid]
-            if not _value_kind_matches(attr, alt.values[aid]):
+        values = alt.values
+        if values.keys() == all_ids:
+            present = checks
+            complete = True
+        else:
+            missing_values = all_ids - values.keys()
+            if missing_values:
+                violations.append(
+                    Violation("missing-value", f"alternative {alt.id!r} lacks value(s) for attribute(s) {sorted(missing_values)}")
+                )
+            extra_values = values.keys() - all_ids
+            if extra_values:
+                violations.append(
+                    Violation("unknown-reference", f"alternative {alt.id!r} has value(s) for undeclared attribute(s) {sorted(extra_values)}")
+                )
+            present = [check for check in checks if check[0] in values]
+            complete = relevant.isdisjoint(missing_values)
+        for aid, attr_kind, value_kinds in present:
+            value_kind = values[aid].kind
+            if value_kind not in value_kinds:
                 violations.append(
                     Violation(
                         "kind-mismatch",
-                        f"alternative {alt.id!r} carries a {alt.values[aid].kind} value on {attr.kind} attribute {aid}",
+                        f"alternative {alt.id!r} carries a {value_kind} value on {attr_kind} attribute {aid}",
                     )
                 )
+                if aid in relevant:
+                    complete = False
+        if complete:
+            groups.setdefault(tuple([values[aid].key for aid in screened]), []).append(len(comparable))
+            comparable.append(alt)
 
-    # complete-equality screen over basic + dominance attributes: alternatives
-    # grouped by their tuple of value keys, pairs reported in (i, j) order
-    relevant = sorted((task.basic_ids | partition_ids) & all_ids)
-    comparable = [
-        alt
-        for alt in task.alternatives
-        if all(aid in alt.values and _value_kind_matches(task._by_id[aid], alt.values[aid]) for aid in relevant)
-    ]
-    groups: dict[tuple, list[int]] = {}
-    for index, alt in enumerate(comparable):
-        groups.setdefault(tuple(alt.values[aid].key for aid in relevant), []).append(index)
     pairs = sorted(pair for group in groups.values() for pair in combinations(group, 2))
     for i, j in pairs:
         violations.append(

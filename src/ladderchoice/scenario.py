@@ -7,10 +7,19 @@ ordered least important first), optional ``aspiration``, and
 ``{"interval": [lo, hi]}``, ``{"at_least": x}``, ``{"ordinal": "moderate"}``
 (labels or explicit levels 1..5) or ``{"category": "white"}``.
 
+Attribute ids key ``values``, ``basic.thresholds`` and ``aspiration`` in
+their canonical decimal spelling only: ``"1"``, not ``"01"``, ``" 1"`` or
+``"0_1"``.
+
 Parsing is strict: structural problems and task-invariant violations raise
 :class:`ScenarioError` carrying a stable category (syntax, schema, value,
 unknown-reference, kind-mismatch, duplicate-id, duplicate-alternative,
 invariant), so callers can report precisely why a file was rejected.
+
+Within one parsed task, equal payloads on one attribute share one immutable
+:class:`AttributeValue`, so a task costs one value construction per distinct
+value, not one per cell.  Which objects are shared is not API: compare values
+by equality or ``key``, never by identity.
 """
 
 from __future__ import annotations
@@ -99,28 +108,44 @@ def _parse_attribute(raw: Any) -> Attribute:
         raise ScenarioError("schema", f"attribute {aid}: {exc}") from exc
 
 
-def _parse_value(raw: Any, attribute: Optional[Attribute], context: str) -> AttributeValue:
-    try:
-        if isinstance(raw, (int, float)):
-            return crisp(raw)
-        if isinstance(raw, dict) and len(raw) == 1:
-            ((tag, payload),) = raw.items()
-            if tag == "interval":
-                lo, hi = payload
-                return interval(lo, hi)
-            if tag == "at_least":
-                return at_least(payload)
-            if tag == "ordinal":
-                if isinstance(payload, str):
-                    extras = attribute.labels if attribute is not None else None
-                    return ordinal(label_level(payload, extras))
-                return ordinal(payload)
-            if tag == "category":
-                return category(payload)
-            raise ValueError(f"unknown value tag {tag!r}")
-        raise ValueError(f"unrecognized value encoding {raw!r}")
-    except (ValueError, TypeError) as exc:
-        raise ScenarioError("value", f"{context}: {exc}") from exc
+def _parse_value(raw: Any, attribute: Optional[Attribute]) -> AttributeValue:
+    """One encoded value; raises ``ValueError`` or ``TypeError`` when it is malformed."""
+    if isinstance(raw, (int, float)):
+        return crisp(raw)
+    if isinstance(raw, dict) and len(raw) == 1:
+        ((tag, payload),) = raw.items()
+        if tag == "interval":
+            lo, hi = payload
+            return interval(lo, hi)
+        if tag == "at_least":
+            return at_least(payload)
+        if tag == "ordinal":
+            if isinstance(payload, str):
+                extras = attribute.labels if attribute is not None else None
+                return ordinal(label_level(payload, extras))
+            return ordinal(payload)
+        if tag == "category":
+            return category(payload)
+        raise ValueError(f"unknown value tag {tag!r}")
+    raise ValueError(f"unrecognized value encoding {raw!r}")
+
+
+def _value_token(raw: Any) -> Optional[tuple]:
+    """Hashable stand-in for an encoded value, or None when the value is not interned.
+
+    Two encodings share a token only if parsing cannot tell them apart.  The
+    token is exact on type, because ``True``, ``1`` and ``1.0`` hash equal; it
+    leaves out float zero, because ``0.0`` and ``-0.0`` hash equal but
+    serialize differently; and it leaves out payloads that are neither a
+    string nor a number, such as interval lists.
+    """
+    tag = None
+    if type(raw) is dict and len(raw) == 1:
+        ((tag, raw),) = raw.items()
+    kind = type(raw)
+    if kind is str or kind is int or (kind is float and raw != 0.0):
+        return (tag, kind, raw)
+    return None
 
 
 def _parse_threshold(attribute_id: int, raw: Any, context: str) -> Threshold:
@@ -135,17 +160,21 @@ def _parse_threshold(attribute_id: int, raw: Any, context: str) -> Threshold:
         raise ScenarioError("value", f"{context}: {exc}") from exc
 
 
+def _attribute_id(key: str, context: str) -> int:
+    """An attribute-id key as its int; only the canonical spelling ``str(int(key))`` is accepted."""
+    try:
+        aid = int(key)
+    except ValueError:
+        aid = None
+    if aid is None or str(aid) != key:
+        raise ScenarioError("schema", f"{context}: key {key!r} is not an attribute id")
+    return aid
+
+
 def _parse_threshold_map(raw: Any, context: str) -> list[Threshold]:
     if not isinstance(raw, dict):
         raise ScenarioError("schema", f"{context} must map attribute ids to predicates")
-    thresholds = []
-    for key in raw:
-        try:
-            aid = int(key)
-        except ValueError as exc:
-            raise ScenarioError("schema", f"{context}: key {key!r} is not an attribute id") from exc
-        thresholds.append(_parse_threshold(aid, raw[key], f"{context}[{key}]"))
-    return thresholds
+    return [_parse_threshold(_attribute_id(key, context), raw[key], f"{context}[{key}]") for key in raw]
 
 
 def parse_scenario(text: str) -> DecisionTask:
@@ -156,6 +185,8 @@ def parse_scenario(text: str) -> DecisionTask:
         raise ScenarioError("syntax", exc.msg, line=exc.lineno, column=exc.colno) from exc
     except RecursionError as exc:
         raise ScenarioError("syntax", "nesting too deep to decode") from exc
+    except ValueError as exc:  # an integer literal beyond the interpreter's digit limit
+        raise ScenarioError("syntax", f"cannot decode: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("schema", "scenario must be a JSON object")
 
@@ -191,6 +222,8 @@ def parse_scenario(text: str) -> DecisionTask:
     if not isinstance(raw_alternatives, list):
         raise ScenarioError("schema", "alternatives must be a list")
     alternatives = []
+    # values key -> (attribute id, values already built on it by payload token)
+    columns: dict[str, tuple[int, dict[tuple, AttributeValue]]] = {}
     for raw in raw_alternatives:
         alt_id = _require(raw, "id", "alternative")
         raw_values = _require(raw, "values", f"alternative {alt_id!r}")
@@ -198,11 +231,20 @@ def parse_scenario(text: str) -> DecisionTask:
             raise ScenarioError("schema", f"alternative {alt_id!r}: values must map attribute ids")
         values = {}
         for key, payload in raw_values.items():
-            try:
-                aid = int(key)
-            except ValueError as exc:
-                raise ScenarioError("schema", f"alternative {alt_id!r}: key {key!r} is not an attribute id") from exc
-            values[aid] = _parse_value(payload, by_id.get(aid), f"alternative {alt_id!r}, attribute {aid}")
+            column = columns.get(key)
+            if column is None:
+                column = columns[key] = (_attribute_id(key, f"alternative {alt_id!r}"), {})
+            aid, interned = column
+            token = _value_token(payload)
+            value = interned.get(token)
+            if value is None:
+                try:
+                    value = _parse_value(payload, by_id.get(aid))
+                except (ValueError, TypeError) as exc:
+                    raise ScenarioError("value", f"alternative {alt_id!r}, attribute {aid}: {exc}") from exc
+                if token is not None:
+                    interned[token] = value
+            values[aid] = value
         try:
             alternatives.append(Alternative(id=alt_id, values=values))
         except ValueError as exc:
@@ -231,7 +273,7 @@ def parse_scenario(text: str) -> DecisionTask:
     return task
 
 
-def _value_to_json(value: AttributeValue) -> Any:
+def _value_to_json(value: AttributeValue, extra_labels: Optional[dict[str, int]]) -> Any:
     if value.kind == "crisp":
         return value.lo
     if value.kind == "interval":
@@ -239,7 +281,9 @@ def _value_to_json(value: AttributeValue) -> Any:
     if value.kind == "at_least":
         return {"at_least": value.lo}
     if value.kind == "ordinal":
-        return {"ordinal": ORDINAL_LABELS[value.level - 1]}
+        # the bare level where the attribute's extra labels give the built-in label another level
+        label = ORDINAL_LABELS[value.level - 1]
+        return {"ordinal": label if label_level(label, extra_labels) == value.level else value.level}
     return {"category": value.label}
 
 
@@ -270,8 +314,14 @@ def task_to_json(task: DecisionTask) -> dict[str, Any]:
     }
     if task.aspiration is not None:
         doc["aspiration"] = {str(t.attribute_id): _threshold_to_json(t) for t in task.aspiration}
+    extra_labels = {attr.id: attr.labels for attr in task.attributes}
     doc["alternatives"] = [
-        {"id": alt.id, "values": {str(aid): _value_to_json(alt.values[aid]) for aid in sorted(alt.values)}}
+        {
+            "id": alt.id,
+            "values": {
+                str(aid): _value_to_json(alt.values[aid], extra_labels.get(aid)) for aid in sorted(alt.values)
+            },
+        }
         for alt in task.alternatives
     ]
     return doc

@@ -161,6 +161,34 @@ class TestUnreadableFiles:
         assert err.startswith(prefix)
 
 
+# DEADLOCK with one number made too large: 10**400 overflows a float, and a
+# 5,000-digit literal is beyond the decoder's digit limit
+HUGE = "1" + "0" * 400
+OVERSIZED = {
+    "crisp": ('{"interval": [30, 70]}', HUGE, "value"),
+    "max": ('{"max": 100}', f'{{"max": {HUGE}}}', "value"),
+    "interval": ("[30, 70]", f"[1, {HUGE}]", "value"),
+    "5000-digits": ('{"interval": [30, 70]}', "9" * 5000, "syntax"),
+}
+
+
+class TestOversizedIntegers:
+    @pytest.mark.parametrize("kind", list(OVERSIZED))
+    @pytest.mark.parametrize(
+        "argv", [["decide"], ["compare", "--theories", "lt"], ["validate"]], ids=["decide", "compare", "validate"]
+    )
+    def test_error_line_and_exit_1(self, argv, kind, tmp_path, capsys):
+        old, new, category = OVERSIZED[kind]
+        path = tmp_path / "huge.json"
+        path.write_text(DEADLOCK.replace(old, new, 1), encoding="utf-8")
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        prefix = f"{path}: " if argv[0] == "validate" else "error: "
+        assert err.startswith(prefix + category)
+
+
 class TestCompare:
     def test_case2_rows(self, capsys):
         code, out, _ = run(

@@ -316,6 +316,23 @@ class TestDuplicateScreen:
         assert values_equal(first, second)
         assert duplicate_messages(task) == naive_duplicate_messages(task) != []
 
+    def test_wrong_kind_or_missing_value_keeps_a_pair_out_only_on_screened_attributes(self):
+        # attribute 3 is neither basic nor in the partition, so the screen ignores it
+        pairs = [
+            ("a", {1: category("x"), 2: ordinal(4), 3: crisp(1)}),  # wrong kind on a screened attribute
+            ("c", {1: crisp(5), 2: ordinal(4), 3: category("y")}),  # wrong kind on attribute 3
+            ("e", {2: ordinal(2), 3: crisp(1)}),  # no value on a screened attribute
+            ("g", {1: crisp(7), 2: ordinal(2)}),  # no value on attribute 3
+        ]
+        task = make_task(
+            attributes=(*make_task().attributes, Attribute(3, "extra", "numeric", "cost")),
+            alternatives=tuple(Alternative(name + suffix, dict(values)) for name, values in pairs for suffix in "12"),
+        )
+        assert [m.split(" are ")[0] for m in duplicate_messages(task)] == [
+            "alternatives 'c1' and 'c2'",
+            "alternatives 'g1' and 'g2'",
+        ]
+
     def test_matches_pairwise_screen_on_large_tasks(self):
         rng = random.Random(29)
         for seed, n in [(1, 40), (2, 120), (3, 300), (4, 300)]:

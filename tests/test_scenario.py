@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
+import random
 from pathlib import Path
 
 import pytest
@@ -160,6 +163,154 @@ class TestRejections:
     def test_unknown_category_is_refused(self):
         with pytest.raises(ValueError):
             ScenarioError("bogus", "x")
+
+    @pytest.mark.parametrize("label", [5, [1], {"a": 1}, True], ids=["number", "list", "object", "boolean"])
+    def test_category_label_must_be_a_string(self, label):
+        categorical = {"name": "c", "kind": "categorical", "polarity": "none"}
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario(rows_task([categorical], [[{"category": "red"}], [{"category": label}]]))
+        assert str(excinfo.value) == f"value: alternative 'a1', attribute 1: category label must be a string, got {label!r}"
+
+    # where an attribute-id key is read; "values-twice" keeps the canonical key beside the other spelling
+    @pytest.mark.parametrize("where", ["values", "values-twice", "thresholds", "aspiration"])
+    @pytest.mark.parametrize("spelling", ["0{}", " {}", "{} ", "+{}", "0_{}", "{}.0"])
+    def test_attribute_id_key_must_be_canonical(self, where, spelling):
+        doc = json.loads(fixture_path("case1").read_text(encoding="utf-8"))
+        doc["aspiration"] = {"4": {"min_level": 3}}
+        parse_scenario(json.dumps(doc))
+        mapping, aid = {
+            "values": (doc["alternatives"][0]["values"], "1"),
+            "values-twice": (doc["alternatives"][0]["values"], "1"),
+            "thresholds": (doc["basic"]["thresholds"], "1"),
+            "aspiration": (doc["aspiration"], "4"),
+        }[where]
+        key = spelling.format(aid)
+        mapping[key] = 999 if where == "values-twice" else mapping.pop(aid)
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario(json.dumps(doc))
+        assert excinfo.value.category == "schema"
+        assert f"key {key!r} is not an attribute id" in str(excinfo.value)
+
+
+NUMERIC = {"name": "x", "kind": "numeric", "polarity": "cost"}
+ORDINAL = {"name": "o", "kind": "ordinal", "polarity": "benefit"}
+
+
+def rows_task(attributes, rows):
+    """Task text with ``attributes`` (ids 1..m) in one dominance level plus a last numeric
+    attribute whose value is the row number, so that no two rows are duplicates."""
+    row_id = len(attributes) + 1
+    attrs = [dict(attr, id=i) for i, attr in enumerate(attributes, start=1)]
+    attrs.append(dict(NUMERIC, id=row_id, name="row"))
+    alternatives = [
+        {"id": f"a{r}", "values": {**{str(i): payload for i, payload in enumerate(row, start=1)}, str(row_id): r}}
+        for r, row in enumerate(rows)
+    ]
+    return json.dumps(
+        {
+            "task_id": "rows",
+            "attributes": attrs,
+            "basic": {"ids": [], "thresholds": {}},
+            "dominance": {"levels": [[attr["id"] for attr in attrs]]},
+            "alternatives": alternatives,
+        }
+    )
+
+
+def column(task, aid):
+    return [alt.values[aid] for alt in task.alternatives]
+
+
+# sha256 over serialize_task(parse_scenario(text)) for the four fixtures, then for
+# serialize_task(random_task(...)) over 300 seeds, dims drawn per seed as `batch`
+# draws them and every other seed totally ordered: what parsing builds is pinned
+ROUND_TRIP_DIGEST = "1ab57b23dc44885de9e3b8d59cb1f80397fc4d606a522b01dd5d15919071e18d"
+
+
+class TestInterning:
+    def test_equal_payloads_share_one_value(self):
+        task = parse_scenario(
+            rows_task([NUMERIC, ORDINAL], [[5, {"ordinal": "high"}], [5, {"ordinal": "high"}], [5.0, {"ordinal": 4}]])
+        )
+        a0, a1, a2 = column(task, 1)
+        assert a0 is a1
+        assert a2 == a0 and a2 is not a0
+        o0, o1, o2 = column(task, 2)
+        assert o0 is o1
+        assert o2.level == o0.level == 4
+        assert len({id(value) for value in column(task, 3)}) == 3
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ([[1], [True]], "alternative 'a1', attribute 1: crisp value must be a number, got True"),
+            ([[{"ordinal": 3}], [{"ordinal": True}]], "alternative 'a1', attribute 1: ordinal level must be in 1..5, got True"),
+            ([[{"ordinal": 3}], [{"ordinal": 3.0}]], "alternative 'a1', attribute 1: ordinal level must be in 1..5, got 3.0"),
+            ([[5], [{"ordinal": 9}], [{"ordinal": 9}]], "alternative 'a1', attribute 1: ordinal level must be in 1..5, got 9"),
+        ],
+        ids=["crisp-true-after-1", "ordinal-true-after-3", "ordinal-3.0-after-3", "first-bad-occurrence"],
+    )
+    def test_payloads_that_hash_equal_still_fail(self, rows, message):
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario(rows_task([NUMERIC], rows))
+        assert excinfo.value.category == "value"
+        assert str(excinfo.value) == f"value: {message}"
+
+    def test_int_and_float_parse_alike(self):
+        task = parse_scenario(rows_task([NUMERIC], [[1], [1.0], [1]]))
+        assert [value.lo for value in column(task, 1)] == [1.0, 1.0, 1.0]
+        assert all(type(value.lo) is float for value in column(task, 1))
+
+    @pytest.mark.parametrize("first,second", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_float_zero_keeps_its_sign(self, first, second):
+        rows = [[first], [second], [{"at_least": first}], [{"at_least": second}], [first]]
+        task = parse_scenario(rows_task([NUMERIC], rows))
+        signs = [math.copysign(1.0, value.lo) for value in column(task, 1)]
+        expected = [math.copysign(1.0, x) for x in (first, second, first, second, first)]
+        assert signs == expected
+        assert '"1": -0.0' in serialize_task(task)
+        assert '"at_least": -0.0' in serialize_task(task)
+
+    def test_label_resolves_through_its_own_attribute(self):
+        attributes = [dict(ORDINAL, labels={"meh": 2}), dict(ORDINAL, labels={"meh": 4}), ORDINAL]
+        task = parse_scenario(rows_task(attributes, [[{"ordinal": "meh"}, {"ordinal": "meh"}, {"ordinal": "high"}]] * 2))
+        assert [value.level for value in column(task, 1)] == [2, 2]
+        assert [value.level for value in column(task, 2)] == [4, 4]
+        assert [value.level for value in column(task, 3)] == [4, 4]
+        with pytest.raises(ScenarioError, match="attribute 3: unknown ordinal label 'meh'"):
+            parse_scenario(rows_task(attributes, [[{"ordinal": "meh"}, {"ordinal": "meh"}, {"ordinal": "meh"}]]))
+
+    def test_interval_parses_as_before(self):
+        task = parse_scenario(rows_task([NUMERIC], [[{"interval": [1, 2]}], [{"interval": [1, 2]}], [{"interval": [1.0, 2]}]]))
+        assert [value.bounds() for value in column(task, 1)] == [(1.0, 2.0)] * 3
+        assert all(value.kind == "interval" for value in column(task, 1))
+
+    def test_redefined_builtin_label_round_trips(self):
+        # "high" names level 2 on this attribute, so level 4 must not be written as "high"
+        task = parse_scenario(rows_task([dict(ORDINAL, labels={"high": 2})], [[{"ordinal": 4}], [{"ordinal": "high"}]]))
+        assert [value.level for value in column(task, 1)] == [4, 2]
+        text = serialize_task(task)
+        assert parse_scenario(text) == task
+        assert serialize_task(parse_scenario(text)) == text
+
+    def test_round_trip_text_is_pinned(self):
+        digest = hashlib.sha256()
+        for name in CASES:
+            digest.update(serialize_task(parse_scenario(fixture_path(name).read_text(encoding="utf-8"))).encode())
+        for seed in range(300):
+            dims = random.Random(seed ^ 0x5EED)
+            task = random_task(
+                seed,
+                n_alternatives=dims.randint(1, 6),
+                n_attributes=dims.randint(1, 5),
+                n_levels=dims.randint(1, 3),
+                total_order_only=seed % 2 == 1,
+            )
+            text = serialize_task(task)
+            round_trip = serialize_task(parse_scenario(text))
+            assert round_trip == text
+            digest.update(round_trip.encode())
+        assert digest.hexdigest() == ROUND_TRIP_DIGEST
 
 
 class TestRoundTrip:
