@@ -152,13 +152,13 @@ def it_choose(
     attribute wins; without a designated quantitative criterion, or when
     survivors tie, the chooser is Undecidable.
     """
+    if profit_attribute_id is not None and profit_attribute_id not in task.attribute_ids():
+        raise ValueError(f"profitability attribute {profit_attribute_id} is not part of the task")
     survivors = compatibility_screen(task, rejection_budget)
     if not survivors:
         return BaselineResult(None, "no alternative passes the compatibility screen")
     if profit_attribute_id is None:
         return BaselineResult(None, "no single quantitative criterion designated")
-    if profit_attribute_id not in task.attribute_ids():
-        raise ValueError(f"profitability attribute {profit_attribute_id} is not part of the task")
     if task.attribute(profit_attribute_id).kind != "numeric":
         return BaselineResult(None, f"attribute {profit_attribute_id} is not a quantitative criterion")
     best = dominant_set(survivors, {profit_attribute_id}, DominanceMode.GLOBAL, task)

@@ -17,7 +17,7 @@ import json
 import random
 import sys
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NoReturn, Optional
 
 from .baselines import THEORIES, compare_theories
 from .ladder import DominanceMode, decide_task
@@ -93,14 +93,18 @@ def cmd_compare(
         print("error: pt requested without --pt-risk-attr", file=sys.stderr)
         return 1
     task = _load(path)
-    rows = compare_theories(
-        task,
-        theories=theories,
-        pt_risk_attr=pt_risk_attr,
-        it_profit_attr=it_profit_attr,
-        it_budget=it_budget,
-        mode=mode,
-    )
+    try:
+        rows = compare_theories(
+            task,
+            theories=theories,
+            pt_risk_attr=pt_risk_attr,
+            it_profit_attr=it_profit_attr,
+            it_budget=it_budget,
+            mode=mode,
+        )
+    except ValueError as exc:  # an attribute designation the task cannot serve
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for row in rows:
         print(f"{row.theory}: {row.chosen if row.status == 'chosen' else row.status}")
     return 0
@@ -172,8 +176,27 @@ def cmd_batch(seed: int, count: int, mode: DominanceMode) -> int:
     return code
 
 
+class _UsageError(Exception):
+    """A malformed command line, reported by :func:`main` with exit code 1 (argparse's 2 means abstain here)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
+
+
+def _count(text: str) -> int:
+    """A non-negative integer option value."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ladderchoice", description="Threshold-sift and ladder-search decision engine.")
+    parser = _Parser(prog="ladderchoice", description="Threshold-sift and ladder-search decision engine.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     decide = sub.add_parser("decide", help="evaluate a scenario file and print the trace")
@@ -186,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--theories", default=",".join(THEORIES))
     compare.add_argument("--pt-risk-attr", type=int, default=None)
     compare.add_argument("--it-profit-attr", type=int, default=None)
-    compare.add_argument("--it-budget", type=int, default=0)
+    compare.add_argument("--it-budget", type=_count, default=0)
     compare.add_argument("--mode", choices=[m.value for m in DominanceMode], default="global")
 
     validate = sub.add_parser("validate", help="parse and validate scenario files")
@@ -194,14 +217,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     batch = sub.add_parser("batch", help="sweep generated tasks against the naive reference")
     batch.add_argument("--seed", type=int, default=1)
-    batch.add_argument("--count", type=int, default=1000)
+    batch.add_argument("--count", type=_count, default=1000)
     batch.add_argument("--mode", choices=[m.value for m in DominanceMode], default="global")
 
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 1
     try:
         if args.command == "decide":
             return cmd_decide(args.path, _mode(args.mode), args.as_json)

@@ -12,17 +12,19 @@ alternative remains.  Two dominance modes are supported:
   rival; the set can never become empty, but may stay plural all the way
   down, ending in ``NoUniqueChoice``.
 
-Cost of one rung over n candidates and m attributes, with :func:`dominates`
-the only dominance predicate:
+Each rung compiles every candidate once, to its category keys and the
+polarity-signed coordinates of its ordered values (:func:`_signed_vectors`).
+Cost of one rung over n candidates and m attributes:
 
 * ``GLOBAL`` is a champion scan: keep a candidate, replace it whenever it
   fails to dominate the next one, then check the survivor against everyone,
   O(n·m).
 * ``UNDOMINATED`` is Sort-Filter-Skyline (Chomicki et al., ICDE 2003):
-  presort by a score that strictly rises under dominance, then compare each
-  candidate only with the window of undominated ones found so far,
-  O(n log n + n·k·m) for a final window of k.  When nothing dominates
-  anything, k = n and the pass is quadratic again.
+  presort the pairs in descending lexicographic order, which puts every
+  dominator before what it dominates, then compare each candidate only with
+  the window of undominated ones found so far, O(n log n + n·k·m) for a
+  final window of k.  When nothing dominates anything, k = n and the pass is
+  quadratic again.
 
 The duplicate screen of :func:`~ladderchoice.model.validate_task` is linear
 too: it groups alternatives by their tuple of value keys.
@@ -31,6 +33,7 @@ too: it groups alternatives by their tuple of value keys.
 from __future__ import annotations
 
 from enum import Enum
+from operator import ge
 from typing import Iterable, Sequence
 
 from .model import (
@@ -42,12 +45,33 @@ from .model import (
     Verdict,
 )
 from .sift import psp
-from .values import PartialOrdering, compare_values, satisfies_threshold
+from .values import satisfies_threshold, signed_coords
 
 
 class DominanceMode(Enum):
     GLOBAL = "global"
     UNDOMINATED = "undominated"
+
+
+def _signed_vectors(alts: Iterable[Alternative], attrs: Iterable[int], task: DecisionTask) -> list[tuple]:
+    """One ``(category keys, signed coords)`` pair per alternative; :func:`_beats` compares two."""
+    polarities = [(aid, task.attribute(aid).polarity) for aid in attrs]
+    vectors = []
+    for alt in alts:
+        labels, coords = [], []
+        for aid, polarity in polarities:
+            value = alt.values[aid]
+            if value.key[0] == "c":
+                labels.append(value.key)
+            else:
+                coords += signed_coords(value, polarity)
+        vectors.append((tuple(labels), tuple(coords)))
+    return vectors
+
+
+def _beats(s: tuple, t: tuple) -> bool:
+    """Strict dominance: equal category keys, different coords, and no coord of ``s`` smaller."""
+    return s[0] == t[0] and s[1] != t[1] and all(map(ge, s[1], t[1]))
 
 
 def dominates(s: Alternative, t: Alternative, attrs: Iterable[int], task: DecisionTask) -> bool:
@@ -57,14 +81,7 @@ def dominates(s: Alternative, t: Alternative, attrs: Iterable[int], task: Decisi
     strictly better on at least one; any Incomparable or Worse attribute
     breaks dominance.
     """
-    strict = False
-    for aid in attrs:
-        ordering = compare_values(s.values[aid], t.values[aid], task.attribute(aid).polarity)
-        if ordering is PartialOrdering.BETTER:
-            strict = True
-        elif ordering is not PartialOrdering.EQUAL:
-            return False
-    return strict
+    return _beats(*_signed_vectors((s, t), attrs, task))
 
 
 def dominant_set(
@@ -79,60 +96,28 @@ def dominant_set(
     most one) that strictly dominates every rival.  A lone candidate survives
     in both modes.
     """
-    attrs = frozenset(attrs)
     alts = [task.alternative(cid) for cid in candidates]
     if len(alts) < 2:
         return tuple(candidates)
+    vectors = _signed_vectors(alts, attrs, task)
     if mode is DominanceMode.UNDOMINATED:
-        kept = _skyline(alts, attrs, task)
+        # descending order puts every dominator first, and each dominated
+        # candidate has an undominated dominator, so the window is enough
+        kept = [False] * len(vectors)
+        window: list[tuple] = []
+        for i in sorted(range(len(vectors)), key=vectors.__getitem__, reverse=True):
+            if not any(_beats(w, vectors[i]) for w in window):
+                window.append(vectors[i])
+                kept[i] = True
         return tuple(cid for cid, keep in zip(candidates, kept) if keep)
-    champion = alts[0]
-    for alt in alts[1:]:
-        if not dominates(champion, alt, attrs, task):
-            champion = alt
-    if all(dominates(champion, alt, attrs, task) for alt in alts if alt.id != champion.id):
-        return tuple(cid for cid in candidates if cid == champion.id)
+    champion = 0
+    for i in range(1, len(vectors)):
+        if not _beats(vectors[champion], vectors[i]):
+            champion = i
+    best = candidates[champion]
+    if all(_beats(vectors[champion], v) for cid, v in zip(candidates, vectors) if cid != best):
+        return tuple(cid for cid in candidates if cid == best)
     return ()
-
-
-def _presort_scores(alts: Sequence[Alternative], attrs: frozenset[int], task: DecisionTask) -> list[int]:
-    """A score per alternative that strictly rises under strict dominance on ``attrs``.
-
-    Each numeric or ordinal attribute adds, signed by its polarity, the dense
-    rank of every coordinate of the value key (``lo`` and ``hi``, or the
-    level) among the alternatives.  A dominator is at least as good on every
-    coordinate and better on one, so its sum is strictly larger.  Categories
-    add 0: a differing label blocks dominance, an equal one adds nothing.
-    """
-    scores = [0] * len(alts)
-    for aid in attrs:
-        attr = task.attribute(aid)
-        if attr.kind == "categorical":
-            continue
-        sign = -1 if attr.polarity == "cost" else 1
-        for coordinate in zip(*(alt.values[aid].key[1:] for alt in alts)):
-            rank = {x: r for r, x in enumerate(sorted(set(coordinate)))}
-            for i, x in enumerate(coordinate):
-                scores[i] += sign * rank[x]
-    return scores
-
-
-def _skyline(alts: Sequence[Alternative], attrs: frozenset[int], task: DecisionTask) -> list[bool]:
-    """Sort-Filter-Skyline: for each alternative, whether no rival strictly dominates it.
-
-    Visiting alternatives by falling presort score puts every dominator before
-    what it dominates, and each dominated alternative has an undominated
-    dominator (dominance is a strict partial order), so comparing against the
-    window of undominated alternatives found so far is enough.
-    """
-    scores = _presort_scores(alts, attrs, task)
-    kept = [False] * len(alts)
-    window: list[Alternative] = []
-    for i in sorted(range(len(alts)), key=scores.__getitem__, reverse=True):
-        if not any(dominates(w, alts[i], attrs, task) for w in window):
-            window.append(alts[i])
-            kept[i] = True
-    return kept
 
 
 def single_plan_gate(alt: Alternative, task: DecisionTask) -> LadderOutcome:

@@ -182,6 +182,10 @@ class Attribute:
     def __post_init__(self) -> None:
         if not _is_int(self.id) or self.id <= 0:
             raise ValueError(f"attribute id must be a positive integer, got {self.id!r}")
+        if not isinstance(self.name, str):
+            raise ValueError(f"attribute name must be a string, got {self.name!r}")
+        if self.unit is not None and not isinstance(self.unit, str):
+            raise ValueError(f"attribute unit must be a string, got {self.unit!r}")
         if self.kind not in ("numeric", "ordinal", "categorical"):
             raise ValueError(f"unknown attribute kind {self.kind!r}")
         if self.kind == "categorical":
@@ -236,6 +240,8 @@ class Threshold:
             if not _is_level(self.bound):
                 raise ValueError(f"{self.op} threshold needs a level in 1..5, got {self.bound!r}")
         else:
+            if isinstance(self.bound, (str, dict)):
+                raise ValueError(f"allowed threshold needs a list of labels, got {self.bound!r}")
             labels = frozenset(self.bound)
             if not labels or not all(isinstance(lab, str) for lab in labels):
                 raise ValueError("allowed threshold needs a non-empty set of labels")

@@ -153,8 +153,6 @@ def _parse_threshold(attribute_id: int, raw: Any, context: str) -> Threshold:
         raise ScenarioError("schema", f"{context}: threshold must be a single-predicate object")
     ((op, bound),) = raw.items()
     try:
-        if op == "allowed":
-            bound = frozenset(bound)
         return Threshold(attribute_id=attribute_id, op=op, bound=bound)
     except (ValueError, TypeError) as exc:
         raise ScenarioError("value", f"{context}: {exc}") from exc

@@ -1,16 +1,17 @@
 """Ordering of attribute values and threshold satisfaction.
 
 Single source of truth for "is this value better than that one" under an
-attribute's polarity.  Numeric shapes (crisp, interval, at-least) compare by
-their (lo, hi) bounds componentwise, which yields a partial order: crossing
-intervals are Incomparable rather than silently ranked.  Thresholds use
-best-case endpoints, so an interval passes a bound whenever some point of it
-does.
+attribute's polarity: :func:`signed_coords`, which :func:`compare_values` and
+the ladder's dominance test compare componentwise.  Numeric shapes order by
+both bounds, a partial order in which crossing intervals are Incomparable
+rather than silently ranked.  Thresholds use best-case endpoints, so an
+interval passes a bound whenever some point of it does.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from operator import ge, neg
 
 from .model import AttributeValue, Threshold
 
@@ -29,49 +30,39 @@ class PartialOrdering(Enum):
         return self
 
 
-def _same_family(a: AttributeValue, b: AttributeValue) -> bool:
-    if a.is_numeric and b.is_numeric:
-        return True
-    return a.kind == b.kind
+def signed_coords(value: AttributeValue, polarity: str) -> tuple:
+    """The coordinates that order ``value``, larger being better, negated under cost.
+
+    ``(lo, hi)`` for the numeric shapes and ``(level,)`` for an ordinal; a
+    category has no order, and an ordered value needs cost or benefit.
+    """
+    if value.key[0] == "c":
+        raise ValueError("a category value has no order")
+    if polarity == "benefit":
+        return value.key[1:]
+    if polarity == "cost":
+        return tuple(map(neg, value.key[1:]))
+    raise ValueError(f"{value.kind} comparison needs cost/benefit polarity, got {polarity!r}")
 
 
 def compare_values(a: AttributeValue, b: AttributeValue, polarity: str) -> PartialOrdering:
-    """Compare two same-family values under cost/benefit polarity.
+    """Compare two same-family values: componentwise on :func:`signed_coords`.
 
-    Numeric comparison lifts crisp values to degenerate intervals and
-    at-least values to intervals unbounded above, then orders by both bounds:
-    under benefit, ``a`` beats ``b`` iff both bounds of ``a`` are at least
-    those of ``b`` with one strictly greater (mirrored under cost).  Ordinals
-    order by level, flipped under cost.  Categories are Equal on the same
-    label and Incomparable otherwise.  Mixing families is a contract error.
+    Categories are Equal on the same label and Incomparable otherwise.  Mixing
+    families is a contract error.
     """
-    if not _same_family(a, b):
+    if a.key[0] != b.key[0]:
         raise ValueError(f"cannot compare {a.kind} value with {b.kind} value")
-
-    if a.is_numeric:
-        if polarity not in ("cost", "benefit"):
-            raise ValueError(f"numeric comparison needs cost/benefit polarity, got {polarity!r}")
-        lo_a, hi_a = a.bounds()
-        lo_b, hi_b = b.bounds()
-        if lo_a == lo_b and hi_a == hi_b:
-            return PartialOrdering.EQUAL
-        if lo_a >= lo_b and hi_a >= hi_b:
-            result = PartialOrdering.BETTER
-        elif lo_a <= lo_b and hi_a <= hi_b:
-            result = PartialOrdering.WORSE
-        else:
-            return PartialOrdering.INCOMPARABLE
-        return result.flipped() if polarity == "cost" else result
-
-    if a.kind == "ordinal":
-        if polarity not in ("cost", "benefit"):
-            raise ValueError(f"ordinal comparison needs cost/benefit polarity, got {polarity!r}")
-        if a.level == b.level:
-            return PartialOrdering.EQUAL
-        result = PartialOrdering.BETTER if a.level > b.level else PartialOrdering.WORSE
-        return result.flipped() if polarity == "cost" else result
-
-    return PartialOrdering.EQUAL if a.label == b.label else PartialOrdering.INCOMPARABLE
+    if a.key[0] == "c":
+        return PartialOrdering.EQUAL if a.key == b.key else PartialOrdering.INCOMPARABLE
+    sa, sb = signed_coords(a, polarity), signed_coords(b, polarity)
+    if sa == sb:
+        return PartialOrdering.EQUAL
+    if all(map(ge, sa, sb)):
+        return PartialOrdering.BETTER
+    if all(map(ge, sb, sa)):
+        return PartialOrdering.WORSE
+    return PartialOrdering.INCOMPARABLE
 
 
 def satisfies_threshold(value: AttributeValue, threshold: Threshold) -> bool:

@@ -152,6 +152,18 @@ class TestImageChooser:
     def test_non_numeric_designation_is_undecidable(self, case1):
         assert it_choose(case1, profit_attribute_id=3).undecidable
 
+    def test_unknown_designation_is_an_error_even_when_nothing_survives(self, case1):
+        from dataclasses import replace
+
+        from ladderchoice import Threshold
+
+        thresholds = tuple(Threshold(t.attribute_id, "max", -1) if t.op == "max" else t for t in case1.thresholds)
+        nobody = replace(case1, thresholds=thresholds)
+        assert not compatibility_screen(nobody)
+        for task in (case1, nobody):
+            with pytest.raises(ValueError, match="profitability attribute 99"):
+                it_choose(task, profit_attribute_id=99)
+
     def test_zero_budget_screen_equals_the_sift(self):
         for seed in range(200):
             task = random_task(seed, n_alternatives=6, n_attributes=4, n_levels=2)

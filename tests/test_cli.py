@@ -271,6 +271,31 @@ class TestBatch:
         assert "seed" in report
 
 
+# command lines that must end in exit 1 (2 means abstain) with an error line and no traceback
+USAGE_ERRORS = {
+    "no-command": [],
+    "decide-without-path": ["decide"],
+    "unknown-mode": ["decide", CASE1, "--mode", "foo"],
+    "budget-not-an-integer": ["compare", CASE2, "--it-budget", "x"],
+    "negative-budget": ["compare", CASE2, "--theories", "it", "--it-budget", "-1"],
+    "unknown-profit-attribute": ["compare", CASE2, "--pt-risk-attr", "5", "--it-profit-attr", "99"],
+    "unknown-risk-attribute": ["compare", CASE2, "--pt-risk-attr", "99"],
+    "benefit-risk-attribute": ["compare", CASE2, "--pt-risk-attr", "3"],
+    "negative-count": ["batch", "--count", "-5"],
+}
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
+    def test_error_line_and_exit_1(self, argv, capsys):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        prog = " ".join(["ladderchoice", *argv[:1]])
+        assert err.splitlines()[-1].startswith(("error: ", f"{prog}: error: "))
+
+
 class TestEntryPoint:
     def test_help_exits_cleanly(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
@@ -16,6 +17,7 @@ from ladderchoice import (
     Threshold,
     Verdict,
     at_least,
+    category,
     crisp,
     decide_task,
     interval,
@@ -41,6 +43,31 @@ def deadlock_task():
         alternatives=(
             Alternative("a", {1: interval(30, 70)}),
             Alternative("b", {1: interval(40, 50)}),
+        ),
+    )
+    assert validate_task(task) == []
+    return task
+
+
+def edge_task():
+    """Two categorical attributes, ``at_least`` values on a cost attribute (signed ``hi`` is -inf) and a benefit one."""
+    task = DecisionTask(
+        task_id="edges",
+        attributes=(
+            Attribute(1, "color", "categorical", "none"),
+            Attribute(2, "finish", "categorical", "none"),
+            Attribute(3, "delay", "numeric", "cost"),
+            Attribute(4, "size", "numeric", "benefit"),
+        ),
+        basic_ids=frozenset({3}),
+        thresholds=(Threshold(3, "max", 100),),
+        partition=DominancePartition([[1, 2], [3, 4]]),
+        alternatives=(
+            Alternative("a", {1: category("red"), 2: category("matte"), 3: at_least(2), 4: crisp(5)}),
+            Alternative("b", {1: category("red"), 2: category("matte"), 3: at_least(3), 4: crisp(5)}),
+            Alternative("c", {1: category("blue"), 2: category("matte"), 3: at_least(2), 4: crisp(6)}),
+            Alternative("d", {1: category("red"), 2: category("gloss"), 3: crisp(1), 4: crisp(5)}),
+            Alternative("e", {1: category("blue"), 2: category("gloss"), 3: interval(2, 9), 4: crisp(4)}),
         ),
     )
     assert validate_task(task) == []
@@ -94,6 +121,16 @@ class TestDominantSet:
                     assert dominant_set(ids, attrs, mode, task) == brute_force_dominant(
                         ids, attrs, mode.value, task
                     )
+        # a categorical-only rung, at_least under cost, and labels beside coords, on every subset
+        task = edge_task()
+        everyone = [a.id for a in task.alternatives]
+        for attrs in ({1, 2}, {3}, {3, 4}, {1, 3, 4}):
+            for size in range(len(everyone) + 1):
+                for ids in combinations(everyone, size):
+                    for mode in (GLOBAL, UNDOM):
+                        assert dominant_set(ids, attrs, mode, task) == brute_force_dominant(
+                            ids, attrs, mode.value, task
+                        ), (ids, attrs, mode)
 
     def test_global_subset_of_undominated(self):
         for seed in range(200):

@@ -12,6 +12,7 @@ import pytest
 
 from ladderchoice import (
     ScenarioError,
+    Threshold,
     Verdict,
     decide_task,
     outcome_to_json,
@@ -159,6 +160,43 @@ class TestRejections:
     )
     def test_id_or_level_of_the_wrong_type(self, path, replacement, tmp_path, capsys):
         assert_case1_refused(path, replacement, tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "bound", ["white", {"white": 1}, 3, None, [], [1], [["white"]]],
+        ids=["string", "object", "number", "null", "empty", "number-label", "list-label"],
+    )
+    def test_allowed_bound_must_be_a_list_of_labels(self, bound, tmp_path, capsys):
+        doc = json.loads(fixture_path("case4").read_text(encoding="utf-8"))
+        doc["basic"]["thresholds"]["3"] = {"allowed": bound}
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario(json.dumps(doc))
+        assert excinfo.value.category == "value"
+        scenario = tmp_path / "mutated.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(scenario)]) == 1
+        assert f"{scenario}: value: basic.thresholds[3]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bound", ["white", {"white": 1}], ids=["string", "dict"])
+    def test_threshold_refuses_a_string_or_mapping_as_labels(self, bound):
+        with pytest.raises(ValueError, match="allowed threshold needs a list of labels"):
+            Threshold(3, "allowed", bound)
+
+    @pytest.mark.parametrize(
+        "fields", [{"name": 5}, {"name": None}, {"unit": [1]}, {"unit": 3}, {"name": 5, "unit": [1]}],
+        ids=["number-name", "null-name", "list-unit", "number-unit", "both"],
+    )
+    def test_attribute_name_and_unit_must_be_strings(self, fields):
+        doc = json.loads(fixture_path("case4").read_text(encoding="utf-8"))
+        doc["attributes"][0].update(fields)
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario(json.dumps(doc))
+        assert excinfo.value.category == "schema"
+        assert str(excinfo.value).startswith("schema: attribute 1: attribute ")
+
+    def test_absent_or_null_unit_is_accepted(self):
+        doc = json.loads(fixture_path("case4").read_text(encoding="utf-8"))
+        doc["attributes"][3]["unit"] = None
+        assert parse_scenario(json.dumps(doc)).attribute(4).unit is None
 
     def test_unknown_category_is_refused(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ladderchoice import Threshold, at_least, category, crisp, interval, ordinal
 from ladderchoice.model import label_level
+from ladderchoice.oracle import _naive_strictly_better, _naive_weakly_better
 from ladderchoice.values import PartialOrdering as Ord, compare_values, satisfies_threshold
 
 finite = st.one_of(
@@ -28,6 +29,7 @@ def numeric_values(draw):
 
 
 ordinal_values = st.integers(min_value=1, max_value=5).map(ordinal)
+category_values = st.sampled_from(["red", "blue"]).map(category)
 polarities = st.sampled_from(["cost", "benefit"])
 
 
@@ -151,6 +153,21 @@ class TestCompareProperties:
             and compare_values(b, c, polarity) is Ord.BETTER
         ):
             assert compare_values(a, c, polarity) is Ord.BETTER
+
+    @given(st.one_of(same_family_pair(), st.tuples(category_values, category_values)), polarities)
+    @settings(max_examples=500)
+    def test_agrees_with_the_naive_reference(self, pair, polarity):
+        a, b = pair
+        forward, backward = _naive_weakly_better(a, b, polarity), _naive_weakly_better(b, a, polarity)
+        if forward and _naive_strictly_better(a, b, polarity):
+            expected = Ord.BETTER
+        elif backward and _naive_strictly_better(b, a, polarity):
+            expected = Ord.WORSE
+        elif forward and backward:
+            expected = Ord.EQUAL
+        else:
+            expected = Ord.INCOMPARABLE
+        assert compare_values(a, b, polarity) is expected
 
     @given(same_family_pair())
     @settings(max_examples=300)
