@@ -85,6 +85,9 @@ def cmd_compare(
     it_budget: int,
     mode: DominanceMode,
 ) -> int:
+    if not theories:
+        print("error: no theory requested", file=sys.stderr)
+        return 1
     unknown = [t for t in theories if t not in THEORIES]
     if unknown:
         print(f"error: unknown theory {unknown[0]!r} (expected lt, pt, it)", file=sys.stderr)

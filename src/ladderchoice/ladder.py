@@ -12,19 +12,26 @@ alternative remains.  Two dominance modes are supported:
   rival; the set can never become empty, but may stay plural all the way
   down, ending in ``NoUniqueChoice``.
 
-Each rung compiles every candidate once, to its category keys and the
-polarity-signed coordinates of its ordered values (:func:`_signed_vectors`).
-Cost of one rung over n candidates and m attributes:
+Each rung compiles its candidates to their category keys and the
+polarity-signed coordinates of their ordered values, asking
+:func:`~ladderchoice.values.signed_coords` once per distinct value of each
+attribute, and groups them by that pair (:func:`_signed_vectors`).
+Dominance depends only on the pair, and equal pairs never beat each other,
+so both modes judge the d distinct pairs and map the result back to the
+candidates.  Cost of one rung over n candidates and m attributes: grouping is
+O(n·m), then
 
-* ``GLOBAL`` is a champion scan: keep a candidate, replace it whenever it
-  fails to dominate the next one, then check the survivor against everyone,
-  O(n·m).
+* ``GLOBAL`` is a champion scan: keep a pair, replace it whenever it fails to
+  dominate the next one, then check the survivor against every other pair,
+  O(d·m).  A winning pair held by two different ids is beaten by neither, so
+  the rung keeps nobody.
 * ``UNDOMINATED`` is Sort-Filter-Skyline (Chomicki et al., ICDE 2003):
   presort the pairs in descending lexicographic order, which puts every
-  dominator before what it dominates, then compare each candidate only with
-  the window of undominated ones found so far, O(n log n + n·k·m) for a
-  final window of k.  When nothing dominates anything, k = n and the pass is
-  quadratic again.
+  dominator before what it dominates, then compare each pair only with the
+  window of undominated ones found so far, O(d log d + d·k·m) for a final
+  window of k.  When nothing dominates anything, k = d and the pass is
+  quadratic in d, but ties no longer count: a categorical-only rung is
+  linear in n.
 
 The duplicate screen of :func:`~ladderchoice.model.validate_task` is linear
 too: it groups alternatives by their tuple of value keys.
@@ -53,20 +60,33 @@ class DominanceMode(Enum):
     UNDOMINATED = "undominated"
 
 
-def _signed_vectors(alts: Iterable[Alternative], attrs: Iterable[int], task: DecisionTask) -> list[tuple]:
-    """One ``(category keys, signed coords)`` pair per alternative; :func:`_beats` compares two."""
-    polarities = [(aid, task.attribute(aid).polarity) for aid in attrs]
-    vectors = []
+def _signed_vectors(
+    alts: Iterable[Alternative], attrs: Iterable[int], task: DecisionTask
+) -> tuple[list[tuple], list[int]]:
+    """The distinct ``(category keys, signed coords)`` pairs of ``alts``, and each one's index into them.
+
+    Each distinct value of an attribute gets its signed coords once.
+    :func:`_beats` reads nothing but two pairs, so candidates with equal
+    pairs share one; on a valid task that is one pair per tuple of value keys.
+    """
+    # per attribute: value key -> its signed coords
+    polarities = [(aid, task.attribute(aid).polarity, {}) for aid in attrs]
+    index: dict[tuple, int] = {}  # pair -> its index, numbered in first-seen order
+    which: list[int] = []
     for alt in alts:
+        values = alt.values
         labels, coords = [], []
-        for aid, polarity in polarities:
-            value = alt.values[aid]
-            if value.key[0] == "c":
-                labels.append(value.key)
+        for aid, polarity, signed in polarities:
+            key = values[aid].key
+            if key[0] == "c":
+                labels.append(key)
             else:
-                coords += signed_coords(value, polarity)
-        vectors.append((tuple(labels), tuple(coords)))
-    return vectors
+                part = signed.get(key)
+                if part is None:
+                    part = signed[key] = signed_coords(values[aid], polarity)
+                coords += part
+        which.append(index.setdefault((tuple(labels), tuple(coords)), len(index)))
+    return list(index), which
 
 
 def _beats(s: tuple, t: tuple) -> bool:
@@ -81,7 +101,8 @@ def dominates(s: Alternative, t: Alternative, attrs: Iterable[int], task: Decisi
     strictly better on at least one; any Incomparable or Worse attribute
     breaks dominance.
     """
-    return _beats(*_signed_vectors((s, t), attrs, task))
+    vectors, (i, j) = _signed_vectors((s, t), attrs, task)
+    return _beats(vectors[i], vectors[j])
 
 
 def dominant_set(
@@ -94,30 +115,32 @@ def dominant_set(
 
     UNDOMINATED keeps ids no rival strictly dominates; GLOBAL keeps the id (at
     most one) that strictly dominates every rival.  A lone candidate survives
-    in both modes.
+    in both modes, and so do the repeats of a lone id.
     """
     alts = [task.alternative(cid) for cid in candidates]
     if len(alts) < 2:
         return tuple(candidates)
-    vectors = _signed_vectors(alts, attrs, task)
+    vectors, which = _signed_vectors(alts, attrs, task)
     if mode is DominanceMode.UNDOMINATED:
         # descending order puts every dominator first, and each dominated
-        # candidate has an undominated dominator, so the window is enough
+        # pair has an undominated dominator, so the window is enough
         kept = [False] * len(vectors)
         window: list[tuple] = []
         for i in sorted(range(len(vectors)), key=vectors.__getitem__, reverse=True):
             if not any(_beats(w, vectors[i]) for w in window):
                 window.append(vectors[i])
                 kept[i] = True
-        return tuple(cid for cid, keep in zip(candidates, kept) if keep)
+        return tuple(cid for cid, i in zip(candidates, which) if kept[i])
     champion = 0
     for i in range(1, len(vectors)):
         if not _beats(vectors[champion], vectors[i]):
             champion = i
-    best = candidates[champion]
-    if all(_beats(vectors[champion], v) for cid, v in zip(candidates, vectors) if cid != best):
-        return tuple(cid for cid in candidates if cid == best)
-    return ()
+    best = vectors[champion]
+    if not all(_beats(best, v) for v in vectors if v is not best):
+        return ()
+    holders = tuple(cid for cid, i in zip(candidates, which) if i == champion)
+    # two different ids on the winning pair do not beat each other
+    return holders if len(set(holders)) == 1 else ()
 
 
 def single_plan_gate(alt: Alternative, task: DecisionTask) -> LadderOutcome:

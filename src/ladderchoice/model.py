@@ -289,9 +289,17 @@ class DominancePartition:
         return frozenset().union(*self.levels)
 
 
+# characters the text trace uses to delimit ids: an id holding one would make a trace line ambiguous
+_ID_DELIMITERS = frozenset(",|[]")
+
+
 @dataclass(frozen=True)
 class Alternative:
-    """A candidate plan: an id plus one value per task attribute."""
+    """A candidate plan: an id plus one value per task attribute.
+
+    The id is a non-empty printable string without ``,``, ``|``, ``[`` or
+    ``]``, so that every id reads back unambiguously from a text trace line.
+    """
 
     id: str
     values: dict[int, AttributeValue]
@@ -299,6 +307,10 @@ class Alternative:
     def __post_init__(self) -> None:
         if not isinstance(self.id, str) or not self.id:
             raise ValueError(f"alternative needs a non-empty string id, got {self.id!r}")
+        if not self.id.isprintable() or not _ID_DELIMITERS.isdisjoint(self.id):
+            raise ValueError(
+                f"alternative id {self.id!r} holds ',', '|', '[', ']' or a character that is not printable"
+            )
 
 
 @dataclass(frozen=True)

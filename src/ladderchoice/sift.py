@@ -3,6 +3,12 @@
 An alternative survives iff it satisfies every threshold; each failure is
 recorded as an audit entry.  One pass suffices because an alternative's fate
 depends only on its own values, never on the rest of the field.
+
+A verdict depends only on the value, so :func:`psp` asks
+:func:`~ladderchoice.values.satisfies_threshold` once per threshold per
+distinct value key and looks every other cell up: O(n·t) lookups plus one
+judgement per distinct (threshold, key) pair.  An audit entry is built only
+for a failing cell.
 """
 
 from __future__ import annotations
@@ -18,16 +24,20 @@ def psp(task: DecisionTask) -> SiftResult:
     (alternative, attribute, threshold, value) tuple, not just the first, so
     rejection reasons are fully auditable.
     """
+    # one verdict map per threshold, value key -> passes; it lives for this call only
+    judged = [(t, t.attribute_id, {}) for t in task.thresholds]
     feasible: list[str] = []
     eliminations: list[Elimination] = []
     for alt in task.alternatives:
-        failures = [
-            Elimination(alt.id, t.attribute_id, t, alt.values[t.attribute_id])
-            for t in task.thresholds
-            if not satisfies_threshold(alt.values[t.attribute_id], t)
-        ]
-        if failures:
-            eliminations.extend(failures)
-        else:
+        values = alt.values
+        before = len(eliminations)
+        for t, aid, verdicts in judged:
+            value = values[aid]
+            verdict = verdicts.get(value.key)
+            if verdict is None:
+                verdict = verdicts[value.key] = satisfies_threshold(value, t)
+            if not verdict:
+                eliminations.append(Elimination(alt.id, aid, t, value))
+        if len(eliminations) == before:
             feasible.append(alt.id)
     return SiftResult(feasible=tuple(feasible), eliminations=tuple(eliminations))

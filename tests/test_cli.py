@@ -282,6 +282,8 @@ USAGE_ERRORS = {
     "unknown-risk-attribute": ["compare", CASE2, "--pt-risk-attr", "99"],
     "benefit-risk-attribute": ["compare", CASE2, "--pt-risk-attr", "3"],
     "negative-count": ["batch", "--count", "-5"],
+    "empty-theories": ["compare", CASE2, "--theories", ","],
+    "blank-theories": ["compare", CASE2, "--theories", " "],
 }
 
 

@@ -8,6 +8,8 @@ from itertools import combinations
 
 import pytest
 
+from conftest import tie_heavy_task
+from ladderchoice import ladder
 from ladderchoice import (
     Alternative,
     Attribute,
@@ -327,3 +329,26 @@ class TestLadderGuarantees:
         # contract: the candidate list is the sift output, never the raw field
         with pytest.raises(KeyError):
             lsp(case1, ["missing"], GLOBAL)
+
+
+class TestComparisonCount:
+    """Pairwise comparisons of a rung grow with its distinct value vectors, not with its ties."""
+
+    @pytest.mark.parametrize("attrs", [{1, 2}, {3}], ids=["categorical", "ordinal"])
+    @pytest.mark.parametrize("mode", [GLOBAL, UNDOM], ids=["global", "undominated"])
+    def test_at_most_d_squared(self, attrs, mode, monkeypatch):
+        task = tie_heavy_task(21, 2000)
+        candidates = [a.id for a in task.alternatives]
+        distinct = {tuple(a.values[aid].key for aid in sorted(attrs)) for a in task.alternatives}
+        assert len(distinct) <= 25
+        calls = 0
+        beats = ladder._beats
+
+        def counting(s, t):
+            nonlocal calls
+            calls += 1
+            return beats(s, t)
+
+        monkeypatch.setattr(ladder, "_beats", counting)
+        dominant_set(candidates, attrs, mode, task)
+        assert 0 < calls <= len(distinct) ** 2

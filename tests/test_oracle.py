@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from conftest import TIE_PARTITIONS, tie_heavy_task
 from ladderchoice import DominanceMode, Verdict, decide_task, psp, serialize_task, validate_task
 from ladderchoice.ladder import dominant_set
 from ladderchoice.oracle import brute_force_dominant, brute_force_lt, random_task
@@ -136,3 +137,53 @@ class TestAgreementAtLargeN:
                 assert dominant_set(candidates, attrs, mode, task) == brute_force_dominant(
                     candidates, attrs, mode.value, task
                 )
+
+
+# rungs of tie_heavy_task: a categorical-only rung, a lone ordinal and both together
+TIE_RUNGS = {"categorical": {1, 2}, "ordinal": {3}, "categorical+ordinal": {1, 2, 3}}
+
+
+class TestAgreementWithTies:
+    """Large rungs over a handful of distinct value vectors, where most candidates tie."""
+
+    @pytest.mark.parametrize("attrs", list(TIE_RUNGS.values()), ids=list(TIE_RUNGS))
+    def test_dominant_set_at_n1000(self, attrs):
+        task = tie_heavy_task(11, 1000)
+        everyone = [a.id for a in task.alternatives]
+        for candidates in (everyone, list(psp(task).feasible)):
+            for mode in DominanceMode:
+                assert dominant_set(candidates, attrs, mode, task) == brute_force_dominant(
+                    candidates, attrs, mode.value, task
+                ), mode
+
+    @pytest.mark.parametrize("attrs", list(TIE_RUNGS.values()), ids=list(TIE_RUNGS))
+    def test_global_winner_shared_by_two_ids_keeps_nobody(self, attrs):
+        task = tie_heavy_task(12, 2000)
+        everyone = [a.id for a in task.alternatives]
+        # the top vector of the rung is held by several ids, none of which beats the others
+        assert dominant_set(everyone, attrs, DominanceMode.GLOBAL, task) == ()
+        assert brute_force_dominant(everyone, attrs, "global", task) == ()
+        # two ids alone on one vector, and one of them repeated
+        first = task.alternatives[0]
+        twin = next(a for a in task.alternatives[1:] if all(a.values[i].key == first.values[i].key for i in attrs))
+        for candidates in ([first.id, twin.id], [twin.id, first.id, twin.id]):
+            assert dominant_set(candidates, attrs, DominanceMode.GLOBAL, task) == ()
+            assert brute_force_dominant(candidates, attrs, "global", task) == ()
+
+    def test_global_unique_winner_among_ties(self):
+        task = tie_heavy_task(13, 2000)
+        level = {a.id: a.values[3].level for a in task.alternatives}
+        best = next(cid for cid, lv in level.items() if lv == 5)
+        candidates = [cid for cid, lv in level.items() if lv < 5]
+        candidates.insert(len(candidates) // 2, best)
+        for ids in (candidates, [best, *candidates, best]):
+            expected = brute_force_dominant(ids, {3}, "global", task)
+            assert expected == tuple(cid for cid in ids if cid == best)
+            assert dominant_set(ids, {3}, DominanceMode.GLOBAL, task) == expected
+
+    @pytest.mark.parametrize("top", list(TIE_PARTITIONS), ids=list(TIE_PARTITIONS))
+    def test_decide_task_at_n1000(self, top):
+        task = tie_heavy_task(14, 1000, top)
+        for mode in DominanceMode:
+            _, outcome = decide_task(task, mode)
+            assert (outcome.verdict.value, outcome.chosen) == brute_force_lt(task, mode.value), mode

@@ -1,9 +1,14 @@
-"""Hypothesis properties of the scenario format: malformed text only ever raises
-ScenarioError, and serialized tasks read back to the same text."""
+"""Hypothesis properties of the scenario format and the command line: malformed
+text only ever raises ScenarioError, serialized tasks read back to the same
+text, and ``cli.main`` answers any command line with an exit code."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +29,7 @@ from ladderchoice import (
     serialize_task,
     validate_task,
 )
+from ladderchoice.cli import main
 from conftest import CASES, fixture_path
 
 FIXTURES = {name: json.loads(fixture_path(name).read_text(encoding="utf-8")) for name in CASES}
@@ -179,3 +185,61 @@ class TestRoundTrip:
         parsed = parse_scenario(text)
         assert serialize_task(parsed) == text
         assert parsed == task
+
+
+MODES = st.sampled_from(["global", "undominated", "foo", ""])
+# designations a fixture can and cannot serve, counts and budgets of both signs, and words that are none
+NUMBERS = st.one_of(st.integers(-3, 8), st.just(99), st.sampled_from(["x", "", "1.5", "-0"])).map(str)
+THEORY_LISTS = st.lists(st.sampled_from(["lt", "pt", "it", "xx", "", " "]), max_size=4).map(",".join)
+
+
+def options(draw, choices):
+    """Each of ``choices`` (flag -> value strategy, or None for a bare flag) or not, in drawn order."""
+    argv = []
+    for flag in draw(st.permutations(sorted(choices))):
+        if draw(st.booleans()):
+            argv.append(flag)
+            if choices[flag] is not None:
+                argv.append(draw(choices[flag]))
+    return argv
+
+
+@st.composite
+def command_lines(draw):
+    """An argv for ``cli.main`` with ``{path}`` standing for the scenario file, and that file's text."""
+    text = draw(st.one_of(st.sampled_from(list(FIXTURES.values())).map(json.dumps), mutated_fixtures()))
+    command = draw(st.sampled_from(["decide", "compare", "validate", "batch", "bogus"]))
+    path = draw(st.sampled_from(["{path}", "{path}", "{path}", "missing.json", "{dir}"]))
+    if command == "decide":
+        argv = [command, path, *options(draw, {"--mode": MODES, "--json": None})]
+    elif command == "compare":
+        argv = [command, path, *options(draw, {
+            "--theories": THEORY_LISTS,
+            "--pt-risk-attr": NUMBERS,
+            "--it-profit-attr": NUMBERS,
+            "--it-budget": NUMBERS,
+            "--mode": MODES,
+        })]
+    elif command == "validate":
+        argv = [command, *draw(st.lists(st.just(path), max_size=2))]
+    elif command == "batch":
+        argv = [command, *options(draw, {"--seed": NUMBERS, "--count": NUMBERS, "--mode": MODES})]
+    else:
+        argv = [command, path]
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "-x", "--", "extra"])))
+    return argv, text
+
+
+class TestCommandLine:
+    @given(command_lines())
+    @settings(max_examples=200, deadline=None)
+    def test_main_returns_an_exit_code(self, case):
+        argv, text = case
+        with tempfile.TemporaryDirectory() as tmp:
+            scenario = Path(tmp) / "scenario.json"
+            scenario.write_text(text, encoding="utf-8")
+            argv = [arg.format(path=scenario, dir=tmp) for arg in argv]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+        assert isinstance(code, int)

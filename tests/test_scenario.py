@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from ladderchoice import (
+    Alternative,
     ScenarioError,
     Threshold,
     Verdict,
@@ -82,6 +83,7 @@ REJECTIONS = [
     ("aspiration_off_top.json", "invariant"),
     ("missing_value.json", "invariant"),
     ("attribute_polarity_mismatch.json", "schema"),
+    ("alternative_id_delimiter.json", "schema"),
 ]
 
 
@@ -192,6 +194,28 @@ class TestRejections:
             parse_scenario(json.dumps(doc))
         assert excinfo.value.category == "schema"
         assert str(excinfo.value).startswith("schema: attribute 1: attribute ")
+
+    # the text trace delimits ids with these, and an unprintable one can break a trace line in two
+    @pytest.mark.parametrize(
+        "char", [",", "|", "[", "]", "\n", "\r", "\t", "\x00", "\x7f", "\u2028"],
+        ids=["comma", "bar", "open-bracket", "close-bracket", "newline", "return", "tab", "nul", "delete", "line-separator"],
+    )
+    def test_alternative_id_charset(self, char):
+        alt_id = f"m{char}1"
+        with pytest.raises(ValueError, match="alternative id"):
+            Alternative(alt_id, {})
+        doc = json.loads(fixture_path("case1").read_text(encoding="utf-8"))
+        doc["alternatives"][1]["id"] = alt_id
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario(json.dumps(doc))
+        assert excinfo.value.category == "schema"
+        assert str(excinfo.value).startswith(f"schema: alternative: alternative id {alt_id!r} holds")
+
+    @pytest.mark.parametrize("alt_id", ["m 1", "plan-2_b.c", "é", "{x}", "a:b;c"])
+    def test_printable_ids_without_delimiters_are_accepted(self, alt_id):
+        doc = json.loads(fixture_path("case1").read_text(encoding="utf-8"))
+        doc["alternatives"][0]["id"] = alt_id
+        assert parse_scenario(json.dumps(doc)).alternatives[0].id == alt_id
 
     def test_absent_or_null_unit_is_accepted(self):
         doc = json.loads(fixture_path("case4").read_text(encoding="utf-8"))

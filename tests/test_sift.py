@@ -4,7 +4,11 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from ladderchoice import psp
+import pytest
+
+from conftest import tie_heavy_task
+from ladderchoice import Alternative, Threshold, crisp, interval, psp
+from ladderchoice.model import Elimination, SiftResult
 from ladderchoice.oracle import random_task
 from ladderchoice.values import satisfies_threshold
 
@@ -111,3 +115,58 @@ class TestFilterProperties:
                 assert all(
                     satisfies_threshold(alt.values[t.attribute_id], t) for t in task.thresholds
                 )
+
+
+def per_cell(task):
+    """The sift judged cell by cell, each threshold asked afresh for every alternative."""
+    feasible, eliminations = [], []
+    for alt in task.alternatives:
+        failures = [
+            Elimination(alt.id, t.attribute_id, t, alt.values[t.attribute_id])
+            for t in task.thresholds
+            if not satisfies_threshold(alt.values[t.attribute_id], t)
+        ]
+        if failures:
+            eliminations.extend(failures)
+        else:
+            feasible.append(alt.id)
+    return SiftResult(feasible=tuple(feasible), eliminations=tuple(eliminations))
+
+
+class TestRepeatedValues:
+    # one verdict per threshold per distinct value key must read exactly as a verdict per cell
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_the_per_cell_sift(self, seed):
+        task = tie_heavy_task(seed, 1000)
+        expected = per_cell(task)
+        result = psp(task)
+        assert result.feasible == expected.feasible
+        assert result.eliminations == expected.eliminations
+        # the task exercises what the verdict maps could get wrong: one crisp value
+        # passing ``max 3`` on attribute 4 and failing ``min 2`` on attribute 5
+        assert {(e.attribute_id, e.value.key) for e in result.eliminations} >= {(5, ("n", 1.0, 1.0))}
+        assert any(a.values[4].key == ("n", 1.0, 1.0) for a in task.alternatives if a.id in result.feasible)
+        assert 0 < len(result.feasible) < len(task.alternatives)
+
+    def test_crisp_and_degenerate_interval_share_a_verdict(self):
+        task = tie_heavy_task(4, 200)
+        alts = list(task.alternatives)
+        alts[0] = Alternative(alts[0].id, {**alts[0].values, 4: interval(4, 4)})
+        alts[1] = Alternative(alts[1].id, {**alts[1].values, 4: crisp(4)})
+        mixed = replace(task, alternatives=tuple(alts))
+        assert psp(mixed) == per_cell(mixed)
+
+    @pytest.mark.parametrize(
+        "threshold,message",
+        [
+            (Threshold(1, "max", 3), "max threshold cannot judge a category value"),
+            (Threshold(4, "min_level", 2), "min_level threshold cannot judge a crisp value"),
+            (Threshold(3, "allowed", frozenset({"red"})), "allowed threshold cannot judge a ordinal value"),
+        ],
+        ids=["max-on-category", "level-on-number", "labels-on-level"],
+    )
+    def test_kind_mismatched_threshold_still_raises(self, threshold, message):
+        task = tie_heavy_task(5, 1000)
+        others = tuple(t for t in task.thresholds if t.attribute_id != threshold.attribute_id)
+        with pytest.raises(ValueError, match=message):
+            psp(replace(task, thresholds=(*others, threshold)))
