@@ -107,6 +107,21 @@ class BaselineResult:
         return self.chosen is None
 
 
+def _check_risk_attribute(task: DecisionTask, risk_attribute_id: int) -> None:
+    """Refuse a risk designation that is not an ordinal or numeric cost of the task."""
+    if risk_attribute_id not in task.attribute_ids():
+        raise ValueError(f"risk attribute {risk_attribute_id} is not part of the task")
+    attr = task.attribute(risk_attribute_id)
+    if attr.polarity != "cost":  # a categorical attribute's polarity is always "none"
+        raise ValueError(f"risk attribute must be an ordinal or numeric cost, got attribute {attr.id} ({attr.kind}/{attr.polarity})")
+
+
+def _check_profit_attribute(task: DecisionTask, profit_attribute_id: int) -> None:
+    """Refuse a profitability designation that is not an attribute of the task."""
+    if profit_attribute_id not in task.attribute_ids():
+        raise ValueError(f"profitability attribute {profit_attribute_id} is not part of the task")
+
+
 def pt_proxy_choose(task: DecisionTask, risk_attribute_id: int) -> BaselineResult:
     """Risk-minimizing chooser: the unique best value on a designated risk attribute.
 
@@ -114,11 +129,7 @@ def pt_proxy_choose(task: DecisionTask, risk_attribute_id: int) -> BaselineResul
     covers all alternatives, since this chooser has no sifting stage.  Ties
     or incomparable values yield Undecidable.
     """
-    if risk_attribute_id not in task.attribute_ids():
-        raise ValueError(f"risk attribute {risk_attribute_id} is not part of the task")
-    attr = task.attribute(risk_attribute_id)
-    if attr.kind == "categorical" or attr.polarity != "cost":
-        raise ValueError(f"risk attribute must be an ordinal or numeric cost, got attribute {attr.id} ({attr.kind}/{attr.polarity})")
+    _check_risk_attribute(task, risk_attribute_id)
     if not task.alternatives:
         return BaselineResult(None, "no alternatives")
     best = dominant_set([a.id for a in task.alternatives], {risk_attribute_id}, DominanceMode.GLOBAL, task)
@@ -152,8 +163,8 @@ def it_choose(
     attribute wins; without a designated quantitative criterion, or when
     survivors tie, the chooser is Undecidable.
     """
-    if profit_attribute_id is not None and profit_attribute_id not in task.attribute_ids():
-        raise ValueError(f"profitability attribute {profit_attribute_id} is not part of the task")
+    if profit_attribute_id is not None:
+        _check_profit_attribute(task, profit_attribute_id)
     survivors = compatibility_screen(task, rejection_budget)
     if not survivors:
         return BaselineResult(None, "no alternative passes the compatibility screen")
@@ -193,8 +204,20 @@ def compare_theories(
     The ladder engine always runs end to end.  The prospect proxy needs a
     designated risk attribute and is reported inapplicable without one; the
     image chooser runs its screen regardless and reports undecidable when no
-    profitability criterion separates the survivors.
+    profitability criterion separates the survivors.  Before any chooser
+    runs, an unknown or repeated theory and every designation given, whether
+    or not its theory is requested, raise ``ValueError``.
     """
+    theories = tuple(theories)
+    for index, theory in enumerate(theories):
+        if theory not in THEORIES:
+            raise ValueError(f"unknown theory {theory!r}")
+        if theory in theories[:index]:
+            raise ValueError(f"theory {theory!r} requested twice")
+    if pt_risk_attr is not None:
+        _check_risk_attribute(task, pt_risk_attr)
+    if it_profit_attr is not None:
+        _check_profit_attribute(task, it_profit_attr)
     rows: list[TheoryRow] = []
     for theory in theories:
         if theory == "lt":
@@ -217,12 +240,10 @@ def compare_theories(
                     rows.append(TheoryRow("pt", "undecidable", detail=result.detail))
                 else:
                     rows.append(TheoryRow("pt", "chosen", result.chosen))
-        elif theory == "it":
+        else:
             result = it_choose(task, it_profit_attr, it_budget)
             if result.undecidable:
                 rows.append(TheoryRow("it", "undecidable", detail=result.detail))
             else:
                 rows.append(TheoryRow("it", "chosen", result.chosen))
-        else:
-            raise ValueError(f"unknown theory {theory!r}")
     return rows

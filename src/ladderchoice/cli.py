@@ -41,10 +41,6 @@ def _load(path: str) -> DecisionTask:
     return parse_scenario(text)
 
 
-def _mode(value: str) -> DominanceMode:
-    return DominanceMode(value)
-
-
 def cmd_decide(path: str, mode: DominanceMode, as_json: bool) -> int:
     task = _load(path)
     sifted, outcome = decide_task(task, mode)
@@ -234,15 +230,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     try:
         if args.command == "decide":
-            return cmd_decide(args.path, _mode(args.mode), args.as_json)
+            return cmd_decide(args.path, DominanceMode(args.mode), args.as_json)
         if args.command == "compare":
             theories = [t.strip() for t in args.theories.split(",") if t.strip()]
             return cmd_compare(
-                args.path, theories, args.pt_risk_attr, args.it_profit_attr, args.it_budget, _mode(args.mode)
+                args.path, theories, args.pt_risk_attr, args.it_profit_attr, args.it_budget, DominanceMode(args.mode)
             )
         if args.command == "validate":
             return cmd_validate(args.paths)
-        return cmd_batch(args.seed, args.count, _mode(args.mode))
+        return cmd_batch(args.seed, args.count, DominanceMode(args.mode))
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return 1

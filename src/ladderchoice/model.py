@@ -6,6 +6,13 @@ importance levels, and the alternatives to choose between.  All types are
 immutable after construction; local field sanity is enforced by the
 constructors, while cross-object consistency is reported (never raised) by
 :func:`validate_task`.
+
+Every value, attribute kind and threshold op belongs to one of three
+families, tagged ``"n"`` (numeric), ``"o"`` (ordinal) or ``"c"``
+(categorical).  A value's tag is the first item of its ``key``;
+:data:`KIND_FAMILY` and :data:`OP_FAMILY` give the tag of an attribute kind
+and of a threshold op.  A value or threshold fits an attribute exactly when
+their tags agree, and that comparison is the only fit check there is.
 """
 
 from __future__ import annotations
@@ -20,7 +27,9 @@ from typing import Optional, Union
 ORDINAL_LABELS = ("very_low", "low", "moderate", "high", "very_high")
 ORDINAL_LEVELS = {label: i + 1 for i, label in enumerate(ORDINAL_LABELS)}
 
-NUMERIC_KINDS = ("crisp", "interval", "at_least")
+# family tag of each attribute kind and of each threshold op, matching AttributeValue.key[0]
+KIND_FAMILY = {"numeric": "n", "ordinal": "o", "categorical": "c"}
+OP_FAMILY = {"max": "n", "min": "n", "min_level": "o", "max_level": "o", "allowed": "c"}
 
 
 def _is_int(x: object) -> bool:
@@ -93,16 +102,6 @@ class AttributeValue:
             raise ValueError(f"unknown value kind {self.kind!r}")
         object.__setattr__(self, "key", key)
 
-    @property
-    def is_numeric(self) -> bool:
-        return self.kind in NUMERIC_KINDS
-
-    def bounds(self) -> tuple[float, float]:
-        """Numeric values as a (lo, hi) pair; crisp is degenerate, at_least is unbounded above."""
-        if self.key[0] != "n":
-            raise ValueError(f"{self.kind} value has no numeric bounds")
-        return self.key[1:]
-
     def __str__(self) -> str:
         if self.kind == "crisp":
             return format_number(self.lo)
@@ -155,15 +154,6 @@ def category(label: str) -> AttributeValue:
     return AttributeValue("category", label=label)
 
 
-def values_equal(a: AttributeValue, b: AttributeValue) -> bool:
-    """Semantic equality: numeric shapes agree on bounds, ordinals on level, categories on label.
-
-    A crisp number equals the degenerate interval with the same endpoints.
-    Values of different families are never equal.
-    """
-    return a.key == b.key
-
-
 @dataclass(frozen=True)
 class Attribute:
     """One criterion of the task: numeric, ordinal (1..5 scale) or categorical.
@@ -186,7 +176,7 @@ class Attribute:
             raise ValueError(f"attribute name must be a string, got {self.name!r}")
         if self.unit is not None and not isinstance(self.unit, str):
             raise ValueError(f"attribute unit must be a string, got {self.unit!r}")
-        if self.kind not in ("numeric", "ordinal", "categorical"):
+        if not isinstance(self.kind, str) or self.kind not in KIND_FAMILY:
             raise ValueError(f"unknown attribute kind {self.kind!r}")
         if self.kind == "categorical":
             if self.polarity != "none":
@@ -199,29 +189,13 @@ class Attribute:
                     raise ValueError(f"label {lab!r} maps to level {lvl!r}, expected 1..5")
 
 
-THRESHOLD_OPS = ("max", "min", "min_level", "max_level", "allowed")
-
-# which predicate ops make sense for which attribute kind
-_OPS_FOR_KIND = {
-    "numeric": ("max", "min"),
-    "ordinal": ("min_level", "max_level"),
-    "categorical": ("allowed",),
-}
-
-# which value kinds an attribute of each kind can carry
-_VALUE_KINDS_FOR_KIND = {
-    "numeric": NUMERIC_KINDS,
-    "ordinal": ("ordinal",),
-    "categorical": ("category",),
-}
-
-
 @dataclass(frozen=True)
 class Threshold:
     """Acceptance predicate on one attribute.
 
     Ops: ``max``/``min`` bound a numeric value, ``min_level``/``max_level``
     bound an ordinal level, ``allowed`` lists admissible category labels.
+    The op's family tag in :data:`OP_FAMILY` decides how the bound is read.
     """
 
     attribute_id: int
@@ -229,14 +203,15 @@ class Threshold:
     bound: Union[float, int, frozenset[str]] = 0.0
 
     def __post_init__(self) -> None:
-        if self.op not in THRESHOLD_OPS:
+        if not isinstance(self.op, str) or self.op not in OP_FAMILY:
             raise ValueError(f"unknown threshold op {self.op!r}")
-        if self.op in ("max", "min"):
+        family = OP_FAMILY[self.op]
+        if family == "n":
             bound = _as_number(self.bound, f"{self.op} threshold bound")
             if not math.isfinite(bound):
                 raise ValueError(f"{self.op} threshold needs a finite numeric bound")
             object.__setattr__(self, "bound", bound)
-        elif self.op in ("min_level", "max_level"):
+        elif family == "o":
             if not _is_level(self.bound):
                 raise ValueError(f"{self.op} threshold needs a level in 1..5, got {self.bound!r}")
         else:
@@ -284,9 +259,6 @@ class DominancePartition:
     def level(self, r: int) -> frozenset[int]:
         """Attribute ids at importance rank ``r`` (1 = least important)."""
         return self.levels[r - 1]
-
-    def all_ids(self) -> frozenset[int]:
-        return frozenset().union(*self.levels)
 
 
 # characters the text trace uses to delimit ids: an id holding one would make a trace line ambiguous
@@ -389,9 +361,6 @@ class SiftResult:
     feasible: tuple[str, ...]
     eliminations: tuple[Elimination, ...]
 
-    def eliminated_ids(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(e.alternative_id for e in self.eliminations))
-
 
 class Verdict(Enum):
     CHOSEN = "Chosen"
@@ -434,10 +403,6 @@ class Violation:
         return f"{self.code}: {self.message}"
 
 
-def _threshold_kind_matches(attr: Attribute, t: Threshold) -> bool:
-    return t.op in _OPS_FOR_KIND[attr.kind]
-
-
 def validate_task(task: DecisionTask) -> list[Violation]:
     """Check every cross-object task invariant; returns findings instead of raising.
 
@@ -455,10 +420,10 @@ def validate_task(task: DecisionTask) -> list[Violation]:
         if attr.id in ids_seen:
             violations.append(Violation("duplicate-attribute-id", f"attribute id {attr.id} declared twice"))
         ids_seen.add(attr.id)
-    all_ids = frozenset(ids_seen)
+    declared = frozenset(ids_seen)
 
     for aid in sorted(task.basic_ids):
-        if aid not in all_ids:
+        if aid not in declared:
             violations.append(Violation("unknown-reference", f"basic attribute {aid} is not declared"))
 
     partition_ids: set[int] = set()
@@ -473,12 +438,12 @@ def validate_task(task: DecisionTask) -> list[Violation]:
             )
         partition_ids |= level
         for aid in sorted(level):
-            if aid not in all_ids:
+            if aid not in declared:
                 violations.append(
                     Violation("unknown-reference", f"partition level {index} references undeclared attribute {aid}")
                 )
 
-    uncovered = all_ids - (task.basic_ids | partition_ids)
+    uncovered = declared - (task.basic_ids | partition_ids)
     if uncovered:
         violations.append(
             Violation(
@@ -500,7 +465,7 @@ def validate_task(task: DecisionTask) -> list[Violation]:
 
     for t in task.thresholds:
         attr = task._by_id.get(t.attribute_id)
-        if attr is not None and not _threshold_kind_matches(attr, t):
+        if attr is not None and OP_FAMILY[t.op] != KIND_FAMILY[attr.kind]:
             violations.append(
                 Violation(
                     "kind-mismatch",
@@ -519,7 +484,7 @@ def validate_task(task: DecisionTask) -> list[Violation]:
                     )
                 )
             attr = task._by_id.get(t.attribute_id)
-            if attr is not None and not _threshold_kind_matches(attr, t):
+            if attr is not None and OP_FAMILY[t.op] != KIND_FAMILY[attr.kind]:
                 violations.append(
                     Violation("kind-mismatch", f"aspiration threshold '{t}' does not fit attribute {t.attribute_id}")
                 )
@@ -527,8 +492,8 @@ def validate_task(task: DecisionTask) -> list[Violation]:
     # one pass per alternative: id, coverage and kind checks, and its value-key
     # tuple for the complete-equality screen over basic + dominance attributes;
     # duplicate pairs are reported in (i, j) order over the comparable alternatives
-    relevant = (task.basic_ids | partition_ids) & all_ids
-    checks = [(aid, attr.kind, _VALUE_KINDS_FOR_KIND[attr.kind]) for aid, attr in sorted(task._by_id.items())]
+    relevant = (task.basic_ids | partition_ids) & declared
+    checks = [(aid, attr.kind, KIND_FAMILY[attr.kind]) for aid, attr in sorted(task._by_id.items())]
     screened = sorted(relevant)
     alt_ids_seen: set[str] = set()
     comparable: list[Alternative] = []
@@ -539,29 +504,29 @@ def validate_task(task: DecisionTask) -> list[Violation]:
         alt_ids_seen.add(alt.id)
 
         values = alt.values
-        if values.keys() == all_ids:
+        if values.keys() == declared:
             present = checks
             complete = True
         else:
-            missing_values = all_ids - values.keys()
+            missing_values = declared - values.keys()
             if missing_values:
                 violations.append(
                     Violation("missing-value", f"alternative {alt.id!r} lacks value(s) for attribute(s) {sorted(missing_values)}")
                 )
-            extra_values = values.keys() - all_ids
+            extra_values = values.keys() - declared
             if extra_values:
                 violations.append(
                     Violation("unknown-reference", f"alternative {alt.id!r} has value(s) for undeclared attribute(s) {sorted(extra_values)}")
                 )
             present = [check for check in checks if check[0] in values]
             complete = relevant.isdisjoint(missing_values)
-        for aid, attr_kind, value_kinds in present:
-            value_kind = values[aid].kind
-            if value_kind not in value_kinds:
+        for aid, attr_kind, family in present:
+            value = values[aid]
+            if value.key[0] != family:
                 violations.append(
                     Violation(
                         "kind-mismatch",
-                        f"alternative {alt.id!r} carries a {value_kind} value on {attr_kind} attribute {aid}",
+                        f"alternative {alt.id!r} carries a {value.kind} value on {attr_kind} attribute {aid}",
                     )
                 )
                 if aid in relevant:

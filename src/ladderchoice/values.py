@@ -5,7 +5,9 @@ attribute's polarity: :func:`signed_coords`, which :func:`compare_values` and
 the ladder's dominance test compare componentwise.  Numeric shapes order by
 both bounds, a partial order in which crossing intervals are Incomparable
 rather than silently ranked.  Thresholds use best-case endpoints, so an
-interval passes a bound whenever some point of it does.
+interval passes a bound whenever some point of it does.  Both questions read
+``AttributeValue.key``: its first item, the family tag, decides which values
+compare and which thresholds judge a value; the rest are the coordinates.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from enum import Enum
 from operator import ge, neg
 
-from .model import AttributeValue, Threshold
+from .model import OP_FAMILY, AttributeValue, Threshold
 
 
 class PartialOrdering(Enum):
@@ -68,20 +70,17 @@ def compare_values(a: AttributeValue, b: AttributeValue, polarity: str) -> Parti
 def satisfies_threshold(value: AttributeValue, threshold: Threshold) -> bool:
     """Whether a value meets an acceptance threshold.
 
-    Numeric bounds use best-case endpoints: a ``max c`` threshold passes when
-    the value's lower bound stays within ``c``, a ``min c`` threshold passes
-    when the upper bound reaches ``c``.  Kind mismatches are contract errors.
+    A threshold judges only values of its op's family in
+    :data:`~ladderchoice.model.OP_FAMILY`; any other value is a contract
+    error.  Bounds use best-case endpoints of ``value.key``: ``max`` and
+    ``max_level`` test its lower end, ``min`` and ``min_level`` its upper end
+    (an ordinal's level is both), and ``allowed`` its label.
     """
-    op = threshold.op
-    if op in ("max", "min"):
-        if not value.is_numeric:
-            raise ValueError(f"{op} threshold cannot judge a {value.kind} value")
-        lo, hi = value.bounds()
-        return lo <= threshold.bound if op == "max" else hi >= threshold.bound
-    if op in ("min_level", "max_level"):
-        if value.kind != "ordinal":
-            raise ValueError(f"{op} threshold cannot judge a {value.kind} value")
-        return value.level >= threshold.bound if op == "min_level" else value.level <= threshold.bound
-    if value.kind != "category":
-        raise ValueError(f"allowed threshold cannot judge a {value.kind} value")
-    return value.label in threshold.bound
+    op, key = threshold.op, value.key
+    if key[0] != OP_FAMILY[op]:
+        raise ValueError(f"{op} threshold cannot judge a {value.kind} value")
+    if op == "max" or op == "max_level":
+        return key[1] <= threshold.bound
+    if op == "min" or op == "min_level":
+        return key[-1] >= threshold.bound
+    return key[1] in threshold.bound

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from ladderchoice import compare_theories, psp
+from ladderchoice import baselines, compare_theories, psp
 from ladderchoice.baselines import (
     Lottery,
     PtParams,
@@ -191,6 +191,26 @@ class TestComparisonHarness:
     def test_unknown_theory_rejected(self, case1):
         with pytest.raises(ValueError):
             compare_theories(case1, theories=("expected-utility",))
+
+    def test_unrequested_risk_designation_is_checked(self, case2):
+        with pytest.raises(ValueError, match="risk attribute 99 is not part of the task"):
+            compare_theories(case2, theories=("lt",), pt_risk_attr=99)
+
+    def test_bad_requests_are_refused_before_any_chooser_runs(self, case2, monkeypatch):
+        def chooser_ran(*args, **kwargs):
+            raise AssertionError("a chooser ran")
+
+        monkeypatch.setattr(baselines, "decide_task", chooser_ran)
+        monkeypatch.setattr(baselines, "compatibility_screen", chooser_ran)
+        refused = [
+            ("theory 'lt' requested twice", dict(theories=("lt", "lt"))),
+            ("unknown theory 'eu'", dict(theories=("lt", "eu"))),
+            ("ordinal or numeric cost", dict(theories=("lt", "it"), pt_risk_attr=3)),
+            ("profitability attribute 99", dict(theories=("lt", "pt"), pt_risk_attr=5, it_profit_attr=99)),
+        ]
+        for message, request in refused:
+            with pytest.raises(ValueError, match=message):
+                compare_theories(case2, **request)
 
 
 def oracle_tasks():

@@ -284,6 +284,10 @@ USAGE_ERRORS = {
     "negative-count": ["batch", "--count", "-5"],
     "empty-theories": ["compare", CASE2, "--theories", ","],
     "blank-theories": ["compare", CASE2, "--theories", " "],
+    "repeated-theory": ["compare", CASE2, "--theories", "lt,lt"],
+    "unrequested-unknown-risk-attribute": ["compare", CASE2, "--theories", "lt", "--pt-risk-attr", "99"],
+    "unrequested-benefit-risk-attribute": ["compare", CASE2, "--theories", "lt,it", "--pt-risk-attr", "3"],
+    "unrequested-unknown-profit-attribute": ["compare", CASE2, "--theories", "lt,pt", "--pt-risk-attr", "5", "--it-profit-attr", "99"],
 }
 
 

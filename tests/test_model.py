@@ -20,8 +20,8 @@ from ladderchoice import (
     ordinal,
     validate_task,
 )
-from ladderchoice.model import values_equal
 from ladderchoice.oracle import random_task
+from ladderchoice.values import satisfies_threshold
 
 
 def make_task(**overrides) -> DecisionTask:
@@ -62,7 +62,7 @@ class TestValueConstruction:
             ordinal("medium")
 
     def test_at_least_needs_finite_bound(self):
-        assert at_least(3).bounds() == (3.0, float("inf"))
+        assert at_least(3).key == ("n", 3.0, float("inf"))
         with pytest.raises(ValueError):
             at_least(float("inf"))
 
@@ -75,16 +75,16 @@ class TestValueConstruction:
             category("")
 
     def test_crisp_bounds_are_degenerate(self):
-        assert crisp(40).bounds() == (40.0, 40.0)
+        assert crisp(40).key == ("n", 40.0, 40.0)
 
 
 class TestValuesEqual:
     def test_crisp_equals_degenerate_interval(self):
-        assert values_equal(crisp(40), interval(40, 40))
+        assert crisp(40).key == interval(40, 40).key
 
     def test_cross_family_never_equal(self):
-        assert not values_equal(crisp(3), ordinal(3))
-        assert not values_equal(category("3"), crisp(3))
+        assert crisp(3).key != ordinal(3).key
+        assert category("3").key != crisp(3).key
 
     def test_equivalence_relation(self):
         pool = [
@@ -92,12 +92,13 @@ class TestValuesEqual:
             ordinal(2), ordinal(3), category("x"), category("y"),
         ]
         for a in pool:
-            assert values_equal(a, a)
+            assert a.key == a.key
         for a, b in itertools.product(pool, pool):
-            assert values_equal(a, b) == values_equal(b, a)
+            assert (a.key == b.key) == (b.key == a.key)
+            assert (a.key == b.key) == _naive_same(a, b)
         for a, b, c in itertools.product(pool, pool, pool):
-            if values_equal(a, b) and values_equal(b, c):
-                assert values_equal(a, c)
+            if a.key == b.key and b.key == c.key:
+                assert a.key == c.key
 
 
 class TestAttributeAndThreshold:
@@ -142,7 +143,74 @@ class TestPartition:
         assert p.level_count == 2
         assert p.level(1) == frozenset({1, 2})
         assert p.level(2) == frozenset({3})
-        assert p.all_ids() == frozenset({1, 2, 3})
+        assert frozenset().union(*p.levels) == frozenset({1, 2, 3})
+
+
+# what fits what, spelled out by kind: the threshold ops and the value shapes each attribute kind takes
+FITS = {
+    "numeric": ({"max", "min"}, {"crisp", "interval", "at_least"}),
+    "ordinal": ({"min_level", "max_level"}, {"ordinal"}),
+    "categorical": ({"allowed"}, {"category"}),
+}
+THRESHOLDS = {
+    "max": Threshold(1, "max", 2),
+    "min": Threshold(1, "min", 2),
+    "min_level": Threshold(1, "min_level", 3),
+    "max_level": Threshold(1, "max_level", 3),
+    "allowed": Threshold(1, "allowed", {"red"}),
+}
+VALUES = {
+    "crisp": crisp(2),
+    "interval": interval(1, 3),
+    "at_least": at_least(2),
+    "ordinal": ordinal(3),
+    "category": category("red"),
+}
+POLARITY = {"numeric": "cost", "ordinal": "cost", "categorical": "none"}
+
+
+class TestFitMatrix:
+    """Every attribute kind x threshold op x value shape: the validator and the threshold check agree."""
+
+    @pytest.mark.parametrize("value_kind", list(VALUES))
+    @pytest.mark.parametrize("op", list(THRESHOLDS))
+    @pytest.mark.parametrize("attr_kind", list(FITS))
+    def test_kind_mismatch_exactly_when_the_threshold_cannot_judge(self, attr_kind, op, value_kind):
+        threshold, value = THRESHOLDS[op], VALUES[value_kind]
+        task = DecisionTask(
+            task_id="fit",
+            attributes=(Attribute(1, "a", attr_kind, POLARITY[attr_kind]),),
+            basic_ids=frozenset({1}),
+            thresholds=(threshold,),
+            partition=DominancePartition([[1]]),
+            alternatives=(Alternative("x", {1: value}),),
+            aspiration=(threshold,),
+        )
+        ops, value_kinds = FITS[attr_kind]
+        expected = []
+        if op not in ops:
+            expected += [
+                f"threshold '{threshold}' does not fit {attr_kind} attribute 1 (a)",
+                f"aspiration threshold '{threshold}' does not fit attribute 1",
+            ]
+        if value_kind not in value_kinds:
+            expected.append(f"alternative 'x' carries a {value_kind} value on {attr_kind} attribute 1")
+        findings = validate_task(task)
+        assert [v.message for v in findings] == expected
+        assert all(v.code == "kind-mismatch" for v in findings)
+
+        judges = any(op in o and value_kind in v for o, v in FITS.values())
+        try:
+            satisfies_threshold(value, threshold)
+        except ValueError as exc:
+            assert str(exc) == f"{op} threshold cannot judge a {value_kind} value"
+            raised = True
+        else:
+            raised = False
+        assert raised == (not judges)
+        # when at most one of the threshold and the value misfits the attribute, the check raises exactly then
+        if op in ops or value_kind in value_kinds:
+            assert raised == bool(findings)
 
 
 class TestValidateTask:
@@ -247,13 +315,13 @@ class TestValidateTask:
 
 def _naive_same(a, b) -> bool:
     """Semantic equality written out from the kinds, without the canonical key."""
-    bounds = {
+    ends = {
         "crisp": lambda v: (v.lo, v.lo),
         "interval": lambda v: (v.lo, v.hi),
         "at_least": lambda v: (v.lo, float("inf")),
     }
-    if a.kind in bounds and b.kind in bounds:
-        return bounds[a.kind](a) == bounds[b.kind](b)
+    if a.kind in ends and b.kind in ends:
+        return ends[a.kind](a) == ends[b.kind](b)
     if a.kind == b.kind == "ordinal":
         return a.level == b.level
     return a.kind == b.kind == "category" and a.label == b.label
@@ -261,7 +329,7 @@ def _naive_same(a, b) -> bool:
 
 def naive_duplicate_messages(task: DecisionTask) -> list[str]:
     """The complete-equality screen as a pairwise loop over every (i, j), i < j."""
-    relevant = (task.basic_ids | task.partition.all_ids()) & task.attribute_ids()
+    relevant = (task.basic_ids | frozenset().union(*task.partition.levels)) & task.attribute_ids()
     alts = task.alternatives
     return [
         f"alternatives {first.id!r} and {second.id!r} are completely equal on every screened attribute"
@@ -313,7 +381,7 @@ class TestDuplicateScreen:
         task = make_task(
             alternatives=(Alternative("a", {1: first, 2: ordinal(4)}), Alternative("b", {1: second, 2: ordinal(4)}))
         )
-        assert values_equal(first, second)
+        assert first.key == second.key
         assert duplicate_messages(task) == naive_duplicate_messages(task) != []
 
     def test_wrong_kind_or_missing_value_keeps_a_pair_out_only_on_screened_attributes(self):

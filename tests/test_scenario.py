@@ -40,7 +40,7 @@ class TestParseFixtures:
     def test_case4_shape(self, case4):
         assert case4.basic_ids == frozenset({1, 2, 3, 4})
         assert [sorted(level) for level in case4.partition.levels] == [[5]]
-        assert case4.alternative("w1").values[5].bounds() == (3.0, float("inf"))
+        assert case4.alternative("w1").values[5].key == ("n", 3.0, float("inf"))
 
     def test_ordinal_labels_resolve_to_levels(self, case1):
         assert case1.alternative("m1").values[4].level == 5
@@ -344,7 +344,7 @@ class TestInterning:
 
     def test_interval_parses_as_before(self):
         task = parse_scenario(rows_task([NUMERIC], [[{"interval": [1, 2]}], [{"interval": [1, 2]}], [{"interval": [1.0, 2]}]]))
-        assert [value.bounds() for value in column(task, 1)] == [(1.0, 2.0)] * 3
+        assert [value.key for value in column(task, 1)] == [("n", 1.0, 2.0)] * 3
         assert all(value.kind == "interval" for value in column(task, 1))
 
     def test_redefined_builtin_label_round_trips(self):

@@ -47,7 +47,7 @@ class TestGoldenCases:
     def test_case3_screens_out_the_illegal_site(self, case3):
         result = psp(case3)
         assert result.feasible == ("site1", "site2")
-        assert result.eliminated_ids() == ("site3",)
+        assert [e.alternative_id for e in result.eliminations] == ["site3"]
 
     def test_case4_keeps_both(self, case4):
         result = psp(case4)
@@ -83,8 +83,9 @@ class TestFilterProperties:
             result = psp(task)
             ids = [a.id for a in task.alternatives]
             assert [i for i in ids if i in result.feasible] == list(result.feasible)
-            assert set(result.feasible) | set(result.eliminated_ids()) == set(ids)
-            assert not set(result.feasible) & set(result.eliminated_ids())
+            eliminated = {e.alternative_id for e in result.eliminations}
+            assert set(result.feasible) | eliminated == set(ids)
+            assert not set(result.feasible) & eliminated
 
     def test_idempotence_on_the_feasible_set(self):
         for seed in range(200):
@@ -98,7 +99,7 @@ class TestFilterProperties:
         for seed in range(200):
             task = random_task(seed, n_alternatives=6, n_attributes=4, n_levels=2)
             result = psp(task)
-            for gone in result.eliminated_ids():
+            for gone in {e.alternative_id for e in result.eliminations}:
                 kept = [a.id for a in task.alternatives if a.id != gone]
                 assert psp(restrict(task, kept)).feasible == result.feasible
 
