@@ -95,16 +95,17 @@ def cpt_evaluate(lottery: Lottery, params: PtParams = PtParams()) -> float:
     return total
 
 
+THEORIES = ("lt", "pt", "it")
+
+
 @dataclass(frozen=True)
-class BaselineResult:
-    """Chooser outcome: a chosen id, or None with a reason when undecidable."""
+class TheoryRow:
+    """One theory's prediction: its status, the chosen id when there is one, and why not otherwise."""
 
-    chosen: str | None
+    theory: str
+    status: str  # chosen | undecidable | inapplicable | abstain | repartition | no-unique-choice
+    chosen: str | None = None
     detail: str = ""
-
-    @property
-    def undecidable(self) -> bool:
-        return self.chosen is None
 
 
 def _check_risk_attribute(task: DecisionTask, risk_attribute_id: int) -> None:
@@ -122,7 +123,13 @@ def _check_profit_attribute(task: DecisionTask, profit_attribute_id: int) -> Non
         raise ValueError(f"profitability attribute {profit_attribute_id} is not part of the task")
 
 
-def pt_proxy_choose(task: DecisionTask, risk_attribute_id: int) -> BaselineResult:
+def _check_budget(rejection_budget: int) -> None:
+    """Refuse a negative rejection budget."""
+    if rejection_budget < 0:
+        raise ValueError("rejection_budget must be >= 0")
+
+
+def pt_proxy_choose(task: DecisionTask, risk_attribute_id: int) -> TheoryRow:
     """Risk-minimizing chooser: the unique best value on a designated risk attribute.
 
     The designated attribute must be an ordinal or numeric cost; the scan
@@ -131,11 +138,11 @@ def pt_proxy_choose(task: DecisionTask, risk_attribute_id: int) -> BaselineResul
     """
     _check_risk_attribute(task, risk_attribute_id)
     if not task.alternatives:
-        return BaselineResult(None, "no alternatives")
+        return TheoryRow("pt", "undecidable", detail="no alternatives")
     best = dominant_set([a.id for a in task.alternatives], {risk_attribute_id}, DominanceMode.GLOBAL, task)
     if not best:
-        return BaselineResult(None, f"no alternative is strictly best on attribute {risk_attribute_id}")
-    return BaselineResult(best[0])
+        return TheoryRow("pt", "undecidable", detail=f"no alternative is strictly best on attribute {risk_attribute_id}")
+    return TheoryRow("pt", "chosen", best[0])
 
 
 def compatibility_screen(task: DecisionTask, rejection_budget: int = 0) -> tuple[str, ...]:
@@ -144,8 +151,7 @@ def compatibility_screen(task: DecisionTask, rejection_budget: int = 0) -> tuple
     Violations are counted from the sifting stage's eliminations, so a zero
     budget reproduces its feasible set exactly.
     """
-    if rejection_budget < 0:
-        raise ValueError("rejection_budget must be >= 0")
+    _check_budget(rejection_budget)
     violations = Counter(e.alternative_id for e in psp(task).eliminations)
     return tuple(alt.id for alt in task.alternatives if violations[alt.id] <= rejection_budget)
 
@@ -154,7 +160,7 @@ def it_choose(
     task: DecisionTask,
     profit_attribute_id: int | None = None,
     rejection_budget: int = 0,
-) -> BaselineResult:
+) -> TheoryRow:
     """Compatibility screen plus single-criterion profitability ranking.
 
     Alternatives with more than ``rejection_budget`` basic-threshold
@@ -167,28 +173,23 @@ def it_choose(
         _check_profit_attribute(task, profit_attribute_id)
     survivors = compatibility_screen(task, rejection_budget)
     if not survivors:
-        return BaselineResult(None, "no alternative passes the compatibility screen")
+        return TheoryRow("it", "undecidable", detail="no alternative passes the compatibility screen")
     if profit_attribute_id is None:
-        return BaselineResult(None, "no single quantitative criterion designated")
+        return TheoryRow("it", "undecidable", detail="no single quantitative criterion designated")
     if task.attribute(profit_attribute_id).kind != "numeric":
-        return BaselineResult(None, f"attribute {profit_attribute_id} is not a quantitative criterion")
+        return TheoryRow("it", "undecidable", detail=f"attribute {profit_attribute_id} is not a quantitative criterion")
     best = dominant_set(survivors, {profit_attribute_id}, DominanceMode.GLOBAL, task)
     if not best:
-        return BaselineResult(None, f"no alternative is strictly best on attribute {profit_attribute_id}")
-    return BaselineResult(best[0])
+        return TheoryRow("it", "undecidable", detail=f"no alternative is strictly best on attribute {profit_attribute_id}")
+    return TheoryRow("it", "chosen", best[0])
 
 
-THEORIES = ("lt", "pt", "it")
-
-
-@dataclass(frozen=True)
-class TheoryRow:
-    """One comparison row: prediction status plus chosen id when there is one."""
-
-    theory: str
-    status: str  # chosen | undecidable | inapplicable | abstain | repartition | no-unique-choice
-    chosen: str | None = None
-    detail: str = ""
+_LT_STATUS = {
+    Verdict.CHOSEN: "chosen",
+    Verdict.ABSTAIN: "abstain",
+    Verdict.REPARTITION: "repartition",
+    Verdict.NO_UNIQUE_CHOICE: "no-unique-choice",
+}
 
 
 def compare_theories(
@@ -205,45 +206,33 @@ def compare_theories(
     designated risk attribute and is reported inapplicable without one; the
     image chooser runs its screen regardless and reports undecidable when no
     profitability criterion separates the survivors.  Before any chooser
-    runs, an unknown or repeated theory and every designation given, whether
-    or not its theory is requested, raise ``ValueError``.
+    runs, the request is checked, first failure raising ``ValueError``: an
+    empty, unknown or repeated theory list, then every designation given and
+    the rejection budget, whether or not their theory is requested.
     """
     theories = tuple(theories)
-    for index, theory in enumerate(theories):
+    if not theories:
+        raise ValueError("no theory requested")
+    for theory in theories:
         if theory not in THEORIES:
-            raise ValueError(f"unknown theory {theory!r}")
+            raise ValueError(f"unknown theory {theory!r} (expected {', '.join(THEORIES)})")
+    for index, theory in enumerate(theories):
         if theory in theories[:index]:
             raise ValueError(f"theory {theory!r} requested twice")
     if pt_risk_attr is not None:
         _check_risk_attribute(task, pt_risk_attr)
     if it_profit_attr is not None:
         _check_profit_attribute(task, it_profit_attr)
+    _check_budget(it_budget)
     rows: list[TheoryRow] = []
     for theory in theories:
         if theory == "lt":
             _, outcome = decide_task(task, mode)
-            if outcome.verdict is Verdict.CHOSEN:
-                rows.append(TheoryRow("lt", "chosen", outcome.chosen))
-            else:
-                status = {
-                    Verdict.ABSTAIN: "abstain",
-                    Verdict.REPARTITION: "repartition",
-                    Verdict.NO_UNIQUE_CHOICE: "no-unique-choice",
-                }[outcome.verdict]
-                rows.append(TheoryRow("lt", status))
+            rows.append(TheoryRow("lt", _LT_STATUS[outcome.verdict], outcome.chosen))
+        elif theory == "pt" and pt_risk_attr is None:
+            rows.append(TheoryRow("pt", "inapplicable", detail="no risk attribute designated"))
         elif theory == "pt":
-            if pt_risk_attr is None:
-                rows.append(TheoryRow("pt", "inapplicable", detail="no risk attribute designated"))
-            else:
-                result = pt_proxy_choose(task, pt_risk_attr)
-                if result.undecidable:
-                    rows.append(TheoryRow("pt", "undecidable", detail=result.detail))
-                else:
-                    rows.append(TheoryRow("pt", "chosen", result.chosen))
+            rows.append(pt_proxy_choose(task, pt_risk_attr))
         else:
-            result = it_choose(task, it_profit_attr, it_budget)
-            if result.undecidable:
-                rows.append(TheoryRow("it", "undecidable", detail=result.detail))
-            else:
-                rows.append(TheoryRow("it", "chosen", result.chosen))
+            rows.append(it_choose(task, it_profit_attr, it_budget))
     return rows

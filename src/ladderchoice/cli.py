@@ -16,7 +16,6 @@ import argparse
 import json
 import random
 import sys
-from pathlib import Path
 from typing import Callable, NoReturn, Optional
 
 from .baselines import THEORIES, compare_theories
@@ -35,7 +34,8 @@ _VERDICT_EXIT = {
 
 def _load(path: str) -> DecisionTask:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
     except UnicodeDecodeError as exc:
         raise ScenarioError("syntax", f"not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     return parse_scenario(text)
@@ -81,13 +81,6 @@ def cmd_compare(
     it_budget: int,
     mode: DominanceMode,
 ) -> int:
-    if not theories:
-        print("error: no theory requested", file=sys.stderr)
-        return 1
-    unknown = [t for t in theories if t not in THEORIES]
-    if unknown:
-        print(f"error: unknown theory {unknown[0]!r} (expected lt, pt, it)", file=sys.stderr)
-        return 1
     if "pt" in theories and pt_risk_attr is None:
         print("error: pt requested without --pt-risk-attr", file=sys.stderr)
         return 1
@@ -101,7 +94,7 @@ def cmd_compare(
             it_budget=it_budget,
             mode=mode,
         )
-    except ValueError as exc:  # an attribute designation the task cannot serve
+    except ValueError as exc:  # a theory list or designation the task cannot serve
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for row in rows:

@@ -24,13 +24,6 @@ class PartialOrdering(Enum):
     EQUAL = "equal"
     INCOMPARABLE = "incomparable"
 
-    def flipped(self) -> "PartialOrdering":
-        if self is PartialOrdering.BETTER:
-            return PartialOrdering.WORSE
-        if self is PartialOrdering.WORSE:
-            return PartialOrdering.BETTER
-        return self
-
 
 def signed_coords(value: AttributeValue, polarity: str) -> tuple:
     """The coordinates that order ``value``, larger being better, negated under cost.

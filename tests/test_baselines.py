@@ -128,7 +128,7 @@ class TestRiskMinimizingProxy:
                 Alternative(a.id, {**a.values, 5: ordinal(2)}) for a in case1.alternatives
             ),
         )
-        assert pt_proxy_choose(flattened, 5).undecidable
+        assert pt_proxy_choose(flattened, 5).status == "undecidable"
 
     def test_designation_must_be_a_cost(self, case1):
         with pytest.raises(ValueError):
@@ -143,14 +143,14 @@ class TestImageChooser:
 
     def test_case1_without_a_criterion_is_undecidable(self, case1):
         result = it_choose(case1)
-        assert result.undecidable
+        assert result.status == "undecidable"
         assert "criterion" in result.detail
 
     def test_case4_ranks_by_wear_time(self, case4):
         assert it_choose(case4, profit_attribute_id=5).chosen == "w1"
 
     def test_non_numeric_designation_is_undecidable(self, case1):
-        assert it_choose(case1, profit_attribute_id=3).undecidable
+        assert it_choose(case1, profit_attribute_id=3).status == "undecidable"
 
     def test_unknown_designation_is_an_error_even_when_nothing_survives(self, case1):
         from dataclasses import replace
@@ -182,6 +182,9 @@ class TestComparisonHarness:
         assert (rows["lt"].status, rows["lt"].chosen) == ("chosen", "m3")
         assert (rows["pt"].status, rows["pt"].chosen) == ("chosen", "m1")
         assert rows["it"].status == "undecidable"
+        # the choosers' own rows, detail included, pass through unchanged
+        assert (rows["pt"], rows["it"]) == (pt_proxy_choose(case2, 5), it_choose(case2))
+        assert rows["it"].detail == "no single quantitative criterion designated"
 
     def test_pt_without_designation_is_inapplicable(self, case3):
         rows = {r.theory: r for r in compare_theories(case3, it_profit_attr=2)}
@@ -189,7 +192,7 @@ class TestComparisonHarness:
         assert (rows["it"].status, rows["it"].chosen) == ("chosen", "site2")
 
     def test_unknown_theory_rejected(self, case1):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"unknown theory 'expected-utility' \(expected lt, pt, it\)"):
             compare_theories(case1, theories=("expected-utility",))
 
     def test_unrequested_risk_designation_is_checked(self, case2):
@@ -203,14 +206,33 @@ class TestComparisonHarness:
         monkeypatch.setattr(baselines, "decide_task", chooser_ran)
         monkeypatch.setattr(baselines, "compatibility_screen", chooser_ran)
         refused = [
+            ("no theory requested", dict(theories=())),
             ("theory 'lt' requested twice", dict(theories=("lt", "lt"))),
             ("unknown theory 'eu'", dict(theories=("lt", "eu"))),
             ("ordinal or numeric cost", dict(theories=("lt", "it"), pt_risk_attr=3)),
             ("profitability attribute 99", dict(theories=("lt", "pt"), pt_risk_attr=5, it_profit_attr=99)),
+            ("rejection_budget must be >= 0", dict(theories=("lt",), it_budget=-1)),
         ]
         for message, request in refused:
             with pytest.raises(ValueError, match=message):
                 compare_theories(case2, **request)
+
+
+    def test_request_faults_are_reported_in_a_fixed_order(self, case2):
+        request = dict(theories=(), pt_risk_attr=3, it_profit_attr=99, it_budget=-1)
+        fixes = [
+            ("no theory requested", dict(theories=("lt", "lt", "eu"))),
+            ("unknown theory 'eu'", dict(theories=("lt", "lt"))),
+            ("theory 'lt' requested twice", dict(theories=("lt",))),
+            ("ordinal or numeric cost", dict(pt_risk_attr=5)),
+            ("profitability attribute 99", dict(it_profit_attr=1)),
+            ("rejection_budget must be >= 0", dict(it_budget=0)),
+        ]
+        for message, fix in fixes:
+            with pytest.raises(ValueError, match=message):
+                compare_theories(case2, **request)
+            request.update(fix)
+        assert [r.theory for r in compare_theories(case2, **request)] == ["lt"]
 
 
 def oracle_tasks():
