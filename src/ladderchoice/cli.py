@@ -187,17 +187,24 @@ def _count(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
 
 
+def _path(text: str) -> str:
+    """A non-empty path argument."""
+    if text:
+        return text
+    raise argparse.ArgumentTypeError("expected a file path, got ''")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ladderchoice", description="Threshold-sift and ladder-search decision engine.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     decide = sub.add_parser("decide", help="evaluate a scenario file and print the trace")
-    decide.add_argument("path")
+    decide.add_argument("path", type=_path)
     decide.add_argument("--mode", choices=[m.value for m in DominanceMode], default="global")
     decide.add_argument("--json", action="store_true", dest="as_json")
 
     compare = sub.add_parser("compare", help="run the engine and baseline choosers side by side")
-    compare.add_argument("path")
+    compare.add_argument("path", type=_path)
     compare.add_argument("--theories", default=",".join(THEORIES))
     compare.add_argument("--pt-risk-attr", type=int, default=None)
     compare.add_argument("--it-profit-attr", type=int, default=None)
@@ -205,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--mode", choices=[m.value for m in DominanceMode], default="global")
 
     validate = sub.add_parser("validate", help="parse and validate scenario files")
-    validate.add_argument("paths", nargs="+")
+    validate.add_argument("paths", nargs="+", type=_path)
 
     batch = sub.add_parser("batch", help="sweep generated tasks against the naive reference")
     batch.add_argument("--seed", type=int, default=1)

@@ -18,13 +18,16 @@ polarity-signed coordinates of their ordered values, asking
 attribute, and groups them by that pair (:func:`_signed_vectors`).
 Dominance depends only on the pair, and equal pairs never beat each other,
 so both modes judge the d distinct pairs and map the result back to the
-candidates.  Cost of one rung over n candidates and m attributes: grouping is
-O(n·m), then
+candidates.  Both read one order: :func:`_beats` is strict componentwise
+dominance, and descending lexicographic order on the pairs is a linear
+extension of it, so a pair can only beat pairs that sort after it.  Cost of
+one rung over n candidates and m attributes: grouping is O(n·m), then
 
-* ``GLOBAL`` is a champion scan: keep a pair, replace it whenever it fails to
-  dominate the next one, then check the survivor against every other pair,
-  O(d·m).  A winning pair held by two different ids is beaten by neither, so
-  the rung keeps nobody.
+* ``GLOBAL`` takes the lexicographic maximum and checks it against every
+  other pair, at most d − 1 comparisons, O(d·m).  A pair that beats all the
+  others is their maximum, so if the maximum fails one, no pair wins.  A
+  winning pair held by two different ids is beaten by neither, so the rung
+  keeps nobody.
 * ``UNDOMINATED`` is Sort-Filter-Skyline (Chomicki et al., ICDE 2003):
   presort the pairs in descending lexicographic order, which puts every
   dominator before what it dominates, then compare each pair only with the
@@ -32,9 +35,6 @@ O(n·m), then
   window of k.  When nothing dominates anything, k = d and the pass is
   quadratic in d, but ties no longer count: a categorical-only rung is
   linear in n.
-
-The duplicate screen of :func:`~ladderchoice.model.validate_task` is linear
-too: it groups alternatives by their tuple of value keys.
 """
 
 from __future__ import annotations
@@ -131,14 +131,10 @@ def dominant_set(
                 window.append(vectors[i])
                 kept[i] = True
         return tuple(cid for cid, i in zip(candidates, which) if kept[i])
-    champion = 0
-    for i in range(1, len(vectors)):
-        if not _beats(vectors[champion], vectors[i]):
-            champion = i
-    best = vectors[champion]
+    best = max(vectors)
     if not all(_beats(best, v) for v in vectors if v is not best):
         return ()
-    holders = tuple(cid for cid, i in zip(candidates, which) if i == champion)
+    holders = tuple(cid for cid, i in zip(candidates, which) if vectors[i] is best)
     # two different ids on the winning pair do not beat each other
     return holders if len(set(holders)) == 1 else ()
 

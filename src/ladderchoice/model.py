@@ -324,7 +324,7 @@ class DecisionTask:
 
     @cached_property
     def _by_id(self) -> dict[int, Attribute]:
-        return {a.id: a for a in self.attributes}
+        return {a.id: a for a in reversed(self.attributes)}  # the first declaration wins
 
     def attribute(self, attribute_id: int) -> Attribute:
         return self._by_id[attribute_id]
@@ -411,7 +411,8 @@ def validate_task(task: DecisionTask) -> list[Violation]:
     partition levels referencing known attributes, basic and dominance sets
     jointly covering every attribute, aspiration restricted to the top level,
     complete kind-consistent value vectors, and no two alternatives with
-    completely equal value vectors.
+    completely equal value vectors.  The duplicate screen is linear: it
+    groups alternatives by their tuple of value keys.
     """
     violations: list[Violation] = []
 

@@ -1,28 +1,20 @@
 """Ordering of attribute values and threshold satisfaction.
 
 Single source of truth for "is this value better than that one" under an
-attribute's polarity: :func:`signed_coords`, which :func:`compare_values` and
-the ladder's dominance test compare componentwise.  Numeric shapes order by
-both bounds, a partial order in which crossing intervals are Incomparable
-rather than silently ranked.  Thresholds use best-case endpoints, so an
-interval passes a bound whenever some point of it does.  Both questions read
+attribute's polarity: :func:`signed_coords`, the coordinates the ladder's
+dominance test compares componentwise.  Numeric shapes order by both bounds,
+a partial order in which crossing intervals are incomparable rather than
+silently ranked.  Thresholds use best-case endpoints, so an interval passes a
+bound whenever some point of it does.  Both questions read
 ``AttributeValue.key``: its first item, the family tag, decides which values
-compare and which thresholds judge a value; the rest are the coordinates.
+order and which thresholds judge a value; the rest are the coordinates.
 """
 
 from __future__ import annotations
 
-from enum import Enum
-from operator import ge, neg
+from operator import neg
 
 from .model import OP_FAMILY, AttributeValue, Threshold
-
-
-class PartialOrdering(Enum):
-    BETTER = "better"
-    WORSE = "worse"
-    EQUAL = "equal"
-    INCOMPARABLE = "incomparable"
 
 
 def signed_coords(value: AttributeValue, polarity: str) -> tuple:
@@ -38,26 +30,6 @@ def signed_coords(value: AttributeValue, polarity: str) -> tuple:
     if polarity == "cost":
         return tuple(map(neg, value.key[1:]))
     raise ValueError(f"{value.kind} comparison needs cost/benefit polarity, got {polarity!r}")
-
-
-def compare_values(a: AttributeValue, b: AttributeValue, polarity: str) -> PartialOrdering:
-    """Compare two same-family values: componentwise on :func:`signed_coords`.
-
-    Categories are Equal on the same label and Incomparable otherwise.  Mixing
-    families is a contract error.
-    """
-    if a.key[0] != b.key[0]:
-        raise ValueError(f"cannot compare {a.kind} value with {b.kind} value")
-    if a.key[0] == "c":
-        return PartialOrdering.EQUAL if a.key == b.key else PartialOrdering.INCOMPARABLE
-    sa, sb = signed_coords(a, polarity), signed_coords(b, polarity)
-    if sa == sb:
-        return PartialOrdering.EQUAL
-    if all(map(ge, sa, sb)):
-        return PartialOrdering.BETTER
-    if all(map(ge, sb, sa)):
-        return PartialOrdering.WORSE
-    return PartialOrdering.INCOMPARABLE
 
 
 def satisfies_threshold(value: AttributeValue, threshold: Threshold) -> bool:

@@ -302,6 +302,23 @@ class TestUsageErrors:
         assert err.splitlines()[-1].startswith(("error: ", f"{prog}: error: "))
 
 
+class TestEmptyPath:
+    @pytest.mark.parametrize(
+        "argv, dest",
+        [
+            (["decide", ""], "path"),
+            (["compare", ""], "path"),
+            (["validate", ""], "paths"),
+            (["validate", CASE1, ""], "paths"),
+        ],
+        ids=["decide", "compare", "validate", "validate-after-a-good-file"],
+    )
+    def test_is_a_usage_error_naming_the_argument(self, argv, dest, capsys):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == f"ladderchoice {argv[0]}: error: argument {dest}: expected a file path, got ''"
+
+
 class TestEntryPoint:
     def test_help_exits_cleanly(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

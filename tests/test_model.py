@@ -270,6 +270,17 @@ class TestValidateTask:
         )
         assert any(v.code == "duplicate-attribute-id" for v in validate_task(task))
 
+    def test_values_are_judged_against_the_first_declaration_of_an_id(self):
+        # the parser reads values under the first declaration, and so does the validator
+        task = make_task(
+            attributes=(
+                Attribute(1, "price", "numeric", "cost"),
+                Attribute(1, "grade", "ordinal", "benefit"),
+                Attribute(2, "grade", "ordinal", "benefit"),
+            )
+        )
+        assert [v.code for v in validate_task(task)] == ["duplicate-attribute-id"]
+
     def test_duplicate_alternative_id_flagged(self):
         task = make_task(
             alternatives=(

@@ -1,4 +1,8 @@
-"""Ordering semantics: pinned examples plus hypothesis property suites."""
+"""Ordering semantics: pinned examples plus hypothesis property suites.
+
+Value order is asserted on the code that decides: :func:`ladder._beats` over
+the one-value pairs a ladder rung builds from :func:`signed_coords`.
+"""
 
 from __future__ import annotations
 
@@ -6,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ladderchoice import Threshold, at_least, category, crisp, interval, ordinal
+from ladderchoice import Threshold, at_least, category, crisp, interval, ladder, ordinal
 from ladderchoice.model import label_level
 from ladderchoice.oracle import _naive_strictly_better, _naive_weakly_better
-from ladderchoice.values import PartialOrdering as Ord, compare_values, satisfies_threshold
+from ladderchoice.values import satisfies_threshold, signed_coords
 
 finite = st.one_of(
     st.integers(min_value=-50, max_value=50).map(float),
@@ -40,34 +44,54 @@ def same_family_pair(draw):
     return draw(source), draw(source)
 
 
+def pair(value, polarity):
+    """The (category keys, signed coords) pair a rung builds for a lone value."""
+    return ((value.key,), ()) if value.key[0] == "c" else ((), signed_coords(value, polarity))
+
+
+def beats(a, b, polarity):
+    return ladder._beats(pair(a, polarity), pair(b, polarity))
+
+
 class TestCompareExamples:
     def test_ordinal_levels_under_benefit(self):
-        assert compare_values(ordinal(5), ordinal(4), "benefit") is Ord.BETTER
+        assert beats(ordinal(5), ordinal(4), "benefit")
+        assert not beats(ordinal(4), ordinal(5), "benefit")
 
     def test_ordinal_levels_flip_under_cost(self):
-        assert compare_values(ordinal(1), ordinal(2), "cost") is Ord.BETTER
+        assert beats(ordinal(1), ordinal(2), "cost")
+        assert not beats(ordinal(2), ordinal(1), "cost")
 
     def test_open_lower_bounds_order_by_start(self):
-        assert compare_values(at_least(3), at_least(2), "benefit") is Ord.BETTER
+        assert beats(at_least(3), at_least(2), "benefit")
+        assert not beats(at_least(2), at_least(3), "benefit")
 
     def test_identical_intervals_equal(self):
-        assert compare_values(interval(30, 70), interval(30, 70), "cost") is Ord.EQUAL
+        assert pair(interval(30, 70), "cost") == pair(interval(30, 70), "cost")
+        assert not beats(interval(30, 70), interval(30, 70), "cost")
 
     def test_crisp_lifts_against_interval(self):
-        assert compare_values(interval(40, 50), crisp(70), "cost") is Ord.BETTER
+        assert beats(interval(40, 50), crisp(70), "cost")
+        assert not beats(crisp(70), interval(40, 50), "cost")
 
     def test_crossing_intervals_incomparable(self):
-        assert compare_values(interval(30, 70), interval(40, 50), "cost") is Ord.INCOMPARABLE
+        assert not beats(interval(30, 70), interval(40, 50), "cost")
+        assert not beats(interval(40, 50), interval(30, 70), "cost")
 
     def test_categories_equal_or_incomparable(self):
-        assert compare_values(category("white"), category("white"), "none") is Ord.EQUAL
-        assert compare_values(category("white"), category("blue"), "none") is Ord.INCOMPARABLE
+        assert pair(category("white"), "none") == pair(category("white"), "none")
+        assert not beats(category("white"), category("white"), "none")
+        assert pair(category("white"), "none") != pair(category("blue"), "none")
+        assert not beats(category("white"), category("blue"), "none")
+        assert not beats(category("blue"), category("white"), "none")
 
-    def test_kind_mismatch_is_contract_error(self):
+    def test_signed_coords_refuses_categories_and_unordered_polarities(self):
         with pytest.raises(ValueError):
-            compare_values(crisp(3), ordinal(3), "benefit")
+            signed_coords(category("x"), "benefit")
         with pytest.raises(ValueError):
-            compare_values(category("x"), crisp(1), "none")
+            signed_coords(crisp(3), "none")
+        with pytest.raises(ValueError):
+            signed_coords(ordinal(3), "none")
 
 
 class TestThresholdExamples:
@@ -125,18 +149,14 @@ class TestOrdinalLabels:
 class TestCompareProperties:
     @given(same_family_pair(), polarities)
     @settings(max_examples=300)
-    def test_antisymmetry(self, pair, polarity):
-        a, b = pair
-        forward = compare_values(a, b, polarity)
-        backward = compare_values(b, a, polarity)
-        assert (forward is Ord.BETTER) == (backward is Ord.WORSE)
-        assert (forward is Ord.EQUAL) == (backward is Ord.EQUAL)
-        assert (forward is Ord.INCOMPARABLE) == (backward is Ord.INCOMPARABLE)
+    def test_antisymmetry(self, values, polarity):
+        a, b = values
+        assert not (beats(a, b, polarity) and beats(b, a, polarity))
 
-    @given(st.one_of(numeric_values(), ordinal_values), polarities)
+    @given(st.one_of(numeric_values(), ordinal_values, category_values), polarities)
     @settings(max_examples=200)
-    def test_self_comparison_is_equal(self, value, polarity):
-        assert compare_values(value, value, polarity) is Ord.EQUAL
+    def test_irreflexivity(self, value, polarity):
+        assert not beats(value, value, polarity)
 
     @given(
         st.one_of(
@@ -148,33 +168,26 @@ class TestCompareProperties:
     @settings(max_examples=500)
     def test_strict_transitivity(self, triple, polarity):
         a, b, c = triple
-        if (
-            compare_values(a, b, polarity) is Ord.BETTER
-            and compare_values(b, c, polarity) is Ord.BETTER
-        ):
-            assert compare_values(a, c, polarity) is Ord.BETTER
+        if beats(a, b, polarity) and beats(b, c, polarity):
+            assert beats(a, c, polarity)
 
     @given(st.one_of(same_family_pair(), st.tuples(category_values, category_values)), polarities)
     @settings(max_examples=500)
-    def test_agrees_with_the_naive_reference(self, pair, polarity):
-        a, b = pair
+    def test_agrees_with_the_naive_reference(self, values, polarity):
+        a, b = values
         forward, backward = _naive_weakly_better(a, b, polarity), _naive_weakly_better(b, a, polarity)
-        if forward and _naive_strictly_better(a, b, polarity):
-            expected = Ord.BETTER
-        elif backward and _naive_strictly_better(b, a, polarity):
-            expected = Ord.WORSE
-        elif forward and backward:
-            expected = Ord.EQUAL
-        else:
-            expected = Ord.INCOMPARABLE
-        assert compare_values(a, b, polarity) is expected
+        assert beats(a, b, polarity) == (forward and _naive_strictly_better(a, b, polarity))
+        assert beats(b, a, polarity) == (backward and _naive_strictly_better(b, a, polarity))
+        # a rung groups exactly the values the reference calls equal
+        assert (pair(a, polarity) == pair(b, polarity)) == (forward and backward)
 
     @given(same_family_pair())
     @settings(max_examples=300)
-    def test_polarity_flip_reverses_the_order(self, pair):
-        a, b = pair
+    def test_polarity_flip_reverses_the_order(self, values):
+        a, b = values
         # negating both coordinate tuples orders them as swapping the arguments does
-        assert compare_values(a, b, "cost") is compare_values(b, a, "benefit")
+        assert beats(a, b, "cost") == beats(b, a, "benefit")
+        assert beats(b, a, "cost") == beats(a, b, "benefit")
 
 
 # rescaling tests run on an integer grid: subnormal-scale gaps would vanish
@@ -242,9 +255,10 @@ class TestMonotoneRescaling:
     @given(grid_numeric_values(), grid_numeric_values(), polarities, increasing_maps())
     @settings(max_examples=300)
     def test_comparison_is_order_invariant(self, a, b, polarity, g):
-        before = compare_values(a, b, polarity)
-        after = compare_values(rescale(a, g), rescale(b, g), polarity)
-        assert before is after
+        ga, gb = rescale(a, g), rescale(b, g)
+        assert beats(a, b, polarity) == beats(ga, gb, polarity)
+        assert beats(b, a, polarity) == beats(gb, ga, polarity)
+        assert (pair(a, polarity) == pair(b, polarity)) == (pair(ga, polarity) == pair(gb, polarity))
 
     @given(grid_numeric_values(), st.sampled_from(["max", "min"]), int_finite, increasing_maps())
     @settings(max_examples=300)
