@@ -7,9 +7,10 @@ image-theory baseline choosers are included for side-by-side comparison.
 
 The names below are the documented public API; everything else is reached
 through its submodule (``ladderchoice.values``, ``ladderchoice.oracle``, ...).
+``compare_theories`` is imported from ``ladderchoice.baselines`` on first use,
+so importing the package does not load the baseline choosers.
 """
 
-from .baselines import compare_theories
 from .ladder import DominanceMode, decide_task, lsp
 from .model import (
     Alternative,
@@ -35,6 +36,15 @@ from .scenario import (
 from .sift import psp
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name == "compare_theories":
+        from .baselines import compare_theories
+
+        return compare_theories
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Alternative",

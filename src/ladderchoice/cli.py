@@ -8,20 +8,21 @@ reference).
 Exit codes: 0 a plan was chosen / all files valid / sweep agreed;
 1 usage, parse or validation error; 2 abstain; 3 repartition or no unique
 choice; 4 engine/reference disagreement in ``batch``.
+
+``compare`` and ``batch`` import what only they need (the baseline choosers,
+the naive reference) when they run, so ``decide`` and ``validate`` start
+without them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from typing import Callable, NoReturn, Optional
 
-from .baselines import THEORIES, compare_theories
 from .ladder import DominanceMode, decide_task
 from .model import DecisionTask, Verdict
-from .oracle import brute_force_lt, random_task
 from .scenario import ScenarioError, level_line, outcome_to_json, parse_scenario
 
 _VERDICT_EXIT = {
@@ -75,12 +76,17 @@ def cmd_decide(path: str, mode: DominanceMode, as_json: bool) -> int:
 
 def cmd_compare(
     path: str,
-    theories: list[str],
+    theories: Optional[list[str]],
     pt_risk_attr: Optional[int],
     it_profit_attr: Optional[int],
     it_budget: int,
     mode: DominanceMode,
 ) -> int:
+    """Print one row per theory; ``theories`` None runs every one of ``baselines.THEORIES``."""
+    from .baselines import THEORIES, compare_theories
+
+    if theories is None:
+        theories = list(THEORIES)
     if "pt" in theories and pt_risk_attr is None:
         print("error: pt requested without --pt-risk-attr", file=sys.stderr)
         return 1
@@ -144,6 +150,10 @@ def run_batch(
     Returns (exit code, report).  The ``engine`` hook exists so the harness
     itself can be checked: swapping in a broken engine must be caught.
     """
+    import random
+
+    from .oracle import brute_force_lt, random_task
+
     agreements = 0
     for index in range(count):
         task_seed = seed + index
@@ -205,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare", help="run the engine and baseline choosers side by side")
     compare.add_argument("path", type=_path)
-    compare.add_argument("--theories", default=",".join(THEORIES))
+    compare.add_argument("--theories", default=None)  # None: every theory
     compare.add_argument("--pt-risk-attr", type=int, default=None)
     compare.add_argument("--it-profit-attr", type=int, default=None)
     compare.add_argument("--it-budget", type=_count, default=0)
@@ -232,7 +242,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "decide":
             return cmd_decide(args.path, DominanceMode(args.mode), args.as_json)
         if args.command == "compare":
-            theories = [t.strip() for t in args.theories.split(",") if t.strip()]
+            theories = None if args.theories is None else [t.strip() for t in args.theories.split(",") if t.strip()]
             return cmd_compare(
                 args.path, theories, args.pt_risk_attr, args.it_profit_attr, args.it_budget, DominanceMode(args.mode)
             )

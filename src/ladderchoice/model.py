@@ -5,7 +5,8 @@ against acceptance thresholds, a partition of "dominance" attributes into
 importance levels, and the alternatives to choose between.  All types are
 immutable after construction; local field sanity is enforced by the
 constructors, while cross-object consistency is reported (never raised) by
-:func:`validate_task`.
+:func:`validate_task`.  A value is its ``kind`` and its ``key``, and the
+value factories (:func:`crisp` and its siblings) are its checked builders.
 
 Every value, attribute kind and threshold op belongs to one of three
 families, tagged ``"n"`` (numeric), ``"o"`` (ordinal) or ``"c"``
@@ -18,7 +19,7 @@ their tags agree, and that comparison is the only fit check there is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import combinations
@@ -51,56 +52,45 @@ def label_level(label: str, extra_labels: Optional[dict[str, int]] = None) -> in
     return ORDINAL_LEVELS[label]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttributeValue:
     """Tagged value an alternative can take on one attribute.
 
-    Exactly one of five shapes: a crisp number, a closed interval, an open
-    lower bound ("at least x"), an ordinal level on the fixed 1..5 scale, or
-    a categorical label.  Use the module factories :func:`crisp`,
-    :func:`interval`, :func:`at_least`, :func:`ordinal` and :func:`category`
-    rather than the raw constructor.
+    A value is its ``kind`` and its ``key``.  The key is the canonical form
+    every comparison reads: ``("n", lo, hi)`` for the three numeric kinds (a
+    ``crisp`` number has ``hi == lo``, a closed ``interval`` its two bounds,
+    an open lower bound ``at_least`` has ``hi == inf``), ``("o", level)`` for
+    an ``ordinal`` level on the fixed 1..5 scale and ``("c", label)`` for a
+    ``category`` label.  Two values are semantically equal exactly when their
+    keys are; ``==`` also compares the kind, so ``crisp(5) != interval(5, 5)``.
+
+    Build values with :func:`crisp`, :func:`interval`, :func:`at_least`,
+    :func:`ordinal` and :func:`category`, each of which checks its own shape;
+    the raw constructor checks nothing.
     """
 
     kind: str
-    lo: Optional[float] = None
-    hi: Optional[float] = None
-    level: Optional[int] = None
-    label: Optional[str] = None
-    # canonical equality key: ("n", lo, hi) for the numeric shapes, ("o", level)
-    # or ("c", label); two values are semantically equal exactly when their keys are
-    key: tuple = field(init=False, repr=False, compare=False)
+    key: tuple
 
-    def __post_init__(self) -> None:
-        if self.kind == "crisp":
-            if self.lo is None or not math.isfinite(self.lo):
-                raise ValueError("crisp value must be a finite number")
-            key = ("n", self.lo, self.lo)
-        elif self.kind == "interval":
-            if self.lo is None or self.hi is None:
-                raise ValueError("interval needs both bounds")
-            if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-                raise ValueError("interval bounds must be finite")
-            if self.lo > self.hi:
-                raise ValueError(f"interval lower bound {self.lo} exceeds upper bound {self.hi}")
-            key = ("n", self.lo, self.hi)
-        elif self.kind == "at_least":
-            if self.lo is None or not math.isfinite(self.lo):
-                raise ValueError("at_least needs a finite lower bound")
-            key = ("n", self.lo, math.inf)
-        elif self.kind == "ordinal":
-            if not _is_level(self.level):
-                raise ValueError(f"ordinal level must be in 1..5, got {self.level!r}")
-            key = ("o", self.level)
-        elif self.kind == "category":
-            if not isinstance(self.label, str):
-                raise ValueError(f"category label must be a string, got {self.label!r}")
-            if not self.label:
-                raise ValueError("category needs a non-empty label")
-            key = ("c", self.label)
-        else:
-            raise ValueError(f"unknown value kind {self.kind!r}")
-        object.__setattr__(self, "key", key)
+    @property
+    def lo(self) -> Optional[float]:
+        """Lower bound of a numeric value (the number itself when crisp), else None."""
+        return self.key[1] if self.key[0] == "n" else None
+
+    @property
+    def hi(self) -> Optional[float]:
+        """Upper bound of an interval, else None."""
+        return self.key[2] if self.kind == "interval" else None
+
+    @property
+    def level(self) -> Optional[int]:
+        """Level of an ordinal value, else None."""
+        return self.key[1] if self.key[0] == "o" else None
+
+    @property
+    def label(self) -> Optional[str]:
+        """Label of a category value, else None."""
+        return self.key[1] if self.key[0] == "c" else None
 
     def __str__(self) -> str:
         if self.kind == "crisp":
@@ -132,29 +122,46 @@ def _as_number(x: object, what: str) -> float:
 
 
 def crisp(x: float) -> AttributeValue:
-    return AttributeValue("crisp", lo=_as_number(x, "crisp value"))
+    x = _as_number(x, "crisp value")
+    if not math.isfinite(x):
+        raise ValueError("crisp value must be a finite number")
+    return AttributeValue("crisp", ("n", x, x))
 
 
 def interval(lo: float, hi: float) -> AttributeValue:
-    return AttributeValue("interval", lo=_as_number(lo, "interval bound"), hi=_as_number(hi, "interval bound"))
+    lo, hi = _as_number(lo, "interval bound"), _as_number(hi, "interval bound")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("interval bounds must be finite")
+    if lo > hi:
+        raise ValueError(f"interval lower bound {lo} exceeds upper bound {hi}")
+    return AttributeValue("interval", ("n", lo, hi))
 
 
 def at_least(x: float) -> AttributeValue:
-    return AttributeValue("at_least", lo=_as_number(x, "at_least bound"))
+    x = _as_number(x, "at_least bound")
+    if not math.isfinite(x):
+        raise ValueError("at_least needs a finite lower bound")
+    return AttributeValue("at_least", ("n", x, math.inf))
 
 
 def ordinal(level_or_label: Union[int, str]) -> AttributeValue:
     """Build an ordinal value from a level (1..5) or a canonical scale label."""
     if isinstance(level_or_label, str):
         level_or_label = label_level(level_or_label)
-    return AttributeValue("ordinal", level=level_or_label)
+    if not _is_level(level_or_label):
+        raise ValueError(f"ordinal level must be in 1..5, got {level_or_label!r}")
+    return AttributeValue("ordinal", ("o", level_or_label))
 
 
 def category(label: str) -> AttributeValue:
-    return AttributeValue("category", label=label)
+    if not isinstance(label, str):
+        raise ValueError(f"category label must be a string, got {label!r}")
+    if not label:
+        raise ValueError("category needs a non-empty label")
+    return AttributeValue("category", ("c", label))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Attribute:
     """One criterion of the task: numeric, ordinal (1..5 scale) or categorical.
 
@@ -189,7 +196,7 @@ class Attribute:
                     raise ValueError(f"label {lab!r} maps to level {lvl!r}, expected 1..5")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Threshold:
     """Acceptance predicate on one attribute.
 
@@ -265,7 +272,7 @@ class DominancePartition:
 _ID_DELIMITERS = frozenset(",|[]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Alternative:
     """A candidate plan: an id plus one value per task attribute.
 

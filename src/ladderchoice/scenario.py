@@ -14,7 +14,12 @@ their canonical decimal spelling only: ``"1"``, not ``"01"``, ``" 1"`` or
 Parsing is strict: structural problems and task-invariant violations raise
 :class:`ScenarioError` carrying a stable category (syntax, schema, value,
 unknown-reference, kind-mismatch, duplicate-id, duplicate-alternative,
-invariant), so callers can report precisely why a file was rejected.
+invariant), so callers can report precisely why a file was rejected.  Each
+object holds only the keys named above (an attribute: ``id``, ``name``,
+``kind``, ``polarity``, optional ``unit`` and ``labels``); an unknown key is
+a schema error naming the key and its object.  Values are built by the
+checked factories of :mod:`ladderchoice.model`, and a malformed payload's
+value error carries the factory's message.
 
 Within one parsed task, equal payloads on one attribute share one immutable
 :class:`AttributeValue`, so a task costs one value construction per distinct
@@ -94,18 +99,35 @@ def _require(mapping: Any, key: str, context: str) -> Any:
     return mapping[key]
 
 
+# the keys each object of the format may hold; any other key is refused, so a misspelt one never goes unread
+_SCENARIO_KEYS = frozenset({"task_id", "attributes", "basic", "dominance", "aspiration", "alternatives"})
+_ATTRIBUTE_KEYS = frozenset({"id", "name", "kind", "polarity", "unit", "labels"})
+_BASIC_KEYS = frozenset({"ids", "thresholds"})
+_DOMINANCE_KEYS = frozenset({"levels"})
+_ALTERNATIVE_KEYS = frozenset({"id", "values"})
+
+
+def _refuse_unknown_keys(mapping: dict, known: frozenset, context: str) -> None:
+    """Raise a schema error naming the first key of ``mapping`` that is not in ``known``."""
+    if not mapping.keys() <= known:
+        key = next(key for key in mapping if key not in known)
+        raise ScenarioError("schema", f"{context} has unknown key {key!r}")
+
+
 def _parse_attribute(raw: Any) -> Attribute:
     aid = _require(raw, "id", "attribute")
-    name = _require(raw, "name", f"attribute {aid}")
-    kind = _require(raw, "kind", f"attribute {aid}")
-    polarity = _require(raw, "polarity", f"attribute {aid}")
+    context = f"attribute {aid}"
+    _refuse_unknown_keys(raw, _ATTRIBUTE_KEYS, context)
+    name = _require(raw, "name", context)
+    kind = _require(raw, "kind", context)
+    polarity = _require(raw, "polarity", context)
     labels = raw.get("labels")
     if labels is not None and not isinstance(labels, dict):
-        raise ScenarioError("schema", f"attribute {aid}: labels must map label -> level")
+        raise ScenarioError("schema", f"{context}: labels must map label -> level")
     try:
         return Attribute(id=aid, name=name, kind=kind, polarity=polarity, unit=raw.get("unit"), labels=labels)
     except ValueError as exc:
-        raise ScenarioError("schema", f"attribute {aid}: {exc}") from exc
+        raise ScenarioError("schema", f"{context}: {exc}") from exc
 
 
 def _parse_value(raw: Any, attribute: Optional[Attribute]) -> AttributeValue:
@@ -187,6 +209,7 @@ def parse_scenario(text: str) -> DecisionTask:
         raise ScenarioError("syntax", f"cannot decode: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("schema", "scenario must be a JSON object")
+    _refuse_unknown_keys(doc, _SCENARIO_KEYS, "scenario")
 
     task_id = _require(doc, "task_id", "scenario")
     raw_attributes = _require(doc, "attributes", "scenario")
@@ -199,12 +222,14 @@ def parse_scenario(text: str) -> DecisionTask:
 
     basic = _require(doc, "basic", "scenario")
     basic_ids = _require(basic, "ids", "basic")
+    _refuse_unknown_keys(basic, _BASIC_KEYS, "basic")
     if not isinstance(basic_ids, list):
         raise ScenarioError("schema", "basic.ids must be a list of attribute ids")
     thresholds = _parse_threshold_map(_require(basic, "thresholds", "basic"), "basic.thresholds")
 
     dominance = _require(doc, "dominance", "scenario")
     levels = _require(dominance, "levels", "dominance")
+    _refuse_unknown_keys(dominance, _DOMINANCE_KEYS, "dominance")
     if not isinstance(levels, list):
         raise ScenarioError("schema", "dominance.levels must be a list of id lists")
     try:
@@ -223,8 +248,12 @@ def parse_scenario(text: str) -> DecisionTask:
     # values key -> (attribute id, values already built on it by payload token)
     columns: dict[str, tuple[int, dict[tuple, AttributeValue]]] = {}
     for raw in raw_alternatives:
-        alt_id = _require(raw, "id", "alternative")
-        raw_values = _require(raw, "values", f"alternative {alt_id!r}")
+        if type(raw) is dict and len(raw) == 2 and "id" in raw and "values" in raw:
+            alt_id, raw_values = raw["id"], raw["values"]
+        else:  # the checked path, which names what is missing or unknown
+            alt_id = _require(raw, "id", "alternative")
+            raw_values = _require(raw, "values", f"alternative {alt_id!r}")
+            _refuse_unknown_keys(raw, _ALTERNATIVE_KEYS, f"alternative {alt_id!r}")
         if not isinstance(raw_values, dict):
             raise ScenarioError("schema", f"alternative {alt_id!r}: values must map attribute ids")
         values = {}

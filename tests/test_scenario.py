@@ -84,11 +84,12 @@ REJECTIONS = [
     ("missing_value.json", "invariant"),
     ("attribute_polarity_mismatch.json", "schema"),
     ("alternative_id_delimiter.json", "schema"),
+    ("unknown_key.json", "schema"),
 ]
 
 
 def assert_case1_refused(path, replacement, tmp_path, capsys):
-    """case1 with one entry replaced is a value or schema error, and `validate` exits 1 naming it."""
+    """case1 with one entry replaced is a value or schema error, and `validate` exits 1 naming it; returns the error."""
     doc = json.loads(fixture_path("case1").read_text(encoding="utf-8"))
     *parents, last = path
     target = doc
@@ -103,6 +104,7 @@ def assert_case1_refused(path, replacement, tmp_path, capsys):
     scenario.write_text(text, encoding="utf-8")
     assert main(["validate", str(scenario)]) == 1
     assert f"{scenario}: {excinfo.value.category}" in capsys.readouterr().err
+    return excinfo.value
 
 
 class TestRejections:
@@ -162,6 +164,29 @@ class TestRejections:
     )
     def test_id_or_level_of_the_wrong_type(self, path, replacement, tmp_path, capsys):
         assert_case1_refused(path, replacement, tmp_path, capsys)
+
+    # (path into case1's document, the object named in the error): a key no object of the format holds
+    UNKNOWN_KEYS = [
+        (("aspirations",), "scenario"),
+        (("attributes", 2, "units"), "attribute 3"),
+        (("basic", "threshold"), "basic"),
+        (("dominance", "level"), "dominance"),
+        (("alternatives", 1, "value"), "alternative 'm2'"),
+    ]
+
+    @pytest.mark.parametrize(
+        "path,context", UNKNOWN_KEYS, ids=["scenario", "attribute", "basic", "dominance", "alternative"]
+    )
+    def test_unknown_key_is_refused(self, path, context, tmp_path, capsys):
+        error = assert_case1_refused(path, {"4": {"max_level": 4}}, tmp_path, capsys)
+        assert str(error) == f"schema: {context} has unknown key {path[-1]!r}"
+
+    def test_misspelt_block_is_not_silently_ignored(self):
+        text = (DATA / "unknown_key.json").read_text(encoding="utf-8")
+        read = parse_scenario(text.replace('"aspirations"', '"aspiration"'))
+        assert decide_task(read)[1].verdict is Verdict.ABSTAIN
+        with pytest.raises(ScenarioError, match="scenario has unknown key 'aspirations'"):
+            parse_scenario(text)
 
     @pytest.mark.parametrize(
         "bound", ["white", {"white": 1}, 3, None, [], [1], [["white"]]],
