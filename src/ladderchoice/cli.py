@@ -23,7 +23,7 @@ from typing import Callable, NoReturn, Optional
 
 from .ladder import DominanceMode, decide_task
 from .model import DecisionTask, Verdict
-from .scenario import ScenarioError, level_line, outcome_to_json, parse_scenario
+from .scenario import ScenarioError, decision_to_json, level_line, parse_scenario
 
 _VERDICT_EXIT = {
     Verdict.CHOSEN: 0,
@@ -47,19 +47,7 @@ def cmd_decide(path: str, mode: DominanceMode, as_json: bool) -> int:
     sifted, outcome = decide_task(task, mode)
 
     if as_json:
-        doc = outcome_to_json(outcome)
-        doc["task_id"] = task.task_id
-        doc["feasible"] = list(sifted.feasible)
-        doc["eliminations"] = [
-            {
-                "alternative": e.alternative_id,
-                "attribute": e.attribute_id,
-                "threshold": str(e.threshold),
-                "value": str(e.value),
-            }
-            for e in sifted.eliminations
-        ]
-        print(json.dumps(doc, indent=2, ensure_ascii=False))
+        print(json.dumps(decision_to_json(task, sifted, outcome), indent=2, ensure_ascii=False))
         return _VERDICT_EXIT[outcome.verdict]
 
     for e in sifted.eliminations:

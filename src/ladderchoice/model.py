@@ -19,7 +19,7 @@ their tags agree, and that comparison is the only fit check there is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import combinations
@@ -52,6 +52,28 @@ def label_level(label: str, extra_labels: Optional[dict[str, int]] = None) -> in
     return ORDINAL_LEVELS[label]
 
 
+def _refuse_changes(cls: type) -> type:
+    """Make every assignment to or deletion from an instance of ``cls`` raise ``FrozenInstanceError``.
+
+    For a frozen slotted dataclass, the ``__setattr__`` and ``__delattr__`` the
+    decorator generates name the class as it was before ``slots=True`` rebuilt
+    it, so on a name that is not a field they fail with a ``TypeError`` from
+    ``super()``.  These two replace them; ``__init__`` and unpickling set
+    fields through ``object.__setattr__`` and are unaffected.
+    """
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    cls.__setattr__ = __setattr__
+    cls.__delattr__ = __delattr__
+    return cls
+
+
+@_refuse_changes
 @dataclass(frozen=True, slots=True)
 class AttributeValue:
     """Tagged value an alternative can take on one attribute.
@@ -161,6 +183,7 @@ def category(label: str) -> AttributeValue:
     return AttributeValue("category", ("c", label))
 
 
+@_refuse_changes
 @dataclass(frozen=True, slots=True)
 class Attribute:
     """One criterion of the task: numeric, ordinal (1..5 scale) or categorical.
@@ -196,6 +219,7 @@ class Attribute:
                     raise ValueError(f"label {lab!r} maps to level {lvl!r}, expected 1..5")
 
 
+@_refuse_changes
 @dataclass(frozen=True, slots=True)
 class Threshold:
     """Acceptance predicate on one attribute.
@@ -272,6 +296,7 @@ class DominancePartition:
 _ID_DELIMITERS = frozenset(",|[]")
 
 
+@_refuse_changes
 @dataclass(frozen=True, slots=True)
 class Alternative:
     """A candidate plan: an id plus one value per task attribute.
@@ -420,6 +445,13 @@ def validate_task(task: DecisionTask) -> list[Violation]:
     complete kind-consistent value vectors, and no two alternatives with
     completely equal value vectors.  The duplicate screen is linear: it
     groups alternatives by their tuple of value keys.
+
+    A row holding exactly the declared ids costs one list of value keys,
+    screened ids first: each key's family tag is checked as the list is
+    built, and its screened prefix is the row's key in the duplicate screen.
+    A row that lacks or adds an id, or holds a value of the wrong kind, is
+    reported cell by cell, so the findings and their order do not depend on
+    which path a row took.
     """
     violations: list[Violation] = []
 
@@ -503,6 +535,9 @@ def validate_task(task: DecisionTask) -> list[Violation]:
     relevant = (task.basic_ids | partition_ids) & declared
     checks = [(aid, attr.kind, KIND_FAMILY[attr.kind]) for aid, attr in sorted(task._by_id.items())]
     screened = sorted(relevant)
+    # the ids of a complete row in key-list order, with the family tag each must carry
+    row_tags = [(aid, KIND_FAMILY[task._by_id[aid].kind]) for aid in screened + sorted(declared - relevant)]
+    width = len(screened)
     alt_ids_seen: set[str] = set()
     comparable: list[Alternative] = []
     groups: dict[tuple, list[int]] = {}
@@ -513,6 +548,17 @@ def validate_task(task: DecisionTask) -> list[Violation]:
 
         values = alt.values
         if values.keys() == declared:
+            keys = []
+            for aid, family in row_tags:
+                key = values[aid].key
+                if key[0] != family:
+                    break
+                keys.append(key)
+            else:
+                groups.setdefault(tuple(keys[:width]), []).append(len(comparable))
+                comparable.append(alt)
+                continue
+            # a wrong kind: reported below, cell by cell, as for an incomplete row
             present = checks
             complete = True
         else:

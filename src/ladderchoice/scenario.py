@@ -25,6 +25,14 @@ Within one parsed task, equal payloads on one attribute share one immutable
 :class:`AttributeValue`, so a task costs one value construction per distinct
 value, not one per cell.  Which objects are shared is not API: compare values
 by equality or ``key``, never by identity.
+
+A cell finds its value by an intern key computed inline, with no call: a bare
+``int`` is its own key, and a payload ``p``, bare or as ``{tag: p}``, keys as
+``(tag or None, type(p), p)`` when ``p`` is a string, an int or a nonzero
+float.  Keys are exact on type, because ``True``, ``1`` and ``1.0`` hash equal
+but parse differently.  Any other payload is built afresh in every cell: float
+zero, because ``0.0`` and ``-0.0`` hash equal but serialize differently, and
+interval lists and whatever else is neither a string nor a number.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ from .model import (
     DominancePartition,
     LadderOutcome,
     LevelRecord,
+    SiftResult,
     Threshold,
     Violation,
     at_least,
@@ -116,18 +125,19 @@ def _refuse_unknown_keys(mapping: dict, known: frozenset, context: str) -> None:
 
 def _parse_attribute(raw: Any) -> Attribute:
     aid = _require(raw, "id", "attribute")
-    context = f"attribute {aid}"
-    _refuse_unknown_keys(raw, _ATTRIBUTE_KEYS, context)
-    name = _require(raw, "name", context)
-    kind = _require(raw, "kind", context)
-    polarity = _require(raw, "polarity", context)
+    if not (raw.keys() <= _ATTRIBUTE_KEYS and "name" in raw and "kind" in raw and "polarity" in raw):
+        # the checked path, which names what is unknown or missing
+        context = f"attribute {aid}"
+        _refuse_unknown_keys(raw, _ATTRIBUTE_KEYS, context)
+        for key in ("name", "kind", "polarity"):
+            _require(raw, key, context)
     labels = raw.get("labels")
     if labels is not None and not isinstance(labels, dict):
-        raise ScenarioError("schema", f"{context}: labels must map label -> level")
+        raise ScenarioError("schema", f"attribute {aid}: labels must map label -> level")
     try:
-        return Attribute(id=aid, name=name, kind=kind, polarity=polarity, unit=raw.get("unit"), labels=labels)
+        return Attribute(aid, raw["name"], raw["kind"], raw["polarity"], raw.get("unit"), labels)
     except ValueError as exc:
-        raise ScenarioError("schema", f"{context}: {exc}") from exc
+        raise ScenarioError("schema", f"attribute {aid}: {exc}") from exc
 
 
 def _parse_value(raw: Any, attribute: Optional[Attribute]) -> AttributeValue:
@@ -152,32 +162,16 @@ def _parse_value(raw: Any, attribute: Optional[Attribute]) -> AttributeValue:
     raise ValueError(f"unrecognized value encoding {raw!r}")
 
 
-def _value_token(raw: Any) -> Optional[tuple]:
-    """Hashable stand-in for an encoded value, or None when the value is not interned.
-
-    Two encodings share a token only if parsing cannot tell them apart.  The
-    token is exact on type, because ``True``, ``1`` and ``1.0`` hash equal; it
-    leaves out float zero, because ``0.0`` and ``-0.0`` hash equal but
-    serialize differently; and it leaves out payloads that are neither a
-    string nor a number, such as interval lists.
-    """
-    tag = None
-    if type(raw) is dict and len(raw) == 1:
-        ((tag, raw),) = raw.items()
-    kind = type(raw)
-    if kind is str or kind is int or (kind is float and raw != 0.0):
-        return (tag, kind, raw)
-    return None
-
-
-def _parse_threshold(attribute_id: int, raw: Any, context: str) -> Threshold:
+def _parse_threshold(raw: Any, key: str, context: str) -> Threshold:
+    """The threshold under ``key`` of the map ``context``."""
+    attribute_id = _attribute_id(key, context)
     if not isinstance(raw, dict) or len(raw) != 1:
-        raise ScenarioError("schema", f"{context}: threshold must be a single-predicate object")
+        raise ScenarioError("schema", f"{context}[{key}]: threshold must be a single-predicate object")
     ((op, bound),) = raw.items()
     try:
-        return Threshold(attribute_id=attribute_id, op=op, bound=bound)
+        return Threshold(attribute_id, op, bound)
     except (ValueError, TypeError) as exc:
-        raise ScenarioError("value", f"{context}: {exc}") from exc
+        raise ScenarioError("value", f"{context}[{key}]: {exc}") from exc
 
 
 def _attribute_id(key: str, context: str) -> int:
@@ -194,7 +188,7 @@ def _attribute_id(key: str, context: str) -> int:
 def _parse_threshold_map(raw: Any, context: str) -> list[Threshold]:
     if not isinstance(raw, dict):
         raise ScenarioError("schema", f"{context} must map attribute ids to predicates")
-    return [_parse_threshold(_attribute_id(key, context), raw[key], f"{context}[{key}]") for key in raw]
+    return [_parse_threshold(raw[key], key, context) for key in raw]
 
 
 def parse_scenario(text: str) -> DecisionTask:
@@ -245,8 +239,8 @@ def parse_scenario(text: str) -> DecisionTask:
     if not isinstance(raw_alternatives, list):
         raise ScenarioError("schema", "alternatives must be a list")
     alternatives = []
-    # values key -> (attribute id, values already built on it by payload token)
-    columns: dict[str, tuple[int, dict[tuple, AttributeValue]]] = {}
+    # values key -> (attribute id, values already built on it, by intern key)
+    columns: dict[str, tuple[int, dict]] = {}
     for raw in raw_alternatives:
         if type(raw) is dict and len(raw) == 2 and "id" in raw and "values" in raw:
             alt_id, raw_values = raw["id"], raw["values"]
@@ -262,7 +256,16 @@ def parse_scenario(text: str) -> DecisionTask:
             if column is None:
                 column = columns[key] = (_attribute_id(key, f"alternative {alt_id!r}"), {})
             aid, interned = column
-            token = _value_token(payload)
+            # the intern key of the module docstring
+            kind = type(payload)
+            if kind is int:
+                token = payload
+            else:
+                tag, inner = None, payload
+                if kind is dict and len(payload) == 1:
+                    ((tag, inner),) = payload.items()
+                    kind = type(inner)
+                token = (tag, kind, inner) if kind is str or kind is int or (kind is float and inner != 0.0) else None
             value = interned.get(token)
             if value is None:
                 try:
@@ -273,7 +276,7 @@ def parse_scenario(text: str) -> DecisionTask:
                     interned[token] = value
             values[aid] = value
         try:
-            alternatives.append(Alternative(id=alt_id, values=values))
+            alternatives.append(Alternative(alt_id, values))
         except ValueError as exc:
             raise ScenarioError("schema", f"alternative: {exc}") from exc
 
@@ -389,3 +392,20 @@ def outcome_to_json(outcome: LadderOutcome) -> dict[str, Any]:
             for record in outcome.trace
         ],
     }
+
+
+def decision_to_json(task: DecisionTask, sifted: SiftResult, outcome: LadderOutcome) -> dict[str, Any]:
+    """The ``decide --json`` document: :func:`outcome_to_json`, then the task id, feasible ids and eliminations."""
+    doc = outcome_to_json(outcome)
+    doc["task_id"] = task.task_id
+    doc["feasible"] = list(sifted.feasible)
+    doc["eliminations"] = [
+        {
+            "alternative": e.alternative_id,
+            "attribute": e.attribute_id,
+            "threshold": str(e.threshold),
+            "value": str(e.value),
+        }
+        for e in sifted.eliminations
+    ]
+    return doc

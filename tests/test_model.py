@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ladderchoice import (
     Alternative,
@@ -338,16 +341,57 @@ def _naive_same(a, b) -> bool:
     return a.kind == b.kind == "category" and a.label == b.label
 
 
+def naive_row_findings(task: DecisionTask) -> list[tuple[str, str]]:
+    """What validate_task finds in the alternatives, one row and one cell at a time.
+
+    Per row, in order: a repeated id, missing values, values on undeclared
+    attributes, then each value whose shape its attribute's kind does not take
+    (FITS), by attribute id.  A row with no missing or misfitting value on a
+    screened attribute is comparable, and every pair of comparable rows equal on
+    all screened attributes is a duplicate, in (i, j) order.
+    """
+    declared = task.attribute_ids()
+    kinds: dict[int, str] = {}
+    for attr in task.attributes:
+        kinds.setdefault(attr.id, attr.kind)
+    screened = (task.basic_ids | frozenset().union(*task.partition.levels)) & declared
+    findings = []
+    seen: set[str] = set()
+    comparable = []
+    for alt in task.alternatives:
+        if alt.id in seen:
+            findings.append(("duplicate-alternative-id", f"alternative id {alt.id!r} declared twice"))
+        seen.add(alt.id)
+        missing = sorted(declared - alt.values.keys())
+        if missing:
+            findings.append(("missing-value", f"alternative {alt.id!r} lacks value(s) for attribute(s) {missing}"))
+        extra = sorted(alt.values.keys() - declared)
+        if extra:
+            findings.append(
+                ("unknown-reference", f"alternative {alt.id!r} has value(s) for undeclared attribute(s) {extra}")
+            )
+        misfits = [aid for aid in sorted(declared & alt.values.keys()) if alt.values[aid].kind not in FITS[kinds[aid]][1]]
+        for aid in misfits:
+            findings.append(
+                ("kind-mismatch", f"alternative {alt.id!r} carries a {alt.values[aid].kind} value on {kinds[aid]} attribute {aid}")
+            )
+        if screened.isdisjoint(missing + misfits):
+            comparable.append(alt)
+    for i, first in enumerate(comparable):
+        for second in comparable[i + 1 :]:
+            if all(_naive_same(first.values[aid], second.values[aid]) for aid in screened):
+                findings.append(
+                    (
+                        "duplicate-alternative",
+                        f"alternatives {first.id!r} and {second.id!r} are completely equal on every screened attribute",
+                    )
+                )
+    return findings
+
+
 def naive_duplicate_messages(task: DecisionTask) -> list[str]:
     """The complete-equality screen as a pairwise loop over every (i, j), i < j."""
-    relevant = (task.basic_ids | frozenset().union(*task.partition.levels)) & task.attribute_ids()
-    alts = task.alternatives
-    return [
-        f"alternatives {first.id!r} and {second.id!r} are completely equal on every screened attribute"
-        for i, first in enumerate(alts)
-        for second in alts[i + 1 :]
-        if all(_naive_same(first.values[aid], second.values[aid]) for aid in relevant)
-    ]
+    return [message for code, message in naive_row_findings(task) if code == "duplicate-alternative"]
 
 
 def duplicate_messages(task: DecisionTask) -> list[str]:
@@ -432,3 +476,68 @@ class TestDuplicateScreen:
             expected = naive_duplicate_messages(task)
             assert len(expected) >= n // 10
             assert duplicate_messages(task) == expected
+
+
+# a value of another family for each attribute kind
+MISFITS = {"numeric": (ordinal(2), category("x")), "ordinal": (crisp(2), category("x")), "categorical": (crisp(2), ordinal(2))}
+
+
+def broken_rows(seed: int, n: int, m: int, unscreened: bool) -> DecisionTask:
+    """A random_task whose rows lose, gain and misfit cells and repeat earlier rows and ids.
+
+    With ``unscreened``, the task's ids move up by one and id 1 is an attribute
+    outside the basic set and the partition, so the screened ids are not a
+    prefix of the declared ones.
+    """
+    rng = random.Random(seed)
+    base = random_task(seed, n_alternatives=n, n_attributes=m, n_levels=2)
+    shift = 1 if unscreened else 0
+    attributes = tuple(dataclasses.replace(attr, id=attr.id + shift) for attr in base.attributes)
+    if unscreened:
+        attributes = (Attribute(1, "aside", "numeric", "cost"), *attributes)
+    kinds = {attr.id: attr.kind for attr in attributes}
+    rows = []
+    for index, alt in enumerate(base.alternatives):
+        values = {aid + shift: value for aid, value in alt.values.items()}
+        if unscreened:
+            values[1] = crisp(rng.randint(0, 1))
+        for aid in list(values):
+            roll = rng.random()
+            if roll < 0.1:
+                del values[aid]
+            elif roll < 0.2:
+                values[aid] = rng.choice(MISFITS[kinds[aid]])
+        if rng.random() < 0.1:
+            values[m + 2] = crisp(1)
+        rows.append(Alternative(alt.id, values))
+        if rng.random() < 0.3:
+            twin = rng.choice(rows)
+            values = dict(twin.values)
+            if 1 in values and unscreened:
+                values[1] = crisp(rng.randint(0, 1))  # equal on the screened attributes only, half the time
+            rows.append(Alternative(twin.id if rng.random() < 0.3 else f"{twin.id}-{index}", values))
+    return DecisionTask(
+        task_id=base.task_id,
+        attributes=attributes,
+        basic_ids=frozenset(aid + shift for aid in base.basic_ids),
+        thresholds=tuple(Threshold(t.attribute_id + shift, t.op, t.bound) for t in base.thresholds),
+        partition=DominancePartition([[aid + shift for aid in level] for level in base.partition.levels]),
+        alternatives=tuple(rows),
+    )
+
+
+class TestRowFindings:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 4), st.booleans())
+    def test_matches_the_per_row_reference(self, seed, n, m, unscreened):
+        task = broken_rows(seed, n, m, unscreened)
+        task_findings = validate_task(dataclasses.replace(task, alternatives=()))
+        expected = [(v.code, v.message) for v in task_findings] + naive_row_findings(task)
+        assert [(v.code, v.message) for v in validate_task(task)] == expected
+
+    def test_the_reference_sees_every_row_finding(self):
+        codes = set()
+        for seed in range(200):
+            task = broken_rows(seed, 10, 3, seed % 2 == 0)
+            codes |= {code for code, _ in naive_row_findings(task)}
+        assert codes == {"duplicate-alternative-id", "missing-value", "unknown-reference", "kind-mismatch", "duplicate-alternative"}

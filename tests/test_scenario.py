@@ -23,6 +23,7 @@ from ladderchoice import (
 )
 from ladderchoice.cli import main
 from ladderchoice.model import LadderOutcome, LevelRecord
+from ladderchoice.scenario import decision_to_json
 from ladderchoice.oracle import random_task
 from conftest import CASES, fixture_path, load_case
 
@@ -334,14 +335,36 @@ class TestInterning:
             ([[{"ordinal": 3}], [{"ordinal": True}]], "alternative 'a1', attribute 1: ordinal level must be in 1..5, got True"),
             ([[{"ordinal": 3}], [{"ordinal": 3.0}]], "alternative 'a1', attribute 1: ordinal level must be in 1..5, got 3.0"),
             ([[5], [{"ordinal": 9}], [{"ordinal": 9}]], "alternative 'a1', attribute 1: ordinal level must be in 1..5, got 9"),
+            ([[{"at_least": 1}], [{"at_least": True}]], "alternative 'a1', attribute 1: at_least bound must be a number, got True"),
         ],
-        ids=["crisp-true-after-1", "ordinal-true-after-3", "ordinal-3.0-after-3", "first-bad-occurrence"],
+        ids=["crisp-true-after-1", "ordinal-true-after-3", "ordinal-3.0-after-3", "first-bad-occurrence", "at-least-true-after-1"],
     )
     def test_payloads_that_hash_equal_still_fail(self, rows, message):
         with pytest.raises(ScenarioError) as excinfo:
             parse_scenario(rows_task([NUMERIC], rows))
         assert excinfo.value.category == "value"
         assert str(excinfo.value) == f"value: {message}"
+
+    def test_a_float_is_shared_only_with_the_same_bare_float(self):
+        task = parse_scenario(rows_task([NUMERIC], [[2.5], [2.5], [{"at_least": 2.5}], [{"at_least": 2.5}]]))
+        crisp0, crisp1, open0, open1 = column(task, 1)
+        assert crisp0 is crisp1 and open0 is open1
+        assert crisp0.kind == "crisp" and open0.kind == "at_least"
+        assert crisp0.key == ("n", 2.5, 2.5) and open0.key == ("n", 2.5, math.inf)
+
+    def test_uninterned_payloads_parse_between_interned_ones(self):
+        rows = [[{"interval": [1, 2]}], [1], [{"interval": [1, 2]}], [1.0], [{"interval": [1, 2]}], [1]]
+        task = parse_scenario(rows_task([NUMERIC], rows))
+        assert [(value.kind, value.key) for value in column(task, 1)] == [
+            ("interval", ("n", 1.0, 2.0)),
+            ("crisp", ("n", 1.0, 1.0)),
+        ] * 3
+
+    def test_a_level_and_its_label_give_equal_values(self):
+        task = parse_scenario(rows_task([ORDINAL], [[{"ordinal": 4}], [{"ordinal": "high"}], [{"ordinal": 4}]]))
+        level, label, again = column(task, 1)
+        assert level == label == again and hash(level) == hash(label)
+        assert level is again
 
     def test_int_and_float_parse_alike(self):
         task = parse_scenario(rows_task([NUMERIC], [[1], [1.0], [1]]))
@@ -452,3 +475,14 @@ class TestOutcomeSerialization:
                 "survivors_after": ["m1"],
             }
         ]
+
+    def test_decision_document_is_the_trace_then_the_sift(self, case1):
+        sifted, outcome = decide_task(case1)
+        doc = decision_to_json(case1, sifted, outcome)
+        assert list(doc) == ["verdict", "chosen", "trace", "task_id", "feasible", "eliminations"]
+        assert {key: doc[key] for key in ("verdict", "chosen", "trace")} == outcome_to_json(outcome)
+        assert (doc["task_id"], doc["feasible"]) == ("case1", ["m1", "m3"])
+        assert doc["eliminations"] == [
+            {"alternative": e.alternative_id, "attribute": e.attribute_id, "threshold": str(e.threshold), "value": str(e.value)}
+            for e in sifted.eliminations
+        ] != []
