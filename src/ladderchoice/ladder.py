@@ -12,29 +12,28 @@ alternative remains.  Two dominance modes are supported:
   rival; the set can never become empty, but may stay plural all the way
   down, ending in ``NoUniqueChoice``.
 
-Each rung compiles its candidates to their category keys and the
-polarity-signed coordinates of their ordered values, asking
-:func:`~ladderchoice.values.signed_coords` once per distinct value of each
-attribute, and groups them by that pair (:func:`_signed_vectors`).
-Dominance depends only on the pair, and equal pairs never beat each other,
-so both modes judge the d distinct pairs and map the result back to the
-candidates.  Both read one order: :func:`_beats` is strict componentwise
-dominance, and descending lexicographic order on the pairs is a linear
-extension of it, so a pair can only beat pairs that sort after it.  Cost of
-one rung over n candidates and m attributes: grouping is O(n·m), then
+Both modes read one order: :func:`~ladderchoice.values.signed_coords` gives
+each distinct value of an ordered attribute its polarity-signed coordinates,
+asked once per distinct value, and dominance is strict componentwise order on
+them with equal category keys.  Cost of one rung over n candidates and m
+attributes:
 
-* ``GLOBAL`` takes the lexicographic maximum and checks it against every
-  other pair, at most d − 1 comparisons, O(d·m).  A pair that beats all the
-  others is their maximum, so if the maximum fails one, no pair wins.  A
-  winning pair held by two different ids is beaten by neither, so the rung
-  keeps nobody.
-* ``UNDOMINATED`` is Sort-Filter-Skyline (Chomicki et al., ICDE 2003):
-  presort the pairs in descending lexicographic order, which puts every
-  dominator before what it dominates, then compare each pair only with the
-  window of undominated ones found so far, O(d log d + d·k·m) for a final
-  window of k.  When nothing dominates anything, k = d and the pass is
-  quadratic in d, but ties no longer count: a categorical-only rung is
-  linear in n.
+* ``GLOBAL`` compiles no pairs and makes no comparisons.  A vector that beats
+  all the others is their componentwise maximum, so the rung reads each
+  column once, O(n·m): a categorical column with two labels has no winner,
+  and an ordered one has none unless one of its values holds the column's
+  maximum; the winner holds every such value.  A winning vector held by two
+  different ids is beaten by neither, so the rung keeps nobody.
+* ``UNDOMINATED`` compiles its candidates to ``(category keys, signed
+  coords)`` pairs and groups them (:func:`_signed_vectors`), O(n·m); equal
+  pairs never beat each other, so it judges the d distinct pairs and maps the
+  result back.  It is Sort-Filter-Skyline (Chomicki et al., ICDE 2003):
+  presort the pairs in descending lexicographic order, a linear extension of
+  :func:`_beats`, which puts every dominator before what it dominates, then
+  compare each pair only with the window of undominated ones found so far,
+  O(d log d + d·k·m) for a final window of k.  When nothing dominates
+  anything, k = d and the pass is quadratic in d, but ties no longer count:
+  a categorical-only rung is linear in n.
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ def _signed_vectors(
             else:
                 part = signed.get(key)
                 if part is None:
-                    part = signed[key] = signed_coords(values[aid], polarity)
+                    part = signed[key] = signed_coords(key, polarity)
                 coords += part
         which.append(index.setdefault((tuple(labels), tuple(coords)), len(index)))
     return list(index), which
@@ -120,23 +119,48 @@ def dominant_set(
     alts = [task.alternative(cid) for cid in candidates]
     if len(alts) < 2:
         return tuple(candidates)
+    if mode is DominanceMode.GLOBAL:
+        return _global_winner(alts, attrs, task)
     vectors, which = _signed_vectors(alts, attrs, task)
-    if mode is DominanceMode.UNDOMINATED:
-        # descending order puts every dominator first, and each dominated
-        # pair has an undominated dominator, so the window is enough
-        kept = [False] * len(vectors)
-        window: list[tuple] = []
-        for i in sorted(range(len(vectors)), key=vectors.__getitem__, reverse=True):
-            if not any(_beats(w, vectors[i]) for w in window):
-                window.append(vectors[i])
-                kept[i] = True
-        return tuple(cid for cid, i in zip(candidates, which) if kept[i])
-    best = max(vectors)
-    if not all(_beats(best, v) for v in vectors if v is not best):
-        return ()
-    holders = tuple(cid for cid, i in zip(candidates, which) if vectors[i] is best)
-    # two different ids on the winning pair do not beat each other
-    return holders if len(set(holders)) == 1 else ()
+    # descending order puts every dominator first, and each dominated
+    # pair has an undominated dominator, so the window is enough
+    kept = [False] * len(vectors)
+    window: list[tuple] = []
+    for i in sorted(range(len(vectors)), key=vectors.__getitem__, reverse=True):
+        if not any(_beats(w, vectors[i]) for w in window):
+            window.append(vectors[i])
+            kept[i] = True
+    return tuple(cid for cid, i in zip(candidates, which) if kept[i])
+
+
+def _global_winner(alts: list[Alternative], attrs: Iterable[int], task: DecisionTask) -> tuple[str, ...]:
+    """The ids of ``alts`` that hold every column's maximum, if they are one id; else ``()``.
+
+    Columns are read in id order and each by its attribute's kind: a
+    categorical one must hold a single label, and an ordered one must have a
+    key whose signed coords are the componentwise maximum of the column's
+    (:func:`~ladderchoice.values.signed_coords` raises on a category there).
+    """
+    holders = alts
+    for aid in sorted(attrs):
+        attr = task.attribute(aid)
+        keys = {alt.values[aid].key for alt in alts}
+        if attr.kind == "categorical":
+            if len(keys) > 1:
+                return ()  # two labels never beat each other
+            continue
+        coords = {key: signed_coords(key, attr.polarity) for key in keys}
+        if len(keys) > 1:
+            # only the lexicographic maximum can be the componentwise one
+            best = max(keys, key=coords.__getitem__)
+            if coords[best] != tuple(map(max, *coords.values())):
+                return ()
+            holders = [alt for alt in holders if alt.values[aid].key == best]
+            if not holders:
+                return ()
+    # two different ids on the winning vector do not beat each other
+    ids = [alt.id for alt in holders]
+    return tuple(ids) if len(set(ids)) == 1 else ()
 
 
 def single_plan_gate(alt: Alternative, task: DecisionTask) -> LadderOutcome:

@@ -147,8 +147,9 @@ def _parse_value(raw: Any, attribute: Optional[Attribute]) -> AttributeValue:
     if isinstance(raw, dict) and len(raw) == 1:
         ((tag, payload),) = raw.items()
         if tag == "interval":
-            lo, hi = payload
-            return interval(lo, hi)
+            if not isinstance(payload, list) or len(payload) != 2:
+                raise ValueError(f"interval needs a list of two bounds, got {payload!r}")
+            return interval(*payload)
         if tag == "at_least":
             return at_least(payload)
         if tag == "ordinal":

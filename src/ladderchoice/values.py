@@ -17,19 +17,19 @@ from operator import neg
 from .model import OP_FAMILY, AttributeValue, Threshold
 
 
-def signed_coords(value: AttributeValue, polarity: str) -> tuple:
-    """The coordinates that order ``value``, larger being better, negated under cost.
+def signed_coords(key: tuple, polarity: str) -> tuple:
+    """The coordinates that order a value of ``key``, larger being better, negated under cost.
 
     ``(lo, hi)`` for the numeric shapes and ``(level,)`` for an ordinal; a
     category has no order, and an ordered value needs cost or benefit.
     """
-    if value.key[0] == "c":
+    if key[0] == "c":
         raise ValueError("a category value has no order")
     if polarity == "benefit":
-        return value.key[1:]
+        return key[1:]
     if polarity == "cost":
-        return tuple(map(neg, value.key[1:]))
-    raise ValueError(f"{value.kind} comparison needs cost/benefit polarity, got {polarity!r}")
+        return tuple(map(neg, key[1:]))
+    raise ValueError(f"an ordered value needs cost/benefit polarity, got {polarity!r}")
 
 
 def satisfies_threshold(value: AttributeValue, threshold: Threshold) -> bool:

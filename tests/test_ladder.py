@@ -24,6 +24,7 @@ from ladderchoice import (
     decide_task,
     interval,
     lsp,
+    ordinal,
     psp,
     validate_task,
 )
@@ -334,15 +335,16 @@ class TestLadderGuarantees:
 class TestComparisonCount:
     """Pairwise comparisons of a rung grow with its distinct value vectors, not with its ties.
 
-    GLOBAL checks the maximum against the other d - 1 pairs; UNDOMINATED's
-    window pass stays within d squared.
+    GLOBAL reads column maxima and compares no pair; UNDOMINATED's window
+    pass stays within d squared.
     """
 
     @pytest.mark.parametrize("attrs", [{1, 2}, {3}], ids=["categorical", "ordinal"])
     @pytest.mark.parametrize(
-        "mode, bound", [(GLOBAL, lambda d: d - 1), (UNDOM, lambda d: d * d)], ids=["global", "undominated"]
+        "mode, allowed", [(GLOBAL, lambda d: range(1)), (UNDOM, lambda d: range(1, d * d + 1))],
+        ids=["global", "undominated"],
     )
-    def test_comparisons_bounded_by_distinct_vectors(self, attrs, mode, bound, monkeypatch):
+    def test_comparisons_bounded_by_distinct_vectors(self, attrs, mode, allowed, monkeypatch):
         task = tie_heavy_task(21, 2000)
         candidates = [a.id for a in task.alternatives]
         distinct = {tuple(a.values[aid].key for aid in sorted(attrs)) for a in task.alternatives}
@@ -357,4 +359,116 @@ class TestComparisonCount:
 
         monkeypatch.setattr(ladder, "_beats", counting)
         dominant_set(candidates, attrs, mode, task)
-        assert 0 < calls <= bound(len(distinct))
+        assert calls in allowed(len(distinct))
+
+
+def column_task(*columns):
+    """A validator-clean task whose alternative ``p{i}`` takes the i-th value of each column.
+
+    Each column is ``(kind, polarity, values)`` and gets ids 1, 2, ... on the
+    top level; a screened row number on its own lower level keeps every
+    alternative distinct.
+    """
+    n = len(columns[0][2])
+    row = len(columns) + 1
+    task = DecisionTask(
+        task_id="columns",
+        attributes=tuple(Attribute(aid, f"a{aid}", kind, polarity) for aid, (kind, polarity, _) in enumerate(columns, 1))
+        + (Attribute(row, "row", "numeric", "cost"),),
+        basic_ids=frozenset({row}),
+        thresholds=(Threshold(row, "max", n),),
+        partition=DominancePartition([[row], list(range(1, row))]),
+        alternatives=tuple(
+            Alternative(f"p{i}", {**{aid: column[2][i] for aid, column in enumerate(columns, 1)}, row: crisp(i)})
+            for i in range(n)
+        ),
+    )
+    assert validate_task(task) == []
+    return task
+
+
+def distinct_numbers(rng, n):
+    """n distinct crisp-ready numbers, most of them fractional."""
+    return [x / 8 for x in rng.sample(range(8 * n * 10), n)]
+
+
+class TestGlobalColumnMaxima:
+    """GLOBAL at n = 1000 against the oracle: the winner holds every column's maximum, or nobody wins."""
+
+    N = 1000
+
+    @staticmethod
+    def global_rung(task, candidates, attrs, seed=0):
+        """GLOBAL's result on a shuffled copy of ``candidates``, checked against the oracle."""
+        candidates = list(candidates)
+        random.Random(seed).shuffle(candidates)
+        kept = dominant_set(candidates, attrs, GLOBAL, task)
+        assert kept == brute_force_dominant(candidates, attrs, "global", task)
+        return kept
+
+    @pytest.mark.parametrize("polarity", ["benefit", "cost"])
+    def test_interval_maxima_in_different_values_have_no_winner(self, polarity):
+        rng = random.Random(3)
+        bounds = []
+        for _ in range(self.N - 2):
+            lo = rng.uniform(0, 500)
+            bounds.append((lo, lo + rng.uniform(0, 400)))
+        # the best lo and the best hi, in two different values
+        bounds += [(600, 950), (0, 1000)]
+        if polarity == "cost":
+            bounds = [(-hi, -lo) for lo, hi in bounds]
+        task = column_task(("numeric", polarity, [interval(lo, hi) for lo, hi in bounds]))
+        everyone = [a.id for a in task.alternatives]
+        assert self.global_rung(task, everyone, {1}) == ()
+        # without the value holding the best hi, the one holding the best lo holds both
+        winner, other = f"p{self.N - 2}", f"p{self.N - 1}"
+        assert self.global_rung(task, [cid for cid in everyone if cid != other], {1}) == (winner,)
+
+    @pytest.mark.parametrize("polarity", ["benefit", "cost"])
+    def test_at_least_column(self, polarity):
+        xs = distinct_numbers(random.Random(4), self.N)
+        task = column_task(("numeric", polarity, [at_least(x) for x in xs]))
+        best = (max if polarity == "benefit" else min)(range(self.N), key=xs.__getitem__)
+        assert self.global_rung(task, [a.id for a in task.alternatives], {1}) == (f"p{best}",)
+
+    def test_one_label_beside_a_number_has_a_winner(self):
+        xs = distinct_numbers(random.Random(5), self.N)
+        task = column_task(
+            ("categorical", "none", [category("red")] * self.N), ("numeric", "benefit", [crisp(x) for x in xs])
+        )
+        best = max(range(self.N), key=xs.__getitem__)
+        assert self.global_rung(task, [a.id for a in task.alternatives], {1, 2}) == (f"p{best}",)
+
+    def test_two_labels_have_no_winner(self):
+        xs = distinct_numbers(random.Random(6), self.N)
+        best = max(range(self.N), key=xs.__getitem__)
+        labels = [category("red")] * self.N
+        labels[(best + 1) % self.N] = category("blue")
+        task = column_task(("categorical", "none", labels), ("numeric", "benefit", [crisp(x) for x in xs]))
+        assert self.global_rung(task, [a.id for a in task.alternatives], {1, 2}) == ()
+
+    def test_a_winning_vector_needs_one_id(self):
+        rng = random.Random(7)
+        xs = distinct_numbers(rng, self.N)
+        best = min(range(self.N), key=xs.__getitem__)
+        twin = (best + 1) % self.N
+        xs[twin] = xs[best]
+        levels = [rng.randint(1, 4) for _ in range(self.N)]
+        levels[best] = levels[twin] = 5
+        task = column_task(("numeric", "cost", [crisp(x) for x in xs]), ("ordinal", "benefit", [ordinal(v) for v in levels]))
+        everyone = [a.id for a in task.alternatives]
+        assert self.global_rung(task, everyone, {1, 2}) == ()
+        # the repeats of one id on the winning vector all survive
+        repeated = [cid for cid in everyone if cid != f"p{twin}"] + [f"p{best}"] * 2
+        assert self.global_rung(task, repeated, {1, 2}) == (f"p{best}",) * 3
+
+    def test_an_ordered_column_holding_a_category_raises(self):
+        task = column_task(("numeric", "benefit", [crisp(i) for i in range(5)]))
+        for values in ([crisp(i) for i in range(4)] + [category("red")], [category("red")] * 5):
+            broken = replace(
+                task, alternatives=tuple(Alternative(a.id, {**a.values, 1: v}) for a, v in zip(task.alternatives, values))
+            )
+            everyone = [a.id for a in broken.alternatives]
+            for candidates in (everyone, everyone[::-1]):
+                with pytest.raises(ValueError, match="a category value has no order"):
+                    dominant_set(candidates, {1}, GLOBAL, broken)

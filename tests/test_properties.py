@@ -47,9 +47,12 @@ leaves = st.one_of(
     st.sampled_from(WORDS),
     st.text(max_size=6),
 )
+# interval payloads that are not a list of two bounds
+INTERVAL_SHAPES = ([1, 2, 3], [1], [], 5, "ab", {"a": 1, "b": 2})
 # a bare leaf or a one-key object shaped like a value or a threshold, else arbitrary nested JSON
 json_values = st.one_of(
     leaves,
+    st.sampled_from(INTERVAL_SHAPES).map(lambda payload: {"interval": payload}),
     st.dictionaries(st.sampled_from(TAGS), st.one_of(leaves, st.lists(leaves, max_size=3)), min_size=1, max_size=1),
     st.recursive(
         leaves,

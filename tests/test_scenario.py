@@ -69,6 +69,7 @@ class TestParseFixtures:
 REJECTIONS = [
     ("bad_syntax.json", "syntax"),
     ("interval_backwards.json", "value"),
+    ("interval_shape.json", "value"),
     ("ordinal_out_of_range.json", "value"),
     ("unknown_label.json", "value"),
     ("at_least_nonfinite.json", "value"),
@@ -145,6 +146,14 @@ class TestRejections:
     )
     def test_boolean_is_not_a_level_or_a_number(self, path, replacement, tmp_path, capsys):
         assert_case1_refused(path, replacement, tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "payload", [[1, 2, 3], [1], [], 5, None, "ab", {"a": 1, "b": 2}],
+        ids=["three", "one", "empty", "number", "null", "string", "object"],
+    )
+    def test_interval_needs_a_list_of_two_bounds(self, payload, tmp_path, capsys):
+        error = assert_case1_refused(("alternatives", 0, "values", "1"), {"interval": payload}, tmp_path, capsys)
+        assert str(error) == f"value: alternative 'm1', attribute 1: interval needs a list of two bounds, got {payload!r}"
 
     # (path into case1's document, replacement): an attribute id or a level of the wrong type
     WRONG_TYPES = [

@@ -46,7 +46,7 @@ def same_family_pair(draw):
 
 def pair(value, polarity):
     """The (category keys, signed coords) pair a rung builds for a lone value."""
-    return ((value.key,), ()) if value.key[0] == "c" else ((), signed_coords(value, polarity))
+    return ((value.key,), ()) if value.key[0] == "c" else ((), signed_coords(value.key, polarity))
 
 
 def beats(a, b, polarity):
@@ -87,11 +87,11 @@ class TestCompareExamples:
 
     def test_signed_coords_refuses_categories_and_unordered_polarities(self):
         with pytest.raises(ValueError):
-            signed_coords(category("x"), "benefit")
+            signed_coords(category("x").key, "benefit")
         with pytest.raises(ValueError):
-            signed_coords(crisp(3), "none")
+            signed_coords(crisp(3).key, "none")
         with pytest.raises(ValueError):
-            signed_coords(ordinal(3), "none")
+            signed_coords(ordinal(3).key, "none")
 
 
 class TestThresholdExamples:
