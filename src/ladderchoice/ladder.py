@@ -15,8 +15,10 @@ alternative remains.  Two dominance modes are supported:
 Both modes read one order: :func:`~ladderchoice.values.signed_coords` gives
 each distinct value of an ordered attribute its polarity-signed coordinates,
 asked once per distinct value, and dominance is strict componentwise order on
-them with equal category keys.  Cost of one rung over n candidates and m
-attributes:
+them with equal category keys.  Both read each column by its attribute's
+kind, never by a value's tag: a categorical column's keys are labels, and an
+ordered column holding a category raises ``ValueError``.  Cost of one rung
+over n candidates and m attributes:
 
 * ``GLOBAL`` compiles no pairs and makes no comparisons.  A vector that beats
   all the others is their componentwise maximum, so the rung reads each
@@ -64,20 +66,23 @@ def _signed_vectors(
 ) -> tuple[list[tuple], list[int]]:
     """The distinct ``(category keys, signed coords)`` pairs of ``alts``, and each one's index into them.
 
-    Each distinct value of an attribute gets its signed coords once.
-    :func:`_beats` reads nothing but two pairs, so candidates with equal
-    pairs share one; on a valid task that is one pair per tuple of value keys.
+    Each column is read by its attribute's kind: a categorical one gives
+    labels, and each distinct value of an ordered one gets its signed coords
+    once (:func:`~ladderchoice.values.signed_coords` raises on a category
+    there).  :func:`_beats` reads nothing but two pairs, so candidates with
+    equal pairs share one; on a valid task that is one pair per tuple of value
+    keys.
     """
-    # per attribute: value key -> its signed coords
-    polarities = [(aid, task.attribute(aid).polarity, {}) for aid in attrs]
+    # per attribute: None when categorical, else value key -> its signed coords
+    columns = [(a.id, a.polarity, None if a.kind == "categorical" else {}) for a in map(task.attribute, attrs)]
     index: dict[tuple, int] = {}  # pair -> its index, numbered in first-seen order
     which: list[int] = []
     for alt in alts:
         values = alt.values
         labels, coords = [], []
-        for aid, polarity, signed in polarities:
+        for aid, polarity, signed in columns:
             key = values[aid].key
-            if key[0] == "c":
+            if signed is None:
                 labels.append(key)
             else:
                 part = signed.get(key)

@@ -214,6 +214,8 @@ class Attribute:
         elif self.polarity not in ("cost", "benefit"):
             raise ValueError(f"attribute {self.id} ({self.kind}) needs polarity 'cost' or 'benefit'")
         if self.labels is not None:
+            if self.kind != "ordinal":
+                raise ValueError(f"attribute {self.id} ({self.kind}) cannot declare labels; only an ordinal attribute can")
             for lab, lvl in self.labels.items():
                 if not _is_level(lvl):
                     raise ValueError(f"label {lab!r} maps to level {lvl!r}, expected 1..5")
@@ -444,14 +446,8 @@ def validate_task(task: DecisionTask) -> list[Violation]:
     jointly covering every attribute, aspiration restricted to the top level,
     complete kind-consistent value vectors, and no two alternatives with
     completely equal value vectors.  The duplicate screen is linear: it
-    groups alternatives by their tuple of value keys.
-
-    A row holding exactly the declared ids costs one list of value keys,
-    screened ids first: each key's family tag is checked as the list is
-    built, and its screened prefix is the row's key in the duplicate screen.
-    A row that lacks or adds an id, or holds a value of the wrong kind, is
-    reported cell by cell, so the findings and their order do not depend on
-    which path a row took.
+    groups alternatives by their tuple of value keys.  Each row is read
+    once, attribute by attribute in id order.
     """
     violations: list[Violation] = []
 
@@ -529,39 +525,22 @@ def validate_task(task: DecisionTask) -> list[Violation]:
                     Violation("kind-mismatch", f"aspiration threshold '{t}' does not fit attribute {t.attribute_id}")
                 )
 
-    # one pass per alternative: id, coverage and kind checks, and its value-key
-    # tuple for the complete-equality screen over basic + dominance attributes;
-    # duplicate pairs are reported in (i, j) order over the comparable alternatives
+    # one pass per alternative: its id, its coverage, the kind of each value,
+    # and the value keys of its screened ids, which group it for the
+    # complete-equality screen over basic + dominance attributes
     relevant = (task.basic_ids | partition_ids) & declared
-    checks = [(aid, attr.kind, KIND_FAMILY[attr.kind]) for aid, attr in sorted(task._by_id.items())]
-    screened = sorted(relevant)
-    # the ids of a complete row in key-list order, with the family tag each must carry
-    row_tags = [(aid, KIND_FAMILY[task._by_id[aid].kind]) for aid in screened + sorted(declared - relevant)]
-    width = len(screened)
+    # (id, kind, family tag, screened?) of each declared attribute, in id order
+    cells = [(aid, attr.kind, KIND_FAMILY[attr.kind], aid in relevant) for aid, attr in sorted(task._by_id.items())]
     alt_ids_seen: set[str] = set()
-    comparable: list[Alternative] = []
-    groups: dict[tuple, list[int]] = {}
-    for alt in task.alternatives:
+    groups: dict[tuple, list[int]] = {}  # screened value keys -> positions of the complete rows holding them
+    for position, alt in enumerate(task.alternatives):
         if alt.id in alt_ids_seen:
             violations.append(Violation("duplicate-alternative-id", f"alternative id {alt.id!r} declared twice"))
         alt_ids_seen.add(alt.id)
 
         values = alt.values
-        if values.keys() == declared:
-            keys = []
-            for aid, family in row_tags:
-                key = values[aid].key
-                if key[0] != family:
-                    break
-                keys.append(key)
-            else:
-                groups.setdefault(tuple(keys[:width]), []).append(len(comparable))
-                comparable.append(alt)
-                continue
-            # a wrong kind: reported below, cell by cell, as for an incomplete row
-            present = checks
-            complete = True
-        else:
+        complete = True
+        if values.keys() != declared:
             missing_values = declared - values.keys()
             if missing_values:
                 violations.append(
@@ -572,29 +551,32 @@ def validate_task(task: DecisionTask) -> list[Violation]:
                 violations.append(
                     Violation("unknown-reference", f"alternative {alt.id!r} has value(s) for undeclared attribute(s) {sorted(extra_values)}")
                 )
-            present = [check for check in checks if check[0] in values]
             complete = relevant.isdisjoint(missing_values)
-        for aid, attr_kind, family in present:
-            value = values[aid]
-            if value.key[0] != family:
+        keys = []
+        for aid, attr_kind, family, screened in cells:
+            if aid not in values:
+                continue
+            key = values[aid].key
+            if key[0] != family:
                 violations.append(
                     Violation(
                         "kind-mismatch",
-                        f"alternative {alt.id!r} carries a {value.kind} value on {attr_kind} attribute {aid}",
+                        f"alternative {alt.id!r} carries a {values[aid].kind} value on {attr_kind} attribute {aid}",
                     )
                 )
-                if aid in relevant:
+                if screened:
                     complete = False
+            elif screened:
+                keys.append(key)
         if complete:
-            groups.setdefault(tuple([values[aid].key for aid in screened]), []).append(len(comparable))
-            comparable.append(alt)
+            groups.setdefault(tuple(keys), []).append(position)
 
     pairs = sorted(pair for group in groups.values() for pair in combinations(group, 2))
     for i, j in pairs:
         violations.append(
             Violation(
                 "duplicate-alternative",
-                f"alternatives {comparable[i].id!r} and {comparable[j].id!r} are completely equal on every screened attribute",
+                f"alternatives {task.alternatives[i].id!r} and {task.alternatives[j].id!r} are completely equal on every screened attribute",
             )
         )
 

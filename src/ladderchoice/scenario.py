@@ -16,8 +16,9 @@ Parsing is strict: structural problems and task-invariant violations raise
 unknown-reference, kind-mismatch, duplicate-id, duplicate-alternative,
 invariant), so callers can report precisely why a file was rejected.  Each
 object holds only the keys named above (an attribute: ``id``, ``name``,
-``kind``, ``polarity``, optional ``unit`` and ``labels``); an unknown key is
-a schema error naming the key and its object.  Values are built by the
+``kind``, ``polarity``, optional ``unit`` and, on an ordinal attribute only,
+``labels``); an unknown key is a schema error naming the key and its object,
+and each dominance level is a list of attribute ids.  Values are built by the
 checked factories of :mod:`ladderchoice.model`, and a malformed payload's
 value error carries the factory's message.
 
@@ -227,9 +228,12 @@ def parse_scenario(text: str) -> DecisionTask:
     _refuse_unknown_keys(dominance, _DOMINANCE_KEYS, "dominance")
     if not isinstance(levels, list):
         raise ScenarioError("schema", "dominance.levels must be a list of id lists")
+    for index, level in enumerate(levels, start=1):
+        if not isinstance(level, list):
+            raise ScenarioError("schema", f"dominance.levels: level {index} must be a list of attribute ids, got {level!r}")
     try:
         partition = DominancePartition(levels)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ScenarioError("schema", f"dominance.levels: {exc}") from exc
 
     aspiration = None

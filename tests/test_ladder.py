@@ -462,13 +462,34 @@ class TestGlobalColumnMaxima:
         repeated = [cid for cid in everyone if cid != f"p{twin}"] + [f"p{best}"] * 2
         assert self.global_rung(task, repeated, {1, 2}) == (f"p{best}",) * 3
 
+    @staticmethod
+    def with_column(task, values):
+        """``task`` with attribute 1 of its i-th alternative replaced by the i-th of ``values``, unvalidated."""
+        return replace(
+            task, alternatives=tuple(Alternative(a.id, {**a.values, 1: v}) for a, v in zip(task.alternatives, values))
+        )
+
     def test_an_ordered_column_holding_a_category_raises(self):
         task = column_task(("numeric", "benefit", [crisp(i) for i in range(5)]))
-        for values in ([crisp(i) for i in range(4)] + [category("red")], [category("red")] * 5):
-            broken = replace(
-                task, alternatives=tuple(Alternative(a.id, {**a.values, 1: v}) for a, v in zip(task.alternatives, values))
-            )
+        for values in (
+            [crisp(i) for i in range(4)] + [category("red")],
+            [category("red")] * 5,
+            [category("red"), category("blue")] * 2 + [category("red")],
+        ):
+            broken = self.with_column(task, values)
             everyone = [a.id for a in broken.alternatives]
             for candidates in (everyone, everyone[::-1]):
-                with pytest.raises(ValueError, match="a category value has no order"):
-                    dominant_set(candidates, {1}, GLOBAL, broken)
+                for mode in (GLOBAL, UNDOM):
+                    with pytest.raises(ValueError, match="a category value has no order"):
+                        dominant_set(candidates, {1}, mode, broken)
+            with pytest.raises(ValueError, match="a category value has no order"):
+                dominates(broken.alternatives[0], broken.alternatives[-1], {1}, broken)
+
+    def test_a_categorical_column_reads_its_values_as_labels(self):
+        task = column_task(("categorical", "none", [category("red"), category("blue")]))
+        broken = self.with_column(task, [crisp(1), crisp(2)])
+        a, b = broken.alternatives
+        for candidates in (["p0", "p1"], ["p1", "p0"]):
+            assert dominant_set(candidates, {1}, GLOBAL, broken) == ()
+            assert dominant_set(candidates, {1}, UNDOM, broken) == tuple(candidates)
+        assert not dominates(a, b, {1}, broken) and not dominates(b, a, {1}, broken)

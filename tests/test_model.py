@@ -133,6 +133,11 @@ class TestAttributeAndThreshold:
         with pytest.raises(ValueError):
             Attribute(1, "mood", "ordinal", "benefit", labels={"meh": 7})
 
+    @pytest.mark.parametrize("kind,polarity", [("numeric", "cost"), ("categorical", "none")])
+    def test_only_an_ordinal_attribute_declares_labels(self, kind, polarity):
+        with pytest.raises(ValueError, match=rf"attribute 1 \({kind}\) cannot declare labels; only an ordinal attribute can"):
+            Attribute(1, "mood", kind, polarity, labels={"meh": 3})
+
 
 class TestPartition:
     def test_levels_must_be_nonempty(self):

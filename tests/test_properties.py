@@ -66,12 +66,14 @@ json_values = st.one_of(
 
 
 def spots(doc):
-    """Paths to every value, threshold and id in a scenario document."""
+    """Paths to every value, threshold, id and dominance level in a scenario document."""
     paths = [("basic", "thresholds", key) for key in doc["basic"]["thresholds"]]
     paths += [("basic", "ids", i) for i in range(len(doc["basic"]["ids"]))]
     paths += [("attributes", i, "id") for i in range(len(doc["attributes"]))]
     for i, level in enumerate(doc["dominance"]["levels"]):
-        paths += [("dominance", "levels", i, j) for j in range(len(level))]
+        paths.append(("dominance", "levels", i))
+        if isinstance(level, list):
+            paths += [("dominance", "levels", i, j) for j in range(len(level))]
     for i, alt in enumerate(doc["alternatives"]):
         paths.append(("alternatives", i, "id"))
         paths += [("alternatives", i, "values", key) for key in alt["values"]]

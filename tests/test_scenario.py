@@ -66,27 +66,29 @@ class TestParseFixtures:
         assert task.alternative("a").values[1].level == 3
 
 
+# (file under tests/data, its category, its whole message): every validator message and its order, pinned per file
 REJECTIONS = [
-    ("bad_syntax.json", "syntax"),
-    ("interval_backwards.json", "value"),
-    ("interval_shape.json", "value"),
-    ("ordinal_out_of_range.json", "value"),
-    ("unknown_label.json", "value"),
-    ("at_least_nonfinite.json", "value"),
-    ("unknown_attribute_ref.json", "unknown-reference"),
-    ("threshold_kind_mismatch.json", "kind-mismatch"),
-    ("value_kind_mismatch.json", "kind-mismatch"),
-    ("duplicate_attribute_id.json", "duplicate-id"),
-    ("duplicate_alternative_id.json", "duplicate-id"),
-    ("def2_duplicate.json", "duplicate-alternative"),
-    ("partition_overlap.json", "invariant"),
-    ("coverage_gap.json", "invariant"),
-    ("threshold_missing.json", "invariant"),
-    ("aspiration_off_top.json", "invariant"),
-    ("missing_value.json", "invariant"),
-    ("attribute_polarity_mismatch.json", "schema"),
-    ("alternative_id_delimiter.json", "schema"),
-    ("unknown_key.json", "schema"),
+    ("bad_syntax.json", "syntax", "syntax (line 4, column 1): Expecting value"),
+    ("interval_backwards.json", "value", "value: alternative 'a', attribute 1: interval lower bound 60.0 exceeds upper bound 40.0"),
+    ("interval_shape.json", "value", "value: alternative 'a', attribute 1: interval needs a list of two bounds, got [20, 30, 40]"),
+    ("ordinal_out_of_range.json", "value", "value: alternative 'a', attribute 1: ordinal level must be in 1..5, got 6"),
+    ("unknown_label.json", "value", "value: alternative 'a', attribute 1: unknown ordinal label 'medium'"),
+    ("at_least_nonfinite.json", "value", "value: alternative 'a', attribute 1: at_least needs a finite lower bound"),
+    ("unknown_attribute_ref.json", "unknown-reference", "unknown-reference: unknown-reference: alternative 'a' has value(s) for undeclared attribute(s) [9]"),
+    ("threshold_kind_mismatch.json", "kind-mismatch", "kind-mismatch: kind-mismatch: threshold 'min_level 3' does not fit numeric attribute 1 (time)"),
+    ("value_kind_mismatch.json", "kind-mismatch", "kind-mismatch: kind-mismatch: alternative 'a' carries a ordinal value on numeric attribute 1"),
+    ("duplicate_attribute_id.json", "duplicate-id", "duplicate-id: duplicate-attribute-id: attribute id 1 declared twice"),
+    ("duplicate_alternative_id.json", "duplicate-id", "duplicate-id: duplicate-alternative-id: alternative id 'a' declared twice"),
+    ("def2_duplicate.json", "duplicate-alternative", "duplicate-alternative: duplicate-alternative: alternatives 'a' and 'b' are completely equal on every screened attribute"),
+    ("partition_overlap.json", "invariant", "invariant: partition-overlap: level 2 repeats attribute id(s) [4] from an earlier level"),
+    ("coverage_gap.json", "invariant", "invariant: coverage: attribute id(s) [2] belong to neither the basic set nor the partition"),
+    ("threshold_missing.json", "invariant", "invariant: threshold-coverage: basic attribute(s) [2] lack a threshold"),
+    ("aspiration_off_top.json", "invariant", "invariant: aspiration-level: aspiration threshold on attribute 1 is outside the top level [2]"),
+    ("missing_value.json", "invariant", "invariant: missing-value: alternative 'a' lacks value(s) for attribute(s) [2]"),
+    ("attribute_polarity_mismatch.json", "schema", "schema: attribute 1: categorical attribute 1 must have polarity 'none'"),
+    ("alternative_id_delimiter.json", "schema", "schema: alternative: alternative id 'm1,x\\n|' holds ',', '|', '[', ']' or a character that is not printable"),
+    ("unknown_key.json", "schema", "schema: scenario has unknown key 'aspirations'"),
+    ("level_shape.json", "schema", "schema: dominance.levels: level 2 must be a list of attribute ids, got '2'"),
 ]
 
 
@@ -110,12 +112,13 @@ def assert_case1_refused(path, replacement, tmp_path, capsys):
 
 
 class TestRejections:
-    @pytest.mark.parametrize("filename,expected_category", REJECTIONS)
-    def test_malformed_file_rejected_with_category(self, filename, expected_category):
+    @pytest.mark.parametrize("filename,expected_category,expected_message", REJECTIONS)
+    def test_malformed_file_rejected_with_category(self, filename, expected_category, expected_message):
         text = (DATA / filename).read_text(encoding="utf-8")
         with pytest.raises(ScenarioError) as excinfo:
             parse_scenario(text)
         assert excinfo.value.category == expected_category
+        assert str(excinfo.value) == expected_message
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(ScenarioError) as excinfo:
@@ -154,6 +157,15 @@ class TestRejections:
     def test_interval_needs_a_list_of_two_bounds(self, payload, tmp_path, capsys):
         error = assert_case1_refused(("alternatives", 0, "values", "1"), {"interval": payload}, tmp_path, capsys)
         assert str(error) == f"value: alternative 'm1', attribute 1: interval needs a list of two bounds, got {payload!r}"
+
+    @pytest.mark.parametrize("level", ["ab", {"a": 1}, 1, None], ids=["string", "object", "number", "null"])
+    def test_a_dominance_level_must_be_a_list(self, level, tmp_path, capsys):
+        error = assert_case1_refused(("dominance", "levels", 0), level, tmp_path, capsys)
+        assert str(error) == f"schema: dominance.levels: level 1 must be a list of attribute ids, got {level!r}"
+
+    def test_only_an_ordinal_attribute_takes_labels(self, tmp_path, capsys):
+        error = assert_case1_refused(("attributes", 0, "labels"), {"meh": 3}, tmp_path, capsys)
+        assert str(error) == "schema: attribute 1: attribute 1 (numeric) cannot declare labels; only an ordinal attribute can"
 
     # (path into case1's document, replacement): an attribute id or a level of the wrong type
     WRONG_TYPES = [
