@@ -15,37 +15,44 @@ alternative remains.  Two dominance modes are supported:
 Both modes read one order: :func:`~ladderchoice.values.signed_coords` gives
 each distinct value of an ordered attribute its polarity-signed coordinates,
 asked once per distinct value, and dominance is strict componentwise order on
-them with equal category keys.  Both read each column by its attribute's
-kind, never by a value's tag: a categorical column's keys are labels, and an
-ordered column holding a category raises ``ValueError``.  Cost of one rung
-over n candidates and m attributes:
+them with equal category keys.  Both read each column once, by its
+attribute's kind, never by a value's tag: a categorical column's keys are
+labels, and an ordered column holding a value of another family raises
+``ValueError`` (:func:`_signed_column`).  Cost of one rung over n candidates
+and m attributes:
 
-* ``GLOBAL`` compiles no pairs and makes no comparisons.  A vector that beats
-  all the others is their componentwise maximum, so the rung reads each
-  column once, O(n·m): a categorical column with two labels has no winner,
-  and an ordered one has none unless one of its values holds the column's
-  maximum; the winner holds every such value.  A winning vector held by two
-  different ids is beaten by neither, so the rung keeps nobody.
-* ``UNDOMINATED`` compiles its candidates to ``(category keys, signed
-  coords)`` pairs and groups them (:func:`_signed_vectors`), O(n·m); equal
-  pairs never beat each other, so it judges the d distinct pairs and maps the
-  result back.  It is Sort-Filter-Skyline (Chomicki et al., ICDE 2003):
-  presort the pairs in descending lexicographic order, a linear extension of
-  :func:`_beats`, which puts every dominator before what it dominates, then
-  compare each pair only with the window of undominated ones found so far,
-  O(d log d + d·k·m) for a final window of k.  When nothing dominates
-  anything, k = d and the pass is quadratic in d, but ties no longer count:
-  a categorical-only rung is linear in n.
+* ``GLOBAL`` makes no comparisons.  A vector that beats all the others is
+  their componentwise maximum, so the rung reads each column once, O(n·m): a
+  categorical column with two labels has no winner, and an ordered one has
+  none unless one of its values holds the column's maximum; the winner holds
+  every such value.  A winning vector held by two different ids is beaten by
+  neither, so the rung keeps nobody.
+* ``UNDOMINATED`` reads each column once into rows of labels, then
+  coordinates (:func:`_rows`), O(n·m); an ordered column gives one
+  coordinate when all its distinct values are points, else two.  Rows with
+  different labels or equal rows never beat each other, so each label
+  group's d distinct rows are judged alone (:func:`_front`) and the result
+  is mapped back.  With no coordinate every row stays; with one, the
+  maximum, O(d).  With two, Kung, Luccio and Preparata's sweep (JACM 1975)
+  over the rows in descending order keeps a row exactly when its second
+  coordinate exceeds every earlier one's, O(d log d), so a two-attribute
+  trade-off no longer costs d squared.  With three or more, the descending
+  presort of Sort-Filter-Skyline (Chomicki et al., ICDE 2003) puts every
+  dominator first; the top row is kept, every row it beats is dropped, and
+  so on, O(d log d + d·k) :func:`_beats` calls for k kept rows.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from itertools import compress
 from operator import ge
 from typing import Iterable, Sequence
 
 from .model import (
+    KIND_FAMILY,
     Alternative,
+    Attribute,
     DecisionTask,
     LadderOutcome,
     LevelRecord,
@@ -61,41 +68,79 @@ class DominanceMode(Enum):
     UNDOMINATED = "undominated"
 
 
-def _signed_vectors(
-    alts: Iterable[Alternative], attrs: Iterable[int], task: DecisionTask
-) -> tuple[list[tuple], list[int]]:
-    """The distinct ``(category keys, signed coords)`` pairs of ``alts``, and each one's index into them.
+def _signed_column(keys: Iterable[tuple], attr: Attribute) -> dict[tuple, tuple]:
+    """Each distinct value key of an ordered column -> its signed coords.
 
-    Each column is read by its attribute's kind: a categorical one gives
-    labels, and each distinct value of an ordered one gets its signed coords
-    once (:func:`~ladderchoice.values.signed_coords` raises on a category
-    there).  :func:`_beats` reads nothing but two pairs, so candidates with
-    equal pairs share one; on a valid task that is one pair per tuple of value
-    keys.
+    A value of another family than the attribute's kind raises
+    ``ValueError``; :func:`~ladderchoice.values.signed_coords` raises first
+    on a category.
     """
-    # per attribute: None when categorical, else value key -> its signed coords
-    columns = [(a.id, a.polarity, None if a.kind == "categorical" else {}) for a in map(task.attribute, attrs)]
-    index: dict[tuple, int] = {}  # pair -> its index, numbered in first-seen order
-    which: list[int] = []
-    for alt in alts:
-        values = alt.values
-        labels, coords = [], []
-        for aid, polarity, signed in columns:
-            key = values[aid].key
-            if signed is None:
-                labels.append(key)
-            else:
-                part = signed.get(key)
-                if part is None:
-                    part = signed[key] = signed_coords(key, polarity)
-                coords += part
-        which.append(index.setdefault((tuple(labels), tuple(coords)), len(index)))
-    return list(index), which
+    family, polarity = KIND_FAMILY[attr.kind], attr.polarity
+    signed = {}
+    for key in keys:
+        signed[key] = signed_coords(key, polarity)
+        if key[0] != family:
+            raise ValueError(f"{attr.kind} attribute {attr.id} cannot order a value of another family, {key!r}")
+    return signed
+
+
+def _rows(alts: Sequence[Alternative], attrs: Iterable[int], task: DecisionTask) -> tuple[list[tuple], int]:
+    """Each alternative's row on ``attrs``, its labels then its signed coordinates; and how many labels lead.
+
+    Columns are read in id order, each by its attribute's kind: a categorical
+    one gives its keys as labels, and an ordered one gives coordinates, asked
+    once per distinct key (:func:`_signed_column`).  An ordered column whose
+    distinct values all have equal coordinates (crisp, ordinal, a degenerate
+    interval) gives one coordinate, not two; dominance does not change.
+    """
+    by_id = task._by_id
+    cells = [alt.values for alt in alts]
+    labels: list[list] = []
+    coords: list[list] = []
+    for aid in sorted(attrs):
+        attr = by_id[aid]
+        keys = [values[aid].key for values in cells]
+        if attr.kind == "categorical":
+            labels.append(keys)
+            continue
+        signed = _signed_column(set(keys), attr)
+        first, *second = zip(*signed.values())  # the distinct values' coordinates, by position
+        if second and second[0] != first:
+            coords += zip(*map(signed.__getitem__, keys))
+        else:  # all points: the first coordinate orders them alone
+            coords.append(list(map(dict(zip(signed, first)).__getitem__, keys)))
+    return list(zip(*labels, *coords)) or [()] * len(cells), len(labels)
 
 
 def _beats(s: tuple, t: tuple) -> bool:
-    """Strict dominance: equal category keys, different coords, and no coord of ``s`` smaller."""
-    return s[0] == t[0] and s[1] != t[1] and all(map(ge, s[1], t[1]))
+    """Strict dominance of one coordinate row over another: different, and no coordinate of ``s`` smaller."""
+    return s != t and all(map(ge, s, t))
+
+
+def _front(rows: list[tuple]) -> list[tuple]:
+    """The rows that no other row beats, out of distinct rows of one width and one label group."""
+    if len(rows) == 1:
+        return rows
+    width = len(rows[0])
+    if width == 1:
+        return [max(rows)]
+    # descending order puts every dominator before what it beats
+    rows.sort(reverse=True)
+    if width == 2:
+        # Kung, Luccio and Preparata's sweep: a row is beaten exactly when an
+        # earlier one has a second coordinate at least as large
+        front = [rows[0]]
+        for row in rows:
+            if row[1] > front[-1][1]:
+                front.append(row)
+        return front
+    # the top row is beaten by nothing left, and whatever it beats is out
+    front = []
+    while rows:
+        top = rows[0]
+        front.append(top)
+        rows = [row for row in rows[1:] if not _beats(top, row)]
+    return front
 
 
 def dominates(s: Alternative, t: Alternative, attrs: Iterable[int], task: DecisionTask) -> bool:
@@ -105,8 +150,8 @@ def dominates(s: Alternative, t: Alternative, attrs: Iterable[int], task: Decisi
     strictly better on at least one; any Incomparable or Worse attribute
     breaks dominance.
     """
-    vectors, (i, j) = _signed_vectors((s, t), attrs, task)
-    return _beats(vectors[i], vectors[j])
+    (s_row, t_row), n_labels = _rows((s, t), attrs, task)
+    return s_row[:n_labels] == t_row[:n_labels] and _beats(s_row[n_labels:], t_row[n_labels:])
 
 
 def dominant_set(
@@ -121,21 +166,23 @@ def dominant_set(
     most one) that strictly dominates every rival.  A lone candidate survives
     in both modes, and so do the repeats of a lone id.
     """
-    alts = [task.alternative(cid) for cid in candidates]
+    by_id = task._alternative_by_id
+    alts = [by_id[cid] for cid in candidates]
     if len(alts) < 2:
         return tuple(candidates)
     if mode is DominanceMode.GLOBAL:
         return _global_winner(alts, attrs, task)
-    vectors, which = _signed_vectors(alts, attrs, task)
-    # descending order puts every dominator first, and each dominated
-    # pair has an undominated dominator, so the window is enough
-    kept = [False] * len(vectors)
-    window: list[tuple] = []
-    for i in sorted(range(len(vectors)), key=vectors.__getitem__, reverse=True):
-        if not any(_beats(w, vectors[i]) for w in window):
-            window.append(vectors[i])
-            kept[i] = True
-    return tuple(cid for cid, i in zip(candidates, which) if kept[i])
+    rows, n_labels = _rows(alts, attrs, task)
+    distinct = set(rows)
+    if n_labels:
+        # rows with different labels never beat each other
+        groups: dict[tuple, list[tuple]] = {}
+        for row in distinct:
+            groups.setdefault(row[:n_labels], []).append(row[n_labels:])
+        kept = {labels + row for labels, group in groups.items() for row in _front(group)}
+    else:
+        kept = set(_front(list(distinct)))
+    return tuple(compress(candidates, map(kept.__contains__, rows)))
 
 
 def _global_winner(alts: list[Alternative], attrs: Iterable[int], task: DecisionTask) -> tuple[str, ...]:
@@ -144,17 +191,18 @@ def _global_winner(alts: list[Alternative], attrs: Iterable[int], task: Decision
     Columns are read in id order and each by its attribute's kind: a
     categorical one must hold a single label, and an ordered one must have a
     key whose signed coords are the componentwise maximum of the column's
-    (:func:`~ladderchoice.values.signed_coords` raises on a category there).
+    (:func:`_signed_column` raises on a value of another family there).
     """
+    by_id = task._by_id
     holders = alts
     for aid in sorted(attrs):
-        attr = task.attribute(aid)
+        attr = by_id[aid]
         keys = {alt.values[aid].key for alt in alts}
         if attr.kind == "categorical":
             if len(keys) > 1:
                 return ()  # two labels never beat each other
             continue
-        coords = {key: signed_coords(key, attr.polarity) for key in keys}
+        coords = _signed_column(keys, attr)
         if len(keys) > 1:
             # only the lexicographic maximum can be the componentwise one
             best = max(keys, key=coords.__getitem__)

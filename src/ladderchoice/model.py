@@ -266,19 +266,23 @@ class DominancePartition:
     """Dominance attributes grouped into importance levels, least important first.
 
     ``levels[0]`` is the least important group and ``levels[-1]`` the most
-    important one; the ladder search walks them top-down.  Disjointness across
-    levels is a task invariant checked by :func:`validate_task`.
+    important one; the ladder search walks them top-down.  Each level is a
+    list, tuple or set of integer attribute ids.  Disjointness across levels
+    is a task invariant checked by :func:`validate_task`.
     """
 
     levels: tuple[frozenset[int], ...]
 
     def __init__(self, levels) -> None:
-        raw = tuple(tuple(level) for level in levels)
-        for level in raw:
+        levels = tuple(levels)
+        for index, level in enumerate(levels, start=1):
+            if not isinstance(level, (list, tuple, set, frozenset)):
+                raise ValueError(f"level {index} must be a list of attribute ids, got {level!r}")
+        for level in levels:
             for aid in level:
                 if not _is_int(aid):
                     raise ValueError(f"partition entries must be integer attribute ids, got {aid!r}")
-        normalized = tuple(frozenset(level) for level in raw)
+        normalized = tuple(frozenset(level) for level in levels)
         if not normalized:
             raise ValueError("partition needs at least one level")
         if any(not level for level in normalized):
@@ -556,7 +560,18 @@ def validate_task(task: DecisionTask) -> list[Violation]:
         for aid, attr_kind, family, screened in cells:
             if aid not in values:
                 continue
-            key = values[aid].key
+            try:
+                key = values[aid].key
+            except AttributeError:
+                violations.append(
+                    Violation(
+                        "kind-mismatch",
+                        f"alternative {alt.id!r} carries {values[aid]!r}, not a value, on {attr_kind} attribute {aid}",
+                    )
+                )
+                if screened:
+                    complete = False
+                continue
             if key[0] != family:
                 violations.append(
                     Violation(

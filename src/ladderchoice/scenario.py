@@ -228,9 +228,6 @@ def parse_scenario(text: str) -> DecisionTask:
     _refuse_unknown_keys(dominance, _DOMINANCE_KEYS, "dominance")
     if not isinstance(levels, list):
         raise ScenarioError("schema", "dominance.levels must be a list of id lists")
-    for index, level in enumerate(levels, start=1):
-        if not isinstance(level, list):
-            raise ScenarioError("schema", f"dominance.levels: level {index} must be a list of attribute ids, got {level!r}")
     try:
         partition = DominancePartition(levels)
     except ValueError as exc:

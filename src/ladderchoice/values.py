@@ -12,8 +12,6 @@ order and which thresholds judge a value; the rest are the coordinates.
 
 from __future__ import annotations
 
-from operator import neg
-
 from .model import OP_FAMILY, AttributeValue, Threshold
 
 
@@ -28,7 +26,7 @@ def signed_coords(key: tuple, polarity: str) -> tuple:
     if polarity == "benefit":
         return key[1:]
     if polarity == "cost":
-        return tuple(map(neg, key[1:]))
+        return (-key[1], -key[2]) if len(key) == 3 else (-key[1],)
     raise ValueError(f"an ordered value needs cost/benefit polarity, got {polarity!r}")
 
 

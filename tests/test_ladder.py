@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import replace
 from itertools import combinations
+from operator import ge
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import tie_heavy_task
 from ladderchoice import ladder
@@ -29,7 +33,8 @@ from ladderchoice import (
     validate_task,
 )
 from ladderchoice.ladder import dominant_set, dominates, single_plan_gate
-from ladderchoice.oracle import brute_force_dominant, random_task
+from ladderchoice.oracle import _naive_dominates, brute_force_dominant, random_task
+from ladderchoice.values import signed_coords
 
 GLOBAL = DominanceMode.GLOBAL
 UNDOM = DominanceMode.UNDOMINATED
@@ -335,20 +340,14 @@ class TestLadderGuarantees:
 class TestComparisonCount:
     """Pairwise comparisons of a rung grow with its distinct value vectors, not with its ties.
 
-    GLOBAL reads column maxima and compares no pair; UNDOMINATED's window
-    pass stays within d squared.
+    GLOBAL reads column maxima and compares no pair.  UNDOMINATED compares
+    none on labels and on one or two coordinates, and stays within d squared
+    on more.
     """
 
-    @pytest.mark.parametrize("attrs", [{1, 2}, {3}], ids=["categorical", "ordinal"])
-    @pytest.mark.parametrize(
-        "mode, allowed", [(GLOBAL, lambda d: range(1)), (UNDOM, lambda d: range(1, d * d + 1))],
-        ids=["global", "undominated"],
-    )
-    def test_comparisons_bounded_by_distinct_vectors(self, attrs, mode, allowed, monkeypatch):
-        task = tie_heavy_task(21, 2000)
-        candidates = [a.id for a in task.alternatives]
-        distinct = {tuple(a.values[aid].key for aid in sorted(attrs)) for a in task.alternatives}
-        assert len(distinct) <= 25
+    @staticmethod
+    def count_beats(candidates, attrs, mode, task, monkeypatch):
+        """How many times ``dominant_set`` calls ``ladder._beats``."""
         calls = 0
         beats = ladder._beats
 
@@ -359,7 +358,25 @@ class TestComparisonCount:
 
         monkeypatch.setattr(ladder, "_beats", counting)
         dominant_set(candidates, attrs, mode, task)
-        assert calls in allowed(len(distinct))
+        return calls
+
+    @pytest.mark.parametrize("attrs", [{1, 2}, {3}], ids=["categorical", "ordinal"])
+    @pytest.mark.parametrize("mode", [GLOBAL, UNDOM], ids=["global", "undominated"])
+    def test_comparisons_bounded_by_distinct_vectors(self, attrs, mode, monkeypatch):
+        task = tie_heavy_task(21, 2000)
+        candidates = [a.id for a in task.alternatives]
+        distinct = {tuple(a.values[aid].key for aid in sorted(attrs)) for a in task.alternatives}
+        assert len(distinct) <= 25
+        assert self.count_beats(candidates, attrs, mode, task, monkeypatch) == 0
+
+    def test_three_coordinates_compare_within_distinct_vectors_squared(self, monkeypatch):
+        task = tie_heavy_task(21, 2000)
+        attrs = {3, 4, 5}  # an ordinal and two crisp columns, one coordinate each
+        candidates = [a.id for a in task.alternatives]
+        distinct = {tuple(a.values[aid].key for aid in sorted(attrs)) for a in task.alternatives}
+        calls = self.count_beats(candidates, attrs, UNDOM, task, monkeypatch)
+        assert 0 < calls <= len(distinct) ** 2
+        assert dominant_set(candidates, attrs, UNDOM, task) == brute_force_dominant(candidates, attrs, "undominated", task)
 
 
 def column_task(*columns):
@@ -493,3 +510,186 @@ class TestGlobalColumnMaxima:
             assert dominant_set(candidates, {1}, GLOBAL, broken) == ()
             assert dominant_set(candidates, {1}, UNDOM, broken) == tuple(candidates)
         assert not dominates(a, b, {1}, broken) and not dominates(b, a, {1}, broken)
+
+    def test_an_ordered_column_holding_another_family_raises(self):
+        # compared coordinate by coordinate, ordinal(3) would "beat" interval(1, 2) on a
+        # numeric column, because the comparison stops at the shorter of the two
+        for kind, values, stray in (
+            ("numeric", [interval(1, 2), ordinal(3), crisp(0)], "('o', 3)"),
+            ("ordinal", [ordinal(2), crisp(3), ordinal(1)], "('n', 3.0, 3.0)"),
+        ):
+            task = column_task((kind, "benefit", [ordinal(i + 1) if kind == "ordinal" else crisp(i) for i in range(3)]))
+            broken = self.with_column(task, values)
+            message = re.escape(f"{kind} attribute 1 cannot order a value of another family, {stray}")
+            everyone = [a.id for a in broken.alternatives]
+            for candidates in (everyone, everyone[::-1], everyone[:2]):
+                for mode in (GLOBAL, UNDOM):
+                    with pytest.raises(ValueError, match=message):
+                        dominant_set(candidates, {1}, mode, broken)
+            with pytest.raises(ValueError, match=message):
+                dominates(broken.alternatives[1], broken.alternatives[0], {1}, broken)
+
+
+def window_reference(candidates, attrs, task):
+    """UNDOMINATED as a Sort-Filter-Skyline window over ``(labels, signed coords)`` pairs, quadratic on an antichain.
+
+    Each candidate's pair is built cell by cell; the pairs are sorted in
+    descending order and each is compared with the window of undominated
+    pairs found so far.
+    """
+    columns = [task.attribute(aid) for aid in sorted(attrs)]
+    pairs = {}
+    for cid in candidates:
+        values = task.alternative(cid).values
+        labels, coords = [], []
+        for attr in columns:
+            key = values[attr.id].key
+            if attr.kind == "categorical":
+                labels.append(key)
+            else:
+                coords += signed_coords(key, attr.polarity)
+        pairs[cid] = (tuple(labels), tuple(coords))
+
+    def beats(s, t):
+        return s[0] == t[0] and s[1] != t[1] and all(map(ge, s[1], t[1]))
+
+    window = []
+    for pair in sorted(set(pairs.values()), reverse=True):
+        if not any(beats(w, pair) for w in window):
+            window.append(pair)
+    kept = set(window)
+    return tuple(cid for cid in candidates if pairs[cid] in kept)
+
+
+def trade_off(rng, n, spread):
+    """n points on the line x + y = spread, an antichain, with a quarter moved half a step along one axis.
+
+    Coordinates are halves, so rows repeat and a moved point ties on x or on
+    y with the points it beats or is beaten by.
+    """
+    xs = [rng.randint(0, 2 * spread) / 2 for _ in range(n)]
+    ys = [spread - x for x in xs]
+    for i in rng.sample(range(n), n // 4):
+        if rng.random() < 0.5:
+            xs[i] += rng.choice((-0.5, 0.5))
+        else:
+            ys[i] += rng.choice((-0.5, 0.5))
+    return xs, ys
+
+
+class TestUndominatedFront:
+    """UNDOMINATED on rungs that keep most of the field: label groups, and one, two and more coordinates."""
+
+    @staticmethod
+    def undominated_rung(task, candidates, attrs, reference, seed=0):
+        """UNDOMINATED's result on a shuffled copy of ``candidates`` with two repeats, checked against ``reference``."""
+        rng = random.Random(seed)
+        candidates = list(candidates)
+        rng.shuffle(candidates)
+        candidates += candidates[:2]
+        kept = dominant_set(candidates, attrs, UNDOM, task)
+        assert kept == reference(candidates, attrs, task)
+        return kept
+
+    @staticmethod
+    def oracle(candidates, attrs, task):
+        return brute_force_dominant(candidates, attrs, "undominated", task)
+
+    @pytest.mark.parametrize("polarity", ["benefit", "cost"])
+    def test_a_two_attribute_trade_off_against_the_oracle(self, polarity):
+        xs, ys = trade_off(random.Random(11), 400, 100)
+        sign = 1 if polarity == "benefit" else -1
+        task = column_task(
+            ("numeric", polarity, [crisp(sign * x) for x in xs]), ("numeric", polarity, [crisp(sign * y) for y in ys])
+        )
+        kept = self.undominated_rung(task, [a.id for a in task.alternatives], {1, 2}, self.oracle)
+        assert len(kept) > 200
+
+    def test_label_groups_intervals_and_at_least_against_the_oracle(self):
+        rng = random.Random(12)
+        n = 400
+        xs, ys = trade_off(rng, n, 60)
+        labels = [category(rng.choice(("red", "blue", "white"))) for _ in range(n)]
+        # a benefit column of intervals, degenerate ones among them, and a cost column of
+        # at_least and crisp values that rise with them
+        spans = [interval(x, x + rng.choice((0, 0, 1, 2))) for x in xs]
+        delays = [at_least(60 - y) if rng.random() < 0.5 else crisp(60 - y) for y in ys]
+        task = column_task(("categorical", "none", labels), ("numeric", "benefit", spans), ("numeric", "cost", delays))
+        everyone = [a.id for a in task.alternatives]
+        for attrs in ({1, 2}, {1, 3}, {2, 3}, {1, 2, 3}):
+            self.undominated_rung(task, everyone, attrs, self.oracle)
+
+    @pytest.mark.parametrize("polarity", ["benefit", "cost"])
+    def test_an_antichain_of_2000_against_the_window_pass(self, polarity):
+        rng = random.Random(13)
+        n = 2000
+        xs, ys = trade_off(rng, n, 1000)
+        labels = [category(rng.choice(("red", "blue"))) for _ in range(n)]
+        sign = 1 if polarity == "benefit" else -1
+        task = column_task(
+            ("numeric", polarity, [crisp(sign * x) for x in xs]),
+            ("numeric", polarity, [at_least(sign * y) if k % 3 else crisp(sign * y) for k, y in enumerate(ys)]),
+            ("categorical", "none", labels),
+        )
+        everyone = [a.id for a in task.alternatives]
+        assert len(self.undominated_rung(task, everyone, {1, 2, 3}, window_reference)) > 1000
+
+
+# one ordered column of each shape: "point" values give one coordinate, "wide" ones two
+ORDERED = {
+    "point": st.one_of(st.integers(0, 3).map(crisp), st.integers(0, 3).map(lambda x: interval(x, x))),
+    "wide": st.one_of(
+        st.integers(0, 3).map(at_least), st.tuples(st.integers(0, 3), st.integers(0, 2)).map(lambda p: interval(p[0], sum(p)))
+    ),
+    "ordinal": st.integers(1, 3).map(ordinal),
+}
+
+
+@st.composite
+def rung_columns(draw):
+    """Columns of a random rung, its attribute ids, and how many coordinates its rows have."""
+    n = draw(st.integers(2, 14))
+    columns = [
+        ("categorical", "none", draw(st.lists(st.sampled_from(["red", "blue"]).map(category), min_size=n, max_size=n)))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    width = 0
+    for shape in draw(st.lists(st.sampled_from(sorted(ORDERED)), max_size=4)):
+        values = draw(st.lists(ORDERED[shape], min_size=n, max_size=n))
+        if shape == "wide":
+            values[0] = at_least(0)  # one value that is not a point keeps both coordinates
+        kind = "ordinal" if shape == "ordinal" else "numeric"
+        columns.append((kind, draw(st.sampled_from(["benefit", "cost"])), values))
+        width += 2 if shape == "wide" else 1
+    if not columns:
+        columns.append(("categorical", "none", [category("red")] * n))
+    return columns, width
+
+
+class TestRungProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(rung_columns(), st.randoms(use_true_random=False))
+    def test_both_modes_and_dominates_match_the_oracle(self, drawn, rng):
+        columns, width = drawn
+        task = column_task(*columns)
+        attrs = set(range(1, len(columns) + 1))
+        candidates = [a.id for a in task.alternatives]
+        rng.shuffle(candidates)
+        rows, labels = ladder._rows([task.alternative(cid) for cid in candidates], attrs, task)
+        assert {len(row) - labels for row in rows} == {width}
+        for mode in (GLOBAL, UNDOM):
+            assert dominant_set(candidates, attrs, mode, task) == brute_force_dominant(candidates, attrs, mode.value, task)
+        s, t = task.alternatives[:2]
+        assert dominates(s, t, attrs, task) == _naive_dominates(s, t, attrs, task)
+        assert dominates(t, s, attrs, task) == _naive_dominates(t, s, attrs, task)
+
+    def test_the_columns_give_every_width(self):
+        widths = set()
+
+        @settings(max_examples=100, deadline=None, database=None)
+        @given(rung_columns())
+        def record(drawn):
+            widths.add(min(drawn[1], 3))
+
+        record()
+        assert widths == {0, 1, 2, 3}

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -145,6 +146,15 @@ class TestPartition:
             DominancePartition([])
         with pytest.raises(ValueError):
             DominancePartition([[1], []])
+
+    @pytest.mark.parametrize("level", ["ab", {"1": 2}, 7], ids=["string", "dict", "int"])
+    def test_a_level_must_be_a_collection_of_ids(self, level):
+        with pytest.raises(ValueError, match=f"^level 2 must be a list of attribute ids, got {re.escape(repr(level))}$"):
+            DominancePartition([[1], level])
+
+    def test_a_level_may_be_any_list_tuple_or_set(self):
+        p = DominancePartition([[1], (2,), {3}, frozenset({4})])
+        assert p.levels == (frozenset({1}), frozenset({2}), frozenset({3}), frozenset({4}))
 
     def test_level_indexing_least_first(self):
         p = DominancePartition([[1, 2], [3]])
@@ -315,6 +325,27 @@ class TestValidateTask:
             )
         )
         assert any(v.code == "kind-mismatch" for v in validate_task(task))
+
+    def test_a_cell_holding_no_value_is_a_kind_mismatch(self):
+        # twins holding None on a screened attribute are kept out of the duplicate
+        # screen; on attribute 3, which no screen reads, they are still compared
+        task = make_task(
+            attributes=(*make_task().attributes, Attribute(3, "extra", "numeric", "cost")),
+            alternatives=(
+                Alternative("a", {1: None, 2: ordinal(4), 3: crisp(1)}),
+                Alternative("b", {1: None, 2: ordinal(4), 3: crisp(1)}),
+                Alternative("c", {1: crisp(5), 2: ordinal(4), 3: None}),
+                Alternative("d", {1: crisp(5), 2: ordinal(4), 3: None}),
+            ),
+        )
+        assert [str(v) for v in validate_task(task)] == [
+            "coverage: attribute id(s) [3] belong to neither the basic set nor the partition",
+            "kind-mismatch: alternative 'a' carries None, not a value, on numeric attribute 1",
+            "kind-mismatch: alternative 'b' carries None, not a value, on numeric attribute 1",
+            "kind-mismatch: alternative 'c' carries None, not a value, on numeric attribute 3",
+            "kind-mismatch: alternative 'd' carries None, not a value, on numeric attribute 3",
+            "duplicate-alternative: alternatives 'c' and 'd' are completely equal on every screened attribute",
+        ]
 
     def test_aspiration_restricted_to_top_level(self):
         task = make_task(aspiration=(Threshold(1, "max", 10),))

@@ -1,7 +1,8 @@
 """Ordering semantics: pinned examples plus hypothesis property suites.
 
-Value order is asserted on the code that decides: :func:`ladder._beats` over
-the one-value pairs a ladder rung builds from :func:`signed_coords`.
+Value order is asserted on the code that decides: :func:`ladder.dominates` on
+a task of one attribute, whose rows a ladder rung builds from
+:func:`signed_coords`.
 """
 
 from __future__ import annotations
@@ -10,7 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ladderchoice import Threshold, at_least, category, crisp, interval, ladder, ordinal
+from ladderchoice import (
+    Alternative,
+    Attribute,
+    DecisionTask,
+    DominancePartition,
+    Threshold,
+    at_least,
+    category,
+    crisp,
+    interval,
+    ladder,
+    ordinal,
+)
 from ladderchoice.model import label_level
 from ladderchoice.oracle import _naive_strictly_better, _naive_weakly_better
 from ladderchoice.values import satisfies_threshold, signed_coords
@@ -45,12 +58,20 @@ def same_family_pair(draw):
 
 
 def pair(value, polarity):
-    """The (category keys, signed coords) pair a rung builds for a lone value."""
+    """A lone value's (category keys, signed coords): a rung gives two values one row exactly when these are equal."""
     return ((value.key,), ()) if value.key[0] == "c" else ((), signed_coords(value.key, polarity))
 
 
+FAMILY_KIND = {"n": "numeric", "o": "ordinal", "c": "categorical"}
+
+
 def beats(a, b, polarity):
-    return ladder._beats(pair(a, polarity), pair(b, polarity))
+    """Whether ``a`` strictly dominates ``b`` on a lone attribute of their family, a category's polarity being none."""
+    kind = FAMILY_KIND[a.key[0]]
+    attr = Attribute(1, "x", kind, "none" if kind == "categorical" else polarity)
+    s, t = Alternative("a", {1: a}), Alternative("b", {1: b})
+    task = DecisionTask("values", (attr,), frozenset(), (), DominancePartition([[1]]), (s, t))
+    return ladder.dominates(s, t, {1}, task)
 
 
 class TestCompareExamples:
