@@ -11,6 +11,7 @@ from ladderchoice import baselines, compare_theories, psp
 from ladderchoice.baselines import (
     Lottery,
     PtParams,
+    TheoryRow,
     UnsupportedLotteryError,
     compatibility_screen,
     cpt_evaluate,
@@ -129,6 +130,12 @@ class TestRiskMinimizingProxy:
             ),
         )
         assert pt_proxy_choose(flattened, 5).status == "undecidable"
+
+    def test_no_alternatives_is_undecidable(self, case1):
+        from dataclasses import replace
+
+        empty = replace(case1, alternatives=())
+        assert pt_proxy_choose(empty, 5) == TheoryRow("pt", "undecidable", detail="no alternatives")
 
     def test_designation_must_be_a_cost(self, case1):
         with pytest.raises(ValueError):

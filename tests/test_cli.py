@@ -126,6 +126,20 @@ class TestDecide:
         assert code == 1
         assert "duplicate-alternative" in err
 
+    def test_an_interval_value_prints_as_its_bounds(self, capsys, tmp_path):
+        doc = json.loads(DEADLOCK)
+        doc["basic"]["thresholds"]["1"] = {"max": 35.5}
+        doc["alternatives"][1]["values"]["1"] = {"interval": [40.5, 50]}
+        path = tmp_path / "interval.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, _ = run(capsys, "decide", str(path))
+        assert code == 0
+        assert out.splitlines() == [
+            "eliminated b | attribute 1 | max 35.5 | value [40.5,50]",
+            "feasible [a]",
+            "Chosen: a",
+        ]
+
     def test_missing_file_exit_code(self, capsys):
         code, _, err = run(capsys, "decide", "no-such-file.json")
         assert code == 1
@@ -238,6 +252,13 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(DATA / "partition_overlap.json"))
         assert code == 1
         assert "4" in err and "invariant" in err
+
+    def test_a_missing_file_is_named(self, capsys, tmp_path):
+        missing = tmp_path / "absent.json"
+        code, out, err = run(capsys, "validate", CASE1, str(missing))
+        assert code == 1
+        assert out == f"{CASE1}: ok\n"
+        assert err == f"{missing}: error: file not found\n"
 
     def test_one_bad_file_fails_the_batch(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

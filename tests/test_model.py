@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import random
 import re
 
@@ -17,6 +18,7 @@ from ladderchoice import (
     DecisionTask,
     DominancePartition,
     Threshold,
+    Verdict,
     at_least,
     category,
     crisp,
@@ -24,6 +26,7 @@ from ladderchoice import (
     ordinal,
     validate_task,
 )
+from ladderchoice.model import LadderOutcome
 from ladderchoice.oracle import random_task
 from ladderchoice.values import satisfies_threshold
 
@@ -78,6 +81,11 @@ class TestValueConstruction:
         with pytest.raises(ValueError):
             category("")
 
+    @pytest.mark.parametrize("lo,hi", [(0, math.inf), (-math.inf, 0), (0, math.nan)], ids=["inf", "-inf", "nan"])
+    def test_interval_bounds_must_be_finite(self, lo, hi):
+        with pytest.raises(ValueError, match=r"^interval bounds must be finite$"):
+            interval(lo, hi)
+
     def test_crisp_bounds_are_degenerate(self):
         assert crisp(40).key == ("n", 40.0, 40.0)
 
@@ -130,6 +138,16 @@ class TestAttributeAndThreshold:
         with pytest.raises(ValueError):
             Threshold(1, "allowed", set())
 
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match=r"^unknown attribute kind 'text'$"):
+            Attribute(1, "x", "text", "cost")
+
+    @pytest.mark.parametrize("op", ["max", "min"])
+    @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_a_numeric_bound_must_be_finite(self, op, bound):
+        with pytest.raises(ValueError, match=rf"^{op} threshold needs a finite numeric bound$"):
+            Threshold(1, op, bound)
+
     def test_extended_label_levels_checked(self):
         with pytest.raises(ValueError):
             Attribute(1, "mood", "ordinal", "benefit", labels={"meh": 7})
@@ -138,6 +156,52 @@ class TestAttributeAndThreshold:
     def test_only_an_ordinal_attribute_declares_labels(self, kind, polarity):
         with pytest.raises(ValueError, match=rf"attribute 1 \({kind}\) cannot declare labels; only an ordinal attribute can"):
             Attribute(1, "mood", kind, polarity, labels={"meh": 3})
+
+
+# (value, its text): integral numbers print without '.0', fractional ones as they are
+RENDERED_VALUES = [
+    (crisp(5), "5"),
+    (crisp(2.5), "2.5"),
+    (interval(1, 4), "[1,4]"),
+    (interval(0.5, 3.25), "[0.5,3.25]"),
+    (at_least(3), ">=3"),
+    (at_least(3.75), ">=3.75"),
+    (ordinal(4), "ordinal(4)"),
+    (ordinal("low"), "ordinal(2)"),
+    (category("white"), "category(white)"),
+]
+
+# (threshold, its text): an allowed bound prints its labels sorted
+RENDERED_THRESHOLDS = [
+    (Threshold(1, "max", 50), "max 50"),
+    (Threshold(1, "max", 49.5), "max 49.5"),
+    (Threshold(1, "min", 3), "min 3"),
+    (Threshold(1, "min", 0.25), "min 0.25"),
+    (Threshold(1, "min_level", 3), "min_level 3"),
+    (Threshold(1, "max_level", 2), "max_level 2"),
+    (Threshold(1, "allowed", ["white", "black", "red"]), "allowed {black,red,white}"),
+]
+
+
+class TestRendering:
+    @pytest.mark.parametrize("value,text", RENDERED_VALUES, ids=[text for _, text in RENDERED_VALUES])
+    def test_value(self, value, text):
+        assert str(value) == text
+
+    @pytest.mark.parametrize("threshold,text", RENDERED_THRESHOLDS, ids=[text for _, text in RENDERED_THRESHOLDS])
+    def test_threshold(self, threshold, text):
+        assert str(threshold) == text
+
+
+class TestLadderOutcome:
+    @pytest.mark.parametrize(
+        "verdict,chosen",
+        [(Verdict.CHOSEN, None), (Verdict.ABSTAIN, "a"), (Verdict.REPARTITION, "a"), (Verdict.NO_UNIQUE_CHOICE, "a")],
+        ids=["chosen-without-id", "abstain-with-id", "repartition-with-id", "no-unique-choice-with-id"],
+    )
+    def test_an_id_exactly_when_chosen(self, verdict, chosen):
+        with pytest.raises(ValueError, match=r"^chosen id is set exactly when the verdict is Chosen$"):
+            LadderOutcome(verdict, chosen)
 
 
 class TestPartition:
@@ -269,6 +333,12 @@ class TestValidateTask:
         assert any(v.code == "threshold-coverage" for v in validate_task(missing))
         extra = make_task(thresholds=(Threshold(1, "max", 100), Threshold(2, "min_level", 2)))
         assert any(v.code == "threshold-coverage" for v in validate_task(extra))
+
+    def test_two_thresholds_on_one_attribute_flagged(self):
+        task = make_task(thresholds=(Threshold(1, "max", 100), Threshold(1, "max", 50)))
+        assert [str(v) for v in validate_task(task)] == [
+            "threshold-coverage: multiple thresholds for attribute(s) [1]"
+        ]
 
     def test_threshold_kind_mismatch_flagged(self):
         task = make_task(thresholds=(Threshold(1, "min_level", 3),))

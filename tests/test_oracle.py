@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 
@@ -10,7 +11,7 @@ import pytest
 from conftest import TIE_PARTITIONS, tie_heavy_task
 from ladderchoice import DominanceMode, Verdict, decide_task, psp, serialize_task, validate_task
 from ladderchoice.ladder import dominant_set
-from ladderchoice.oracle import brute_force_dominant, brute_force_lt, random_task
+from ladderchoice.oracle import _random_threshold, brute_force_dominant, brute_force_lt, random_task
 
 # sha256 over serialize_task of the tasks `batch --seed 7 --count 1000` draws, then of
 # random_task(seed, 4, 5, 2, total_order_only=True) for seeds 0..49: the generator's
@@ -103,6 +104,36 @@ class TestBruteForce:
             for mode in DominanceMode:
                 _, outcome = decide_task(task, mode)
                 assert (outcome.verdict.value, outcome.chosen) == brute_force_lt(task, mode.value)
+
+
+def aspired_task(seed: int):
+    """A task of 1-3 alternatives from :func:`random_task`, given an aspiration block on its top level.
+
+    The sizes and the aspiration come from a stream of their own, so the
+    generator's stream is untouched.
+    """
+    rng = random.Random(seed ^ 0xA5)
+    task = random_task(
+        seed, n_alternatives=rng.randint(1, 3), n_attributes=rng.randint(1, 4), n_levels=rng.randint(1, 3)
+    )
+    top = sorted(task.partition.levels[-1])
+    aspired = rng.sample(top, k=rng.randint(1, len(top)))
+    return dataclasses.replace(task, aspiration=tuple(_random_threshold(rng, task.attribute(aid)) for aid in aspired))
+
+
+class TestAspirationGate:
+    def test_agrees_with_the_reference(self):
+        gated = set()
+        for seed in range(300):
+            task = aspired_task(seed)
+            assert validate_task(task) == []
+            for mode in DominanceMode:
+                sifted, outcome = decide_task(task, mode)
+                assert (outcome.verdict.value, outcome.chosen) == brute_force_lt(task, mode.value), (seed, mode)
+                if len(sifted.feasible) == 1:
+                    gated.add(outcome.verdict)
+        # the gate both lets a sole survivor through and holds one back
+        assert gated == {Verdict.CHOSEN, Verdict.ABSTAIN}
 
 
 # (n_alternatives, n_attributes, n_levels, seeds): few trials at large n, where the

@@ -127,6 +127,49 @@ class TestRejections:
         assert excinfo.value.line == 2
         assert excinfo.value.column is not None
 
+    @pytest.mark.parametrize("text", ["[]", "5", '"case1"', "null"], ids=["list", "number", "string", "null"])
+    def test_a_scenario_must_be_an_object(self, text, tmp_path, capsys):
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario(text)
+        assert str(excinfo.value) == "schema: scenario must be a JSON object"
+        scenario = tmp_path / "not_an_object.json"
+        scenario.write_text(text, encoding="utf-8")
+        assert main(["validate", str(scenario)]) == 1
+        assert capsys.readouterr().err == f"{scenario}: schema: scenario must be a JSON object\n"
+
+    # (path into case1's document, replacement, whole message): a container or a bound of the wrong shape
+    SHAPES = [
+        (("attributes",), [], "schema: attributes must be a non-empty list"),
+        (("attributes",), {"1": {"name": "x"}}, "schema: attributes must be a non-empty list"),
+        (("attributes", 0), {"id": 1, "kind": "numeric", "polarity": "cost"}, "schema: attribute 1 is missing required key 'name'"),
+        (("attributes", 0), {"id": 1, "name": "t", "polarity": "cost"}, "schema: attribute 1 is missing required key 'kind'"),
+        (("attributes", 0), {"id": 1, "name": "t", "kind": "numeric"}, "schema: attribute 1 is missing required key 'polarity'"),
+        (("attributes", 0, "kind"), "text", "schema: attribute 1: unknown attribute kind 'text'"),
+        (("attributes", 3, "labels"), ["meh"], "schema: attribute 4: labels must map label -> level"),
+        (("attributes", 3, "labels"), 5, "schema: attribute 4: labels must map label -> level"),
+        (("basic", "ids"), 5, "schema: basic.ids must be a list of attribute ids"),
+        (("basic", "thresholds"), [], "schema: basic.thresholds must map attribute ids to predicates"),
+        (("aspiration",), [{"4": {"min_level": 3}}], "schema: aspiration must map attribute ids to predicates"),
+        (("basic", "thresholds", "1"), {"max": math.inf}, "value: basic.thresholds[1]: max threshold needs a finite numeric bound"),
+        (("aspiration",), {"1": {"min": -math.inf}}, "value: aspiration[1]: min threshold needs a finite numeric bound"),
+        (("dominance", "levels"), {"1": [1]}, "schema: dominance.levels must be a list of id lists"),
+        (("alternatives",), {"m1": {}}, "schema: alternatives must be a list"),
+        (("alternatives", 0, "values"), [40, 50], "schema: alternative 'm1': values must map attribute ids"),
+        (("alternatives", 0, "values", "1"), {"interval": [40, math.inf]}, "value: alternative 'm1', attribute 1: interval bounds must be finite"),
+    ]
+
+    @pytest.mark.parametrize(
+        "path,replacement,message",
+        SHAPES,
+        ids=["empty-attributes", "object-attributes", "no-name", "no-kind", "no-polarity", "unknown-kind",
+             "list-labels", "number-labels", "number-basic-ids", "list-thresholds", "list-aspiration",
+             "infinite-max", "infinite-min", "object-levels", "object-alternatives", "list-values",
+             "infinite-interval"],
+    )
+    def test_a_misshapen_entry_is_named(self, path, replacement, message, tmp_path, capsys):
+        error = assert_case1_refused(path, replacement, tmp_path, capsys)
+        assert str(error) == message
+
     def test_all_violations_reported_together(self):
         text = (DATA / "def2_duplicate.json").read_text(encoding="utf-8")
         with pytest.raises(ScenarioError) as excinfo:
