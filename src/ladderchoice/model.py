@@ -23,7 +23,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import combinations
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 ORDINAL_LABELS = ("very_low", "low", "moderate", "high", "very_high")
 ORDINAL_LEVELS = {label: i + 1 for i, label in enumerate(ORDINAL_LABELS)}
@@ -50,6 +50,14 @@ def label_level(label: str, extra_labels: Optional[dict[str, int]] = None) -> in
     if label not in ORDINAL_LEVELS:
         raise ValueError(f"unknown ordinal label {label!r}")
     return ORDINAL_LEVELS[label]
+
+
+def first_by_id(records: Iterable) -> dict:
+    """Each record under its ``id``, in declaration order; where an id is declared twice, the first declaration wins."""
+    index: dict = {}
+    for record in records:
+        index.setdefault(record.id, record)
+    return index
 
 
 def _refuse_changes(cls: type) -> type:
@@ -200,6 +208,8 @@ class Attribute:
     labels: Optional[dict[str, int]] = None  # extra ordinal labels -> level, beyond the built-in five
 
     def __post_init__(self) -> None:
+        if self.labels is not None and not isinstance(self.labels, dict):
+            raise ValueError("labels must map label -> level")
         if not _is_int(self.id) or self.id <= 0:
             raise ValueError(f"attribute id must be a positive integer, got {self.id!r}")
         if not isinstance(self.name, str):
@@ -248,12 +258,11 @@ class Threshold:
             if not _is_level(self.bound):
                 raise ValueError(f"{self.op} threshold needs a level in 1..5, got {self.bound!r}")
         else:
-            if isinstance(self.bound, (str, dict)):
+            if not isinstance(self.bound, (list, tuple, set, frozenset)):
                 raise ValueError(f"allowed threshold needs a list of labels, got {self.bound!r}")
-            labels = frozenset(self.bound)
-            if not labels or not all(isinstance(lab, str) for lab in labels):
+            if not self.bound or not all(isinstance(lab, str) for lab in self.bound):
                 raise ValueError("allowed threshold needs a non-empty set of labels")
-            object.__setattr__(self, "bound", labels)
+            object.__setattr__(self, "bound", frozenset(self.bound))
 
     def __str__(self) -> str:
         if self.op == "allowed":
@@ -362,7 +371,7 @@ class DecisionTask:
 
     @cached_property
     def _by_id(self) -> dict[int, Attribute]:
-        return {a.id: a for a in reversed(self.attributes)}  # the first declaration wins
+        return first_by_id(self.attributes)
 
     def attribute(self, attribute_id: int) -> Attribute:
         return self._by_id[attribute_id]
@@ -372,10 +381,7 @@ class DecisionTask:
 
     @cached_property
     def _alternative_by_id(self) -> dict[str, Alternative]:
-        index: dict[str, Alternative] = {}
-        for alt in self.alternatives:
-            index.setdefault(alt.id, alt)
-        return index
+        return first_by_id(self.alternatives)
 
     def alternative(self, alt_id: str) -> Alternative:
         """The first alternative with this id; ``KeyError`` if there is none."""

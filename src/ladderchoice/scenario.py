@@ -56,6 +56,7 @@ from .model import (
     at_least,
     category,
     crisp,
+    first_by_id,
     interval,
     label_level,
     ordinal,
@@ -132,48 +133,35 @@ def _parse_attribute(raw: Any) -> Attribute:
         _refuse_unknown_keys(raw, _ATTRIBUTE_KEYS, context)
         for key in ("name", "kind", "polarity"):
             _require(raw, key, context)
-    labels = raw.get("labels")
-    if labels is not None and not isinstance(labels, dict):
-        raise ScenarioError("schema", f"attribute {aid}: labels must map label -> level")
     try:
-        return Attribute(aid, raw["name"], raw["kind"], raw["polarity"], raw.get("unit"), labels)
+        return Attribute(aid, raw["name"], raw["kind"], raw["polarity"], raw.get("unit"), raw.get("labels"))
     except ValueError as exc:
         raise ScenarioError("schema", f"attribute {aid}: {exc}") from exc
 
 
-def _parse_value(raw: Any, attribute: Optional[Attribute]) -> AttributeValue:
-    """One encoded value; raises ``ValueError`` or ``TypeError`` when it is malformed."""
-    if isinstance(raw, (int, float)):
-        return crisp(raw)
-    if isinstance(raw, dict) and len(raw) == 1:
-        ((tag, payload),) = raw.items()
-        if tag == "interval":
-            if not isinstance(payload, list) or len(payload) != 2:
-                raise ValueError(f"interval needs a list of two bounds, got {payload!r}")
-            return interval(*payload)
-        if tag == "at_least":
-            return at_least(payload)
-        if tag == "ordinal":
-            if isinstance(payload, str):
-                extras = attribute.labels if attribute is not None else None
-                return ordinal(label_level(payload, extras))
-            return ordinal(payload)
-        if tag == "category":
-            return category(payload)
-        raise ValueError(f"unknown value tag {tag!r}")
-    raise ValueError(f"unrecognized value encoding {raw!r}")
+def _parse_value(tag: Optional[str], payload: Any, attribute: Optional[Attribute]) -> AttributeValue:
+    """The value a cell holds as ``{tag: payload}``, or as a bare ``payload`` when ``tag`` is None.
 
-
-def _parse_threshold(raw: Any, key: str, context: str) -> Threshold:
-    """The threshold under ``key`` of the map ``context``."""
-    attribute_id = _attribute_id(key, context)
-    if not isinstance(raw, dict) or len(raw) != 1:
-        raise ScenarioError("schema", f"{context}[{key}]: threshold must be a single-predicate object")
-    ((op, bound),) = raw.items()
-    try:
-        return Threshold(attribute_id, op, bound)
-    except (ValueError, TypeError) as exc:
-        raise ScenarioError("value", f"{context}[{key}]: {exc}") from exc
+    Raises ``ValueError`` when it is malformed.
+    """
+    if tag is None:
+        if isinstance(payload, (int, float)):
+            return crisp(payload)
+        raise ValueError(f"unrecognized value encoding {payload!r}")
+    if tag == "interval":
+        if not isinstance(payload, list) or len(payload) != 2:
+            raise ValueError(f"interval needs a list of two bounds, got {payload!r}")
+        return interval(*payload)
+    if tag == "at_least":
+        return at_least(payload)
+    if tag == "ordinal":
+        if isinstance(payload, str):
+            extras = attribute.labels if attribute is not None else None
+            return ordinal(label_level(payload, extras))
+        return ordinal(payload)
+    if tag == "category":
+        return category(payload)
+    raise ValueError(f"unknown value tag {tag!r}")
 
 
 def _attribute_id(key: str, context: str) -> int:
@@ -190,7 +178,17 @@ def _attribute_id(key: str, context: str) -> int:
 def _parse_threshold_map(raw: Any, context: str) -> list[Threshold]:
     if not isinstance(raw, dict):
         raise ScenarioError("schema", f"{context} must map attribute ids to predicates")
-    return [_parse_threshold(raw[key], key, context) for key in raw]
+    thresholds = []
+    for key, predicate in raw.items():
+        attribute_id = _attribute_id(key, context)
+        if not isinstance(predicate, dict) or len(predicate) != 1:
+            raise ScenarioError("schema", f"{context}[{key}]: threshold must be a single-predicate object")
+        ((op, bound),) = predicate.items()
+        try:
+            thresholds.append(Threshold(attribute_id, op, bound))
+        except ValueError as exc:
+            raise ScenarioError("value", f"{context}[{key}]: {exc}") from exc
+    return thresholds
 
 
 def parse_scenario(text: str) -> DecisionTask:
@@ -212,9 +210,7 @@ def parse_scenario(text: str) -> DecisionTask:
     if not isinstance(raw_attributes, list) or not raw_attributes:
         raise ScenarioError("schema", "attributes must be a non-empty list")
     attributes = [_parse_attribute(raw) for raw in raw_attributes]
-    by_id = {}
-    for attr in attributes:
-        by_id.setdefault(attr.id, attr)
+    by_id = first_by_id(attributes)
 
     basic = _require(doc, "basic", "scenario")
     basic_ids = _require(basic, "ids", "basic")
@@ -260,19 +256,19 @@ def parse_scenario(text: str) -> DecisionTask:
             aid, interned = column
             # the intern key of the module docstring
             kind = type(payload)
+            tag = None
             if kind is int:
                 token = payload
             else:
-                tag, inner = None, payload
                 if kind is dict and len(payload) == 1:
-                    ((tag, inner),) = payload.items()
-                    kind = type(inner)
-                token = (tag, kind, inner) if kind is str or kind is int or (kind is float and inner != 0.0) else None
+                    ((tag, payload),) = payload.items()
+                    kind = type(payload)
+                token = (tag, kind, payload) if kind is str or kind is int or (kind is float and payload != 0.0) else None
             value = interned.get(token)
             if value is None:
                 try:
-                    value = _parse_value(payload, by_id.get(aid))
-                except (ValueError, TypeError) as exc:
+                    value = _parse_value(tag, payload, by_id.get(aid))
+                except ValueError as exc:
                     raise ScenarioError("value", f"alternative {alt_id!r}, attribute {aid}: {exc}") from exc
                 if token is not None:
                     interned[token] = value

@@ -148,6 +148,21 @@ class TestAttributeAndThreshold:
         with pytest.raises(ValueError, match=rf"^{op} threshold needs a finite numeric bound$"):
             Threshold(1, op, bound)
 
+    @pytest.mark.parametrize("bound", [5, None, 2.5, "white", {"white": 1}], ids=["int", "none", "float", "string", "dict"])
+    def test_an_allowed_bound_must_be_a_collection(self, bound):
+        with pytest.raises(ValueError, match=rf"^allowed threshold needs a list of labels, got {re.escape(repr(bound))}$"):
+            Threshold(1, "allowed", bound)
+
+    @pytest.mark.parametrize("bound", [[["white"]], ("white", 1), set()], ids=["nested-list", "number-label", "empty"])
+    def test_allowed_labels_must_be_strings(self, bound):
+        with pytest.raises(ValueError, match=r"^allowed threshold needs a non-empty set of labels$"):
+            Threshold(1, "allowed", bound)
+
+    @pytest.mark.parametrize("labels", [5, ["meh"], "meh"], ids=["int", "list", "string"])
+    def test_labels_must_be_a_map(self, labels):
+        with pytest.raises(ValueError, match=r"^labels must map label -> level$"):
+            Attribute(1, "mood", "ordinal", "benefit", labels=labels)
+
     def test_extended_label_levels_checked(self):
         with pytest.raises(ValueError):
             Attribute(1, "mood", "ordinal", "benefit", labels={"meh": 7})

@@ -263,6 +263,10 @@ class TestRejections:
         with pytest.raises(ScenarioError) as excinfo:
             parse_scenario(json.dumps(doc))
         assert excinfo.value.category == "value"
+        if isinstance(bound, list):
+            assert str(excinfo.value) == "value: basic.thresholds[3]: allowed threshold needs a non-empty set of labels"
+        else:
+            assert str(excinfo.value) == f"value: basic.thresholds[3]: allowed threshold needs a list of labels, got {bound!r}"
         scenario = tmp_path / "mutated.json"
         scenario.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["validate", str(scenario)]) == 1
