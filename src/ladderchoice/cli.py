@@ -23,7 +23,7 @@ from typing import Callable, NoReturn, Optional
 
 from .ladder import DominanceMode, decide_task
 from .model import DecisionTask, Verdict
-from .scenario import ScenarioError, decision_to_json, level_line, parse_scenario
+from .scenario import ScenarioError, decision_to_json, level_line, parse_scenario, violation_category
 
 _VERDICT_EXIT = {
     Verdict.CHOSEN: 0,
@@ -111,7 +111,7 @@ def cmd_validate(paths: list[str]) -> int:
             ok = False
             if exc.violations:
                 for violation in exc.violations:
-                    print(f"{path}: {exc.category}: {violation}", file=sys.stderr)
+                    print(f"{path}: {violation_category(violation)}: {violation}", file=sys.stderr)
             else:
                 print(f"{path}: {exc}", file=sys.stderr)
         else:

@@ -83,6 +83,11 @@ _VIOLATION_CATEGORY = {
 }
 
 
+def violation_category(violation: Violation) -> str:
+    """The error category of one validator finding."""
+    return _VIOLATION_CATEGORY.get(violation.code, "invariant")
+
+
 class ScenarioError(Exception):
     """Rejected scenario text, with a stable category and optional position."""
 
@@ -292,9 +297,8 @@ def parse_scenario(text: str) -> DecisionTask:
         raise ScenarioError("schema", f"scenario: {exc}") from exc
     violations = validate_task(task)
     if violations:
-        first = _VIOLATION_CATEGORY.get(violations[0].code, "invariant")
         raise ScenarioError(
-            first,
+            violation_category(violations[0]),
             "; ".join(str(v) for v in violations),
             violations=tuple(violations),
         )

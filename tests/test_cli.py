@@ -253,6 +253,20 @@ class TestValidate:
         assert code == 1
         assert "4" in err and "invariant" in err
 
+    def test_each_finding_carries_its_own_category(self, capsys, tmp_path):
+        doc = json.loads(fixture_path("case1").read_text(encoding="utf-8"))
+        doc["attributes"].append(dict(doc["attributes"][0]))
+        doc["alternatives"][0]["values"]["99"] = 5
+        path = tmp_path / "two_kinds.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            f"{path}: duplicate-id: duplicate-attribute-id: attribute id 1 declared twice",
+            f"{path}: unknown-reference: unknown-reference: alternative 'm1' has value(s) for undeclared attribute(s) [99]",
+        ]
+
     def test_a_missing_file_is_named(self, capsys, tmp_path):
         missing = tmp_path / "absent.json"
         code, out, err = run(capsys, "validate", CASE1, str(missing))
