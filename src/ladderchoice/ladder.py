@@ -68,6 +68,11 @@ class DominanceMode(Enum):
     UNDOMINATED = "undominated"
 
 
+def _mode(mode: object) -> DominanceMode:
+    """``mode`` as a :class:`DominanceMode`: a member or its value; anything else is a ``ValueError``."""
+    return mode if type(mode) is DominanceMode else DominanceMode(mode)
+
+
 def _signed_column(keys: Iterable[tuple], attr: Attribute) -> dict[tuple, tuple]:
     """Each distinct value key of an ordered column -> its signed coords.
 
@@ -164,8 +169,10 @@ def dominant_set(
 
     UNDOMINATED keeps ids no rival strictly dominates; GLOBAL keeps the id (at
     most one) that strictly dominates every rival.  A lone candidate survives
-    in both modes, and so do the repeats of a lone id.
+    in both modes, and so do the repeats of a lone id.  ``mode`` may also be
+    a mode's value, ``"global"`` or ``"undominated"``.
     """
+    mode = _mode(mode)
     by_id = task._alternative_by_id
     alts = [by_id[cid] for cid in candidates]
     if len(alts) < 2:
@@ -240,8 +247,9 @@ def lsp(
     Empty input abstains outright; a single candidate goes through
     :func:`single_plan_gate`.  Otherwise levels are visited from most to
     least important, each filtering the current survivor set, so the trace
-    never exceeds the level count.
+    never exceeds the level count.  ``mode`` may also be a mode's value.
     """
+    mode = _mode(mode)
     if not feasible:
         return LadderOutcome(Verdict.ABSTAIN)
     if len(feasible) == 1:

@@ -52,6 +52,17 @@ def label_level(label: str, extra_labels: Optional[dict[str, int]] = None) -> in
     return ORDINAL_LEVELS[label]
 
 
+# what a field of ids, levels, labels or records may be given as
+_COLLECTIONS = (list, tuple, set, frozenset)
+
+
+def _collection(items: object, what: str) -> tuple:
+    """``items`` as a tuple; anything but a list, tuple or set is a ``ValueError`` naming ``what``."""
+    if not isinstance(items, _COLLECTIONS):
+        raise ValueError(f"{what} must be a list, tuple or set, got {items!r}")
+    return tuple(items)
+
+
 def first_by_id(records: Iterable) -> dict:
     """Each record under its ``id``, in declaration order; where an id is declared twice, the first declaration wins."""
     index: dict = {}
@@ -258,7 +269,7 @@ class Threshold:
             if not _is_level(self.bound):
                 raise ValueError(f"{self.op} threshold needs a level in 1..5, got {self.bound!r}")
         else:
-            if not isinstance(self.bound, (list, tuple, set, frozenset)):
+            if not isinstance(self.bound, _COLLECTIONS):
                 raise ValueError(f"allowed threshold needs a list of labels, got {self.bound!r}")
             if not self.bound or not all(isinstance(lab, str) for lab in self.bound):
                 raise ValueError("allowed threshold needs a non-empty set of labels")
@@ -283,9 +294,9 @@ class DominancePartition:
     levels: tuple[frozenset[int], ...]
 
     def __init__(self, levels) -> None:
-        levels = tuple(levels)
+        levels = _collection(levels, "partition levels")
         for index, level in enumerate(levels, start=1):
-            if not isinstance(level, (list, tuple, set, frozenset)):
+            if not isinstance(level, _COLLECTIONS):
                 raise ValueError(f"level {index} must be a list of attribute ids, got {level!r}")
         for level in levels:
             for aid in level:
@@ -330,6 +341,8 @@ class Alternative:
             raise ValueError(
                 f"alternative id {self.id!r} holds ',', '|', '[', ']' or a character that is not printable"
             )
+        if not isinstance(self.values, dict):
+            raise ValueError(f"alternative {self.id!r} values must map attribute ids to values, got {self.values!r}")
 
 
 @dataclass(frozen=True)
@@ -354,19 +367,25 @@ class DecisionTask:
     def __post_init__(self) -> None:
         if not isinstance(self.task_id, str):
             raise ValueError(f"task_id must be a string, got {self.task_id!r}")
-        object.__setattr__(self, "attributes", tuple(self.attributes))
-        basic_ids = tuple(self.basic_ids)
+        if not isinstance(self.partition, DominancePartition):
+            raise ValueError(f"partition must be a DominancePartition, got {self.partition!r}")
+        object.__setattr__(self, "attributes", _collection(self.attributes, "attributes"))
+        basic_ids = _collection(self.basic_ids, "basic_ids")
         for aid in basic_ids:
             if not _is_int(aid):
                 raise ValueError(f"basic ids must be integer attribute ids, got {aid!r}")
         object.__setattr__(self, "basic_ids", frozenset(basic_ids))
         object.__setattr__(
-            self, "thresholds", tuple(sorted(self.thresholds, key=lambda t: t.attribute_id))
+            self,
+            "thresholds",
+            tuple(sorted(_collection(self.thresholds, "thresholds"), key=lambda t: t.attribute_id)),
         )
-        object.__setattr__(self, "alternatives", tuple(self.alternatives))
+        object.__setattr__(self, "alternatives", _collection(self.alternatives, "alternatives"))
         if self.aspiration is not None:
             object.__setattr__(
-                self, "aspiration", tuple(sorted(self.aspiration, key=lambda t: t.attribute_id))
+                self,
+                "aspiration",
+                tuple(sorted(_collection(self.aspiration, "aspiration"), key=lambda t: t.attribute_id)),
             )
 
     @cached_property

@@ -337,6 +337,34 @@ class TestLadderGuarantees:
             lsp(case1, ["missing"], GLOBAL)
 
 
+class TestModeArgument:
+    """A mode is a DominanceMode or its value; anything else is a ValueError."""
+
+    @pytest.mark.parametrize("mode", [GLOBAL, UNDOM], ids=["global", "undominated"])
+    def test_dominant_set_reads_a_value_as_its_mode(self, mode, case1):
+        ids = ["m1", "m2", "m3"]
+        assert dominant_set(ids, {1, 2}, mode.value, case1) == dominant_set(ids, {1, 2}, mode, case1)
+        assert dominant_set(ids, {1, 2}, GLOBAL, case1) == ()
+
+    @pytest.mark.parametrize("mode", [GLOBAL, UNDOM], ids=["global", "undominated"])
+    def test_lsp_and_decide_task_read_a_value_as_its_mode(self, mode):
+        task = deadlock_task()
+        ids = [a.id for a in task.alternatives]
+        assert lsp(task, ids, mode.value) == lsp(task, ids, mode)
+        assert decide_task(task, mode.value) == decide_task(task, mode)
+        assert lsp(task, ids, GLOBAL).verdict is Verdict.REPARTITION
+
+    @pytest.mark.parametrize("mode", ["foo", "", "GLOBAL", {1, 2}, None, 0], ids=repr)
+    def test_anything_else_is_refused(self, mode, case1):
+        message = rf"^{re.escape(repr(mode))} is not a valid DominanceMode$"
+        with pytest.raises(ValueError, match=message):
+            dominant_set(["m1", "m2", "m3"], {1, 2}, mode, case1)
+        with pytest.raises(ValueError, match=message):
+            lsp(case1, ["m1", "m3"], mode)
+        with pytest.raises(ValueError, match=message):
+            lsp(case1, [], mode)
+
+
 class TestComparisonCount:
     """Pairwise comparisons of a rung grow with its distinct value vectors, not with its ties.
 

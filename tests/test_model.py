@@ -219,6 +219,41 @@ class TestLadderOutcome:
             LadderOutcome(verdict, chosen)
 
 
+class TestMalformedArguments:
+    """A container or values map of the wrong type is a ValueError naming the argument."""
+
+    @pytest.mark.parametrize("levels", [5, None, "ab"], ids=["int", "none", "string"])
+    def test_partition_levels(self, levels):
+        with pytest.raises(ValueError, match=rf"^partition levels must be a list, tuple or set, got {re.escape(repr(levels))}$"):
+            DominancePartition(levels)
+
+    @pytest.mark.parametrize("field", ["attributes", "basic_ids", "thresholds", "alternatives", "aspiration"])
+    @pytest.mark.parametrize("bad", [5, "ab", {1: 2}], ids=["int", "string", "dict"])
+    def test_task_collection_fields(self, field, bad):
+        with pytest.raises(ValueError, match=rf"^{field} must be a list, tuple or set, got {re.escape(repr(bad))}$"):
+            make_task(**{field: bad})
+
+    def test_task_partition(self):
+        with pytest.raises(ValueError, match=r"^partition must be a DominancePartition, got \[\[1\], \[2\]\]$"):
+            make_task(partition=[[1], [2]])
+
+    @pytest.mark.parametrize("values", [5, None, [crisp(1)]], ids=["int", "none", "list"])
+    def test_alternative_values(self, values):
+        with pytest.raises(ValueError, match=rf"^alternative 'z' values must map attribute ids to values, got {re.escape(repr(values))}$"):
+            Alternative("z", values)
+
+    def test_collections_of_each_kind_are_accepted(self):
+        task = make_task(
+            attributes=list(make_task().attributes),
+            basic_ids={1},
+            thresholds=[Threshold(1, "max", 100)],
+            alternatives=list(make_task().alternatives),
+            aspiration=frozenset({Threshold(2, "min_level", 1)}),
+        )
+        assert task == make_task(aspiration=(Threshold(2, "min_level", 1),))
+        assert validate_task(task) == []
+
+
 class TestPartition:
     def test_levels_must_be_nonempty(self):
         with pytest.raises(ValueError):
