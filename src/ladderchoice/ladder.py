@@ -12,47 +12,49 @@ alternative remains.  Two dominance modes are supported:
   rival; the set can never become empty, but may stay plural all the way
   down, ending in ``NoUniqueChoice``.
 
-Both modes read one order: :func:`~ladderchoice.values.signed_coords` gives
-each distinct value of an ordered attribute its polarity-signed coordinates,
-asked once per distinct value, and dominance is strict componentwise order on
+Both modes read one order, the one :mod:`~ladderchoice.values` defines:
+:func:`~ladderchoice.values.signed_columns` gives an ordered column's
+polarity-signed coordinates, and dominance is strict componentwise order on
 them with equal category keys.  Both read each column once, by its
 attribute's kind, never by a value's tag: a categorical column's keys are
 labels, and an ordered column holding a value of another family raises
-``ValueError`` (:func:`_signed_column`).  Cost of one rung over n candidates
-and m attributes:
+``ValueError`` naming the first such value in candidate order.  Cost of one
+rung over n candidates and m attributes:
 
 * ``GLOBAL`` makes no comparisons.  A vector that beats all the others is
-  their componentwise maximum, so the rung reads each column once, O(n·m): a
-  categorical column with two labels has no winner, and an ordered one has
-  none unless one of its values holds the column's maximum; the winner holds
-  every such value.  A winning vector held by two different ids is beaten by
-  neither, so the rung keeps nobody.
-* ``UNDOMINATED`` reads each column once into rows of labels, then
-  coordinates (:func:`_rows`), O(n·m); an ordered column gives one
-  coordinate when all its distinct values are points, else two.  Rows with
-  different labels or equal rows never beat each other, so each label
-  group's d distinct rows are judged alone (:func:`_front`) and the result
-  is mapped back.  With no coordinate every row stays; with one, the
-  maximum, O(d).  With two, Kung, Luccio and Preparata's sweep (JACM 1975)
-  over the rows in descending order keeps a row exactly when its second
-  coordinate exceeds every earlier one's, O(d log d), so a two-attribute
-  trade-off no longer costs d squared.  With three or more, the descending
-  presort of Sort-Filter-Skyline (Chomicki et al., ICDE 2003) puts every
-  dominator first; the top row is kept, every row it beats is dropped, and
-  so on, O(d log d + d·k) :func:`_beats` calls for k kept rows.
+  their componentwise maximum, so the rung reads each column's distinct keys
+  once, O(n·m): a categorical column with two labels has no winner, and an
+  ordered one has none unless one of its values holds the column's maximum;
+  the winner holds every such value.  A winning vector held by two different
+  ids is beaten by neither, so the rung keeps nobody.
+* ``UNDOMINATED`` reads each column cell by cell into rows of labels, then
+  coordinates (:func:`_rows`), O(n·m), and hashes a key only as part of its
+  row; an ordered column gives one coordinate when all its values are
+  points, else two.  Rows with different labels or equal rows never beat
+  each other, so each label group's d distinct rows are judged alone
+  (:func:`_front`) and the result is mapped back.  With no coordinate every
+  row stays; with one, the maximum, O(d).  With two or three, Kung, Luccio
+  and Preparata (JACM 1975) sort the rows in descending order and sweep them
+  once, O(d log d), so a trade-off no longer costs d squared: on two, a row
+  is kept exactly when its second coordinate exceeds every earlier one's;
+  on three, when no entry of the staircase of kept rows is at least as large
+  on the second and third, a test of the one entry a bisection finds.  With
+  four or more, the descending presort of Sort-Filter-Skyline (Chomicki et
+  al., ICDE 2003) puts every dominator first; the top row is kept, every row
+  it beats is dropped, and so on, O(d log d + d·k) :func:`_beats` calls for k
+  kept rows.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from enum import Enum
 from itertools import compress
 from operator import ge
 from typing import Iterable, Sequence
 
 from .model import (
-    KIND_FAMILY,
     Alternative,
-    Attribute,
     DecisionTask,
     LadderOutcome,
     LevelRecord,
@@ -60,7 +62,7 @@ from .model import (
     Verdict,
 )
 from .sift import psp
-from .values import satisfies_threshold, signed_coords
+from .values import satisfies_threshold, signed_columns
 
 
 class DominanceMode(Enum):
@@ -73,30 +75,15 @@ def _mode(mode: object) -> DominanceMode:
     return mode if type(mode) is DominanceMode else DominanceMode(mode)
 
 
-def _signed_column(keys: Iterable[tuple], attr: Attribute) -> dict[tuple, tuple]:
-    """Each distinct value key of an ordered column -> its signed coords.
-
-    A value of another family than the attribute's kind raises
-    ``ValueError``; :func:`~ladderchoice.values.signed_coords` raises first
-    on a category.
-    """
-    family, polarity = KIND_FAMILY[attr.kind], attr.polarity
-    signed = {}
-    for key in keys:
-        signed[key] = signed_coords(key, polarity)
-        if key[0] != family:
-            raise ValueError(f"{attr.kind} attribute {attr.id} cannot order a value of another family, {key!r}")
-    return signed
-
-
 def _rows(alts: Sequence[Alternative], attrs: Iterable[int], task: DecisionTask) -> tuple[list[tuple], int]:
     """Each alternative's row on ``attrs``, its labels then its signed coordinates; and how many labels lead.
 
     Columns are read in id order, each by its attribute's kind: a categorical
-    one gives its keys as labels, and an ordered one gives coordinates, asked
-    once per distinct key (:func:`_signed_column`).  An ordered column whose
-    distinct values all have equal coordinates (crisp, ordinal, a degenerate
-    interval) gives one coordinate, not two; dominance does not change.
+    one gives its keys as labels, and an ordered one its coordinates, read
+    cell by cell without hashing a key
+    (:func:`~ladderchoice.values.signed_columns`).  An ordered column whose
+    values are all points (crisp, ordinal, a degenerate interval) gives one
+    coordinate, not two; dominance does not change.
     """
     by_id = task._by_id
     cells = [alt.values for alt in alts]
@@ -107,13 +94,8 @@ def _rows(alts: Sequence[Alternative], attrs: Iterable[int], task: DecisionTask)
         keys = [values[aid].key for values in cells]
         if attr.kind == "categorical":
             labels.append(keys)
-            continue
-        signed = _signed_column(set(keys), attr)
-        first, *second = zip(*signed.values())  # the distinct values' coordinates, by position
-        if second and second[0] != first:
-            coords += zip(*map(signed.__getitem__, keys))
-        else:  # all points: the first coordinate orders them alone
-            coords.append(list(map(dict(zip(signed, first)).__getitem__, keys)))
+        else:
+            coords += signed_columns(keys, attr)
     return list(zip(*labels, *coords)) or [()] * len(cells), len(labels)
 
 
@@ -123,21 +105,51 @@ def _beats(s: tuple, t: tuple) -> bool:
 
 
 def _front(rows: list[tuple]) -> list[tuple]:
-    """The rows that no other row beats, out of distinct rows of one width and one label group."""
+    """The rows that no other row beats, out of distinct rows of one width and one label group.
+
+    After a descending sort an earlier row is never smaller on the first
+    coordinate, and the rows are distinct, so a row is beaten exactly when an
+    earlier kept row is at least as large on the rest.  One coordinate keeps
+    the maximum; two and three sweep once in that order (Kung, Luccio and
+    Preparata, JACM 1975) and call no :func:`_beats`; four or more run the
+    Sort-Filter-Skyline loop.
+    """
     if len(rows) == 1:
         return rows
     width = len(rows[0])
     if width == 1:
         return [max(rows)]
-    # descending order puts every dominator before what it beats
     rows.sort(reverse=True)
     if width == 2:
-        # Kung, Luccio and Preparata's sweep: a row is beaten exactly when an
-        # earlier one has a second coordinate at least as large
+        # a row is beaten exactly when an earlier one has a second coordinate at least as large
         front = [rows[0]]
         for row in rows:
             if row[1] > front[-1][1]:
                 front.append(row)
+        return front
+    if width == 3:
+        # the staircase: the (second, third) pairs of kept rows that no other kept
+        # row covers, second ascending and so third descending; of the entries
+        # whose second is at least a row's, the first has the largest third, so
+        # it alone decides whether the row is beaten
+        front = []
+        seconds: list = []
+        thirds: list = []
+        for row in rows:
+            _, second, third = row
+            i = bisect_left(seconds, second)
+            if i < len(thirds) and thirds[i] >= third:
+                continue
+            front.append(row)
+            # the row covers the run before position i whose thirds are no larger,
+            # and the entry at i if it has the same second; it replaces them
+            start = end = i
+            if i < len(seconds) and seconds[i] == second:
+                end += 1
+            while start and thirds[start - 1] <= third:
+                start -= 1
+            seconds[start:end] = [second]
+            thirds[start:end] = [third]
         return front
     # the top row is beaten by nothing left, and whatever it beats is out
     front = []
@@ -197,24 +209,27 @@ def _global_winner(alts: list[Alternative], attrs: Iterable[int], task: Decision
 
     Columns are read in id order and each by its attribute's kind: a
     categorical one must hold a single label, and an ordered one must have a
-    key whose signed coords are the componentwise maximum of the column's
-    (:func:`_signed_column` raises on a value of another family there).
+    distinct key whose signed coordinates are the componentwise maximum of the
+    column's (:func:`~ladderchoice.values.signed_columns` raises on a value of
+    another family there, the first in candidate order).
     """
     by_id = task._by_id
     holders = alts
     for aid in sorted(attrs):
         attr = by_id[aid]
-        keys = {alt.values[aid].key for alt in alts}
+        keys = list({alt.values[aid].key: None for alt in alts})  # distinct, in candidate order
         if attr.kind == "categorical":
             if len(keys) > 1:
                 return ()  # two labels never beat each other
             continue
-        coords = _signed_column(keys, attr)
+        columns = signed_columns(keys, attr)
         if len(keys) > 1:
             # only the lexicographic maximum can be the componentwise one
-            best = max(keys, key=coords.__getitem__)
-            if coords[best] != tuple(map(max, *coords.values())):
+            coords = list(zip(*columns))
+            top = max(coords)
+            if top != tuple(map(max, columns)):
                 return ()
+            best = keys[coords.index(top)]
             holders = [alt for alt in holders if alt.values[aid].key == best]
             if not holders:
                 return ()

@@ -63,6 +63,18 @@ def _collection(items: object, what: str) -> tuple:
     return tuple(items)
 
 
+def _records(items: object, cls: type, what: str) -> tuple:
+    """``items`` as a tuple of ``cls`` records; a wrong container (:func:`_collection`) or item is a ``ValueError`` naming ``what``.
+
+    Each item's type is read at C speed; only a refused item is searched for.
+    """
+    items = _collection(items, what)
+    if not all(issubclass(kind, cls) for kind in set(map(type, items))):
+        bad = next(item for item in items if not isinstance(item, cls))
+        raise ValueError(f"{what} must hold {cls.__name__} records, got {bad!r}")
+    return items
+
+
 def first_by_id(records: Iterable) -> dict:
     """Each record under its ``id``, in declaration order; where an id is declared twice, the first declaration wins."""
     index: dict = {}
@@ -286,15 +298,17 @@ class DominancePartition:
     """Dominance attributes grouped into importance levels, least important first.
 
     ``levels[0]`` is the least important group and ``levels[-1]`` the most
-    important one; the ladder search walks them top-down.  Each level is a
-    list, tuple or set of integer attribute ids.  Disjointness across levels
-    is a task invariant checked by :func:`validate_task`.
+    important one; the ladder search walks them top-down.  ``levels`` is a
+    list or tuple, since its order is the ranking, and each level a list,
+    tuple or set of integer attribute ids.  Disjointness across levels is a
+    task invariant checked by :func:`validate_task`.
     """
 
     levels: tuple[frozenset[int], ...]
 
     def __init__(self, levels) -> None:
-        levels = _collection(levels, "partition levels")
+        if not isinstance(levels, (list, tuple)):
+            raise ValueError(f"partition levels must be a list or tuple, got {levels!r}")
         for index, level in enumerate(levels, start=1):
             if not isinstance(level, _COLLECTIONS):
                 raise ValueError(f"level {index} must be a list of attribute ids, got {level!r}")
@@ -369,7 +383,7 @@ class DecisionTask:
             raise ValueError(f"task_id must be a string, got {self.task_id!r}")
         if not isinstance(self.partition, DominancePartition):
             raise ValueError(f"partition must be a DominancePartition, got {self.partition!r}")
-        object.__setattr__(self, "attributes", _collection(self.attributes, "attributes"))
+        object.__setattr__(self, "attributes", _records(self.attributes, Attribute, "attributes"))
         basic_ids = _collection(self.basic_ids, "basic_ids")
         for aid in basic_ids:
             if not _is_int(aid):
@@ -378,14 +392,14 @@ class DecisionTask:
         object.__setattr__(
             self,
             "thresholds",
-            tuple(sorted(_collection(self.thresholds, "thresholds"), key=lambda t: t.attribute_id)),
+            tuple(sorted(_records(self.thresholds, Threshold, "thresholds"), key=lambda t: t.attribute_id)),
         )
-        object.__setattr__(self, "alternatives", _collection(self.alternatives, "alternatives"))
+        object.__setattr__(self, "alternatives", _records(self.alternatives, Alternative, "alternatives"))
         if self.aspiration is not None:
             object.__setattr__(
                 self,
                 "aspiration",
-                tuple(sorted(_collection(self.aspiration, "aspiration"), key=lambda t: t.attribute_id)),
+                tuple(sorted(_records(self.aspiration, Threshold, "aspiration"), key=lambda t: t.attribute_id)),
             )
 
     @cached_property

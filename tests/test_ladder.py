@@ -369,8 +369,8 @@ class TestComparisonCount:
     """Pairwise comparisons of a rung grow with its distinct value vectors, not with its ties.
 
     GLOBAL reads column maxima and compares no pair.  UNDOMINATED compares
-    none on labels and on one or two coordinates, and stays within d squared
-    on more.
+    none on labels and on one, two or three coordinates, and stays within d
+    squared on more.
     """
 
     @staticmethod
@@ -397,9 +397,25 @@ class TestComparisonCount:
         assert len(distinct) <= 25
         assert self.count_beats(candidates, attrs, mode, task, monkeypatch) == 0
 
-    def test_three_coordinates_compare_within_distinct_vectors_squared(self, monkeypatch):
+    def test_three_coordinates_make_no_comparisons(self, monkeypatch):
         task = tie_heavy_task(21, 2000)
         attrs = {3, 4, 5}  # an ordinal and two crisp columns, one coordinate each
+        candidates = [a.id for a in task.alternatives]
+        assert self.count_beats(candidates, attrs, UNDOM, task, monkeypatch) == 0
+        assert dominant_set(candidates, attrs, UNDOM, task) == brute_force_dominant(candidates, attrs, "undominated", task)
+        # TestUndominatedFront checks this antichain's front against the window pass
+        task = crisp_antichain(2000)
+        assert self.count_beats([a.id for a in task.alternatives], {1, 2, 3}, UNDOM, task, monkeypatch) == 0
+
+    def test_four_coordinates_compare_within_distinct_vectors_squared(self, monkeypatch):
+        rng = random.Random(21)
+        n = 1000
+        task = column_task(
+            ("numeric", "benefit", [interval(lo, lo + rng.randint(0, 2)) for lo in [rng.randint(0, 3) for _ in range(n)]]),
+            ("ordinal", "benefit", [ordinal(rng.randint(1, 5)) for _ in range(n)]),
+            ("numeric", "cost", [crisp(rng.randint(0, 5)) for _ in range(n)]),
+        )
+        attrs = {1, 2, 3}  # an interval column, two coordinates, beside an ordinal and a crisp one
         candidates = [a.id for a in task.alternatives]
         distinct = {tuple(a.values[aid].key for aid in sorted(attrs)) for a in task.alternatives}
         calls = self.count_beats(candidates, attrs, UNDOM, task, monkeypatch)
@@ -557,6 +573,18 @@ class TestGlobalColumnMaxima:
             with pytest.raises(ValueError, match=message):
                 dominates(broken.alternatives[1], broken.alternatives[0], {1}, broken)
 
+    def test_both_modes_name_the_first_value_that_has_no_order_here(self):
+        task = column_task(("numeric", "benefit", [crisp(i) for i in range(4)]))
+        broken = self.with_column(task, [crisp(0), ordinal(3), category("x"), ordinal(4)])
+        for candidates, message in (
+            (["p0", "p1", "p2", "p3"], "numeric attribute 1 cannot order a value of another family, ('o', 3)"),
+            (["p3", "p2", "p1", "p0"], "numeric attribute 1 cannot order a value of another family, ('o', 4)"),
+            (["p0", "p2", "p1", "p3"], "a category value has no order"),
+        ):
+            for mode in (GLOBAL, UNDOM):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    dominant_set(candidates, {1}, mode, broken)
+
 
 def window_reference(candidates, attrs, task):
     """UNDOMINATED as a Sort-Filter-Skyline window over ``(labels, signed coords)`` pairs, quadratic on an antichain.
@@ -603,6 +631,29 @@ def trade_off(rng, n, spread):
         else:
             ys[i] += rng.choice((-0.5, 0.5))
     return xs, ys
+
+
+def plane(rng, n, spread, most_x):
+    """n points (x, y, z) on the plane x + y + z = spread, an antichain, with a quarter moved half a step up on y or z.
+
+    x is at most ``most_x`` and at most y, so (x, y) can bound an interval.
+    Coordinates are small integers or halves, so each one repeats, and a moved
+    point beats its twins while tying with them on the two other coordinates.
+    """
+    points = []
+    for _ in range(n):
+        x = rng.randint(0, most_x)
+        y = rng.randint(x, spread - x)
+        points.append([x, y, spread - x - y])
+    for i in rng.sample(range(n), n // 4):
+        points[i][rng.choice((1, 2))] += 0.5
+    return points
+
+
+def crisp_antichain(n):
+    """Three crisp benefit columns holding the points of ``plane``, nearly all of them distinct."""
+    points = plane(random.Random(14), n, 1000, 500)
+    return column_task(*(("numeric", "benefit", [crisp(p[k]) for p in points]) for k in range(3)))
 
 
 class TestUndominatedFront:
@@ -662,6 +713,33 @@ class TestUndominatedFront:
         everyone = [a.id for a in task.alternatives]
         assert len(self.undominated_rung(task, everyone, {1, 2, 3}, window_reference)) > 1000
 
+    @pytest.mark.parametrize("polarity", ["benefit", "cost"])
+    def test_three_coordinate_antichains_against_the_oracle(self, polarity):
+        rng = random.Random(15)
+        n = 400
+        sign = 1 if polarity == "benefit" else -1
+        flat, ordinals, spans = plane(rng, n, 60, 30), plane(rng, n, 60, 4), plane(rng, n, 60, 30)
+        # ordinal(x + 1) under benefit and ordinal(5 - x) under cost both order as x; an
+        # interval under cost holds the negated bounds, and an at_least value is not a point
+        wide = [interval(x, y) if sign == 1 else interval(-y, -x) for x, y, _ in spans]
+        wide[::5] = [at_least(sign * x) for x, _, _ in spans[::5]]
+        task = column_task(
+            *(("numeric", polarity, [crisp(sign * p[k]) for p in flat]) for k in range(3)),
+            ("ordinal", polarity, [ordinal(x + 1 if sign == 1 else 5 - x) for x, _, _ in ordinals]),
+            *(("numeric", polarity, [crisp(sign * p[k]) for p in ordinals]) for k in (1, 2)),
+            ("numeric", polarity, wide),
+            ("numeric", polarity, [crisp(sign * z) for _, _, z in spans]),
+        )
+        everyone = [a.id for a in task.alternatives]
+        for attrs in ({1, 2, 3}, {4, 5, 6}, {7, 8}):
+            assert {len(row) for row in ladder._rows(task.alternatives, attrs, task)[0]} == {3}
+            assert len(self.undominated_rung(task, everyone, attrs, self.oracle)) > n // 10
+
+    def test_a_three_coordinate_antichain_of_2000_against_the_window_pass(self):
+        task = crisp_antichain(2000)
+        everyone = [a.id for a in task.alternatives]
+        assert len(self.undominated_rung(task, everyone, {1, 2, 3}, window_reference)) > 1500
+
 
 # one ordered column of each shape: "point" values give one coordinate, "wide" ones two
 ORDERED = {
@@ -694,9 +772,45 @@ def rung_columns(draw):
     return columns, width
 
 
+@st.composite
+def antichain_columns(draw):
+    """Columns of a rung of three coordinates whose rows lie on the plane x + y + z = 12, a few moved off it.
+
+    The first column holds x as crisp numbers or ordinal levels beside two
+    crisp columns of y and z, or min(x, y) and max(x, y) as intervals (the
+    first one ``at_least``, so not every value is a point) beside one crisp
+    column of z.  Small coordinates tie on each axis, and a point moved half a
+    step up on y or z beats its twins; a label column may split the rung.
+    """
+    n = draw(st.integers(2, 30))
+    points = draw(
+        st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 8), st.sampled_from([(0, 0), (0, 0), (0.5, 0), (0, 0.5)])),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    xs, ys, zs = zip(*((x, y + up, 12 - x - y + right) for x, y, (up, right) in points))
+    polarity = draw(st.sampled_from(["benefit", "cost"]))
+    sign = 1 if polarity == "benefit" else -1
+    shape = draw(st.sampled_from(["crisp", "ordinal", "wide"]))
+    if shape == "wide":
+        spans = [sorted((sign * x, sign * y)) for x, y in zip(xs, ys)]
+        columns = [("numeric", polarity, [at_least(spans[0][0])] + [interval(lo, hi) for lo, hi in spans[1:]])]
+    elif shape == "ordinal":
+        columns = [("ordinal", polarity, [ordinal(x + 1 if sign == 1 else 5 - x) for x in xs])]
+        columns.append(("numeric", polarity, [crisp(sign * y) for y in ys]))
+    else:
+        columns = [("numeric", polarity, [crisp(sign * x) for x in xs]), ("numeric", polarity, [crisp(sign * y) for y in ys])]
+    columns.append(("numeric", polarity, [crisp(sign * z) for z in zs]))
+    if draw(st.booleans()):
+        columns.append(("categorical", "none", draw(st.lists(st.sampled_from(["red", "blue"]).map(category), min_size=n, max_size=n))))
+    return columns, 3
+
+
 class TestRungProperty:
     @settings(max_examples=300, deadline=None)
-    @given(rung_columns(), st.randoms(use_true_random=False))
+    @given(st.one_of(rung_columns(), antichain_columns()), st.randoms(use_true_random=False))
     def test_both_modes_and_dominates_match_the_oracle(self, drawn, rng):
         columns, width = drawn
         task = column_task(*columns)
@@ -712,12 +826,13 @@ class TestRungProperty:
         assert dominates(t, s, attrs, task) == _naive_dominates(t, s, attrs, task)
 
     def test_the_columns_give_every_width(self):
+        # each path of _front: no coordinate, one, two, the staircase's three, and four or more
         widths = set()
 
-        @settings(max_examples=100, deadline=None, database=None)
+        @settings(max_examples=100, deadline=None, database=None, derandomize=True)
         @given(rung_columns())
         def record(drawn):
-            widths.add(min(drawn[1], 3))
+            widths.add(min(drawn[1], 4))
 
         record()
-        assert widths == {0, 1, 2, 3}
+        assert widths == {0, 1, 2, 3, 4}

@@ -222,9 +222,14 @@ class TestLadderOutcome:
 class TestMalformedArguments:
     """A container or values map of the wrong type is a ValueError naming the argument."""
 
-    @pytest.mark.parametrize("levels", [5, None, "ab"], ids=["int", "none", "string"])
+    @pytest.mark.parametrize(
+        "levels",
+        [5, None, "ab", {frozenset({1}), frozenset({2})}, frozenset({(1,), (2,)})],
+        ids=["int", "none", "string", "set", "frozenset"],
+    )
     def test_partition_levels(self, levels):
-        with pytest.raises(ValueError, match=rf"^partition levels must be a list, tuple or set, got {re.escape(repr(levels))}$"):
+        # a set of levels would rank them by its iteration order, not the caller's
+        with pytest.raises(ValueError, match=rf"^partition levels must be a list or tuple, got {re.escape(repr(levels))}$"):
             DominancePartition(levels)
 
     @pytest.mark.parametrize("field", ["attributes", "basic_ids", "thresholds", "alternatives", "aspiration"])
@@ -232,6 +237,22 @@ class TestMalformedArguments:
     def test_task_collection_fields(self, field, bad):
         with pytest.raises(ValueError, match=rf"^{field} must be a list, tuple or set, got {re.escape(repr(bad))}$"):
             make_task(**{field: bad})
+
+    @pytest.mark.parametrize(
+        "field,good,record",
+        [
+            ("attributes", Attribute(1, "price", "numeric", "cost"), "Attribute"),
+            ("thresholds", Threshold(1, "max", 100), "Threshold"),
+            ("aspiration", Threshold(2, "min_level", 1), "Threshold"),
+            ("alternatives", Alternative("a", {1: crisp(50), 2: ordinal(4)}), "Alternative"),
+        ],
+        ids=["attributes", "thresholds", "aspiration", "alternatives"],
+    )
+    @pytest.mark.parametrize("bad", ["a", (5,), None, {1: crisp(60)}], ids=["string", "tuple", "none", "dict"])
+    def test_task_record_fields(self, field, good, record, bad):
+        # the first item of another type is named, not the later one
+        with pytest.raises(ValueError, match=rf"^{field} must hold {record} records, got {re.escape(repr(bad))}$"):
+            make_task(**{field: [good, bad, 5]})
 
     def test_task_partition(self):
         with pytest.raises(ValueError, match=r"^partition must be a DominancePartition, got \[\[1\], \[2\]\]$"):
@@ -269,6 +290,7 @@ class TestPartition:
     def test_a_level_may_be_any_list_tuple_or_set(self):
         p = DominancePartition([[1], (2,), {3}, frozenset({4})])
         assert p.levels == (frozenset({1}), frozenset({2}), frozenset({3}), frozenset({4}))
+        assert DominancePartition(([1], (2,), {3}, frozenset({4}))) == p
 
     def test_level_indexing_least_first(self):
         p = DominancePartition([[1, 2], [3]])

@@ -7,6 +7,8 @@ a task of one attribute, whose rows a ladder rung builds from
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +28,7 @@ from ladderchoice import (
 )
 from ladderchoice.model import label_level
 from ladderchoice.oracle import _naive_strictly_better, _naive_weakly_better
-from ladderchoice.values import satisfies_threshold, signed_coords
+from ladderchoice.values import satisfies_threshold, signed_columns, signed_coords
 
 finite = st.one_of(
     st.integers(min_value=-50, max_value=50).map(float),
@@ -113,6 +115,35 @@ class TestCompareExamples:
             signed_coords(crisp(3).key, "none")
         with pytest.raises(ValueError):
             signed_coords(ordinal(3).key, "none")
+
+
+class TestSignedColumns:
+    """The column form reads the order :func:`signed_coords` gives one value, a column at a time."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(st.lists(numeric_values(), min_size=1, max_size=8), st.lists(ordinal_values, min_size=1, max_size=8)),
+        polarities,
+    )
+    def test_each_row_is_the_signed_coords_of_its_key(self, values, polarity):
+        keys = [value.key for value in values]
+        kind = "ordinal" if keys[0][0] == "o" else "numeric"
+        columns = signed_columns(keys, Attribute(1, "x", kind, polarity))
+        coords = [signed_coords(key, polarity) for key in keys]
+        # a column of points, whose coordinates all repeat their first, keeps only the first
+        width = 1 if all(c == c[:1] * len(c) for c in coords) else 2
+        assert list(zip(*columns)) == [c[:width] for c in coords]
+
+    def test_the_first_value_that_has_no_order_here_is_named(self):
+        numeric = Attribute(1, "x", "numeric", "benefit")
+        with pytest.raises(ValueError, match=re.escape("numeric attribute 1 cannot order a value of another family, ('o', 2)") + "$"):
+            signed_columns([crisp(1).key, ordinal(2).key, category("x").key], numeric)
+        with pytest.raises(ValueError, match="^a category value has no order$"):
+            signed_columns([crisp(1).key, category("x").key, ordinal(2).key], numeric)
+        with pytest.raises(ValueError, match=re.escape("ordinal attribute 2 cannot order a value of another family, ('n', 3.0, 3.0)") + "$"):
+            signed_columns([ordinal(1).key, crisp(3).key], Attribute(2, "y", "ordinal", "cost"))
+        with pytest.raises(ValueError, match="^a category value has no order$"):
+            signed_columns([category("x").key], Attribute(3, "z", "categorical", "none"))
 
 
 class TestThresholdExamples:
