@@ -135,9 +135,11 @@ def run_batch(
 ) -> tuple[int, str]:
     """Sweep generated tasks through the engine and the naive reference.
 
-    Returns (exit code, report).  The ``engine`` hook exists so the harness
-    itself can be checked: swapping in a broken engine must be caught.
+    Returns (exit code, report).  ``mode`` may also be a mode's value.  The
+    ``engine`` hook exists so the harness itself can be checked: swapping in
+    a broken engine must be caught.
     """
+    mode = DominanceMode(mode)
     import random
 
     from .oracle import brute_force_lt, random_task

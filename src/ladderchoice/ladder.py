@@ -12,37 +12,32 @@ alternative remains.  Two dominance modes are supported:
   rival; the set can never become empty, but may stay plural all the way
   down, ending in ``NoUniqueChoice``.
 
-Both modes read one order, the one :mod:`~ladderchoice.values` defines:
-:func:`~ladderchoice.values.signed_columns` gives an ordered column's
-polarity-signed coordinates, and dominance is strict componentwise order on
-them with equal category keys.  Both read each column once, by its
-attribute's kind, never by a value's tag: a categorical column's keys are
-labels, and an ordered column holding a value of another family raises
-``ValueError`` naming the first such value in candidate order.  Cost of one
-rung over n candidates and m attributes:
+Both modes read a rung through one function, :func:`_columns`, and one order,
+the one :mod:`~ladderchoice.values` defines: dominance is strict
+componentwise order on the polarity-signed coordinates
+:func:`~ladderchoice.values.signed_columns` gives, with equal category keys.
+Each column is read once, by its attribute's kind, never by a value's tag: a
+categorical column's keys are labels, and an ordered column holding a value
+of another family raises ``ValueError`` naming the first such value in
+candidate order.  An ordered column gives one coordinate when all its values
+are points, else two.  Cost of one rung over n candidates and m attributes:
 
-* ``GLOBAL`` makes no comparisons.  A vector that beats all the others is
-  their componentwise maximum, so the rung reads each column's distinct keys
-  once, O(n·m): a categorical column with two labels has no winner, and an
-  ordered one has none unless one of its values holds the column's maximum;
-  the winner holds every such value.  A winning vector held by two different
-  ids is beaten by neither, so the rung keeps nobody.
-* ``UNDOMINATED`` reads each column cell by cell into rows of labels, then
-  coordinates (:func:`_rows`), O(n·m), and hashes a key only as part of its
-  row; an ordered column gives one coordinate when all its values are
-  points, else two.  Rows with different labels or equal rows never beat
-  each other, so each label group's d distinct rows are judged alone
+* ``GLOBAL`` makes no comparisons, O(n·m).  A vector that beats all the
+  others is their componentwise maximum, so the rung keeps the candidates at
+  the maximum of every coordinate column.  It stops at the first column that
+  holds two labels or leaves nobody, and a winning vector held by two
+  different ids is beaten by neither, so the rung then keeps nobody too.
+* ``UNDOMINATED`` joins the columns into rows of labels, then coordinates
+  (:func:`_rows`), O(n·m).  Rows with different labels or equal rows never
+  beat each other, so each label group's d distinct rows are judged alone
   (:func:`_front`) and the result is mapped back.  With no coordinate every
   row stays; with one, the maximum, O(d).  With two or three, Kung, Luccio
   and Preparata (JACM 1975) sort the rows in descending order and sweep them
-  once, O(d log d), so a trade-off no longer costs d squared: on two, a row
-  is kept exactly when its second coordinate exceeds every earlier one's;
-  on three, when no entry of the staircase of kept rows is at least as large
-  on the second and third, a test of the one entry a bisection finds.  With
-  four or more, the descending presort of Sort-Filter-Skyline (Chomicki et
-  al., ICDE 2003) puts every dominator first; the top row is kept, every row
-  it beats is dropped, and so on, O(d log d + d·k) :func:`_beats` calls for k
-  kept rows.
+  once against a staircase of the kept rows, O(d log d), so a trade-off does
+  not cost d squared.  With four or more, the descending presort of
+  Sort-Filter-Skyline (Chomicki et al., ICDE 2003) puts every dominator
+  first; the top row is kept, every row it beats is dropped, and so on,
+  O(d log d + d·k) :func:`_beats` calls for k kept rows.
 """
 
 from __future__ import annotations
@@ -51,7 +46,7 @@ from bisect import bisect_left
 from enum import Enum
 from itertools import compress
 from operator import ge
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .model import (
     Alternative,
@@ -75,28 +70,32 @@ def _mode(mode: object) -> DominanceMode:
     return mode if type(mode) is DominanceMode else DominanceMode(mode)
 
 
-def _rows(alts: Sequence[Alternative], attrs: Iterable[int], task: DecisionTask) -> tuple[list[tuple], int]:
-    """Each alternative's row on ``attrs``, its labels then its signed coordinates; and how many labels lead.
+def _columns(alts: Sequence[Alternative], attrs: Iterable[int], task: DecisionTask) -> Iterator[tuple[bool, list]]:
+    """The columns of ``alts`` on ``attrs``, attribute by attribute in id order, each with whether it holds labels.
 
-    Columns are read in id order, each by its attribute's kind: a categorical
-    one gives its keys as labels, and an ordered one its coordinates, read
-    cell by cell without hashing a key
-    (:func:`~ladderchoice.values.signed_columns`).  An ordered column whose
-    values are all points (crisp, ordinal, a degenerate interval) gives one
-    coordinate, not two; dominance does not change.
+    A categorical attribute gives one column, its value keys, used as labels;
+    an ordered one its signed coordinate columns
+    (:func:`~ladderchoice.values.signed_columns`), read when it is reached.
     """
     by_id = task._by_id
     cells = [alt.values for alt in alts]
-    labels: list[list] = []
-    coords: list[list] = []
     for aid in sorted(attrs):
         attr = by_id[aid]
         keys = [values[aid].key for values in cells]
         if attr.kind == "categorical":
-            labels.append(keys)
+            yield True, keys
         else:
-            coords += signed_columns(keys, attr)
-    return list(zip(*labels, *coords)) or [()] * len(cells), len(labels)
+            for column in signed_columns(keys, attr):
+                yield False, column
+
+
+def _rows(alts: Sequence[Alternative], attrs: Iterable[int], task: DecisionTask) -> tuple[list[tuple], int]:
+    """Each alternative's row on ``attrs``, its labels then its signed coordinates; and how many labels lead."""
+    labels: list[list] = []
+    coords: list[list] = []
+    for is_label, column in _columns(alts, attrs, task):
+        (labels if is_label else coords).append(column)
+    return list(zip(*labels, *coords)) or [()] * len(alts), len(labels)
 
 
 def _beats(s: tuple, t: tuple) -> bool:
@@ -110,9 +109,9 @@ def _front(rows: list[tuple]) -> list[tuple]:
     After a descending sort an earlier row is never smaller on the first
     coordinate, and the rows are distinct, so a row is beaten exactly when an
     earlier kept row is at least as large on the rest.  One coordinate keeps
-    the maximum; two and three sweep once in that order (Kung, Luccio and
-    Preparata, JACM 1975) and call no :func:`_beats`; four or more run the
-    Sort-Filter-Skyline loop.
+    the maximum; two and three sweep once in that order against a staircase
+    (Kung, Luccio and Preparata, JACM 1975) and call no :func:`_beats`; four
+    or more run the Sort-Filter-Skyline loop.
     """
     if len(rows) == 1:
         return rows
@@ -120,36 +119,30 @@ def _front(rows: list[tuple]) -> list[tuple]:
     if width == 1:
         return [max(rows)]
     rows.sort(reverse=True)
-    if width == 2:
-        # a row is beaten exactly when an earlier one has a second coordinate at least as large
-        front = [rows[0]]
-        for row in rows:
-            if row[1] > front[-1][1]:
-                front.append(row)
-        return front
-    if width == 3:
-        # the staircase: the (second, third) pairs of kept rows that no other kept
-        # row covers, second ascending and so third descending; of the entries
-        # whose second is at least a row's, the first has the largest third, so
-        # it alone decides whether the row is beaten
+    if width <= 3:
+        # the staircase: the (second, last) pairs of kept rows that no other kept
+        # row covers, second ascending and so last descending; of the entries
+        # whose second is at least a row's, the first has the largest last, so it
+        # alone decides whether the row is beaten (on two coordinates the pair is
+        # the second twice)
         front = []
         seconds: list = []
-        thirds: list = []
+        lasts: list = []
         for row in rows:
-            _, second, third = row
+            second, last = row[1], row[-1]
             i = bisect_left(seconds, second)
-            if i < len(thirds) and thirds[i] >= third:
+            if i < len(lasts) and lasts[i] >= last:
                 continue
             front.append(row)
-            # the row covers the run before position i whose thirds are no larger,
+            # the row covers the run before position i whose lasts are no larger,
             # and the entry at i if it has the same second; it replaces them
             start = end = i
             if i < len(seconds) and seconds[i] == second:
                 end += 1
-            while start and thirds[start - 1] <= third:
+            while start and lasts[start - 1] <= last:
                 start -= 1
             seconds[start:end] = [second]
-            thirds[start:end] = [third]
+            lasts[start:end] = [last]
         return front
     # the top row is beaten by nothing left, and whatever it beats is out
     front = []
@@ -205,36 +198,23 @@ def dominant_set(
 
 
 def _global_winner(alts: list[Alternative], attrs: Iterable[int], task: DecisionTask) -> tuple[str, ...]:
-    """The ids of ``alts`` that hold every column's maximum, if they are one id; else ``()``.
+    """The ids of ``alts`` at the maximum of every coordinate column, if they are one id; else ``()``.
 
-    Columns are read in id order and each by its attribute's kind: a
-    categorical one must hold a single label, and an ordered one must have a
-    distinct key whose signed coordinates are the componentwise maximum of the
-    column's (:func:`~ladderchoice.values.signed_columns` raises on a value of
-    another family there, the first in candidate order).
+    A categorical column must hold a single label.  The read stops at the
+    first column that holds two labels or leaves no position.
     """
-    by_id = task._by_id
-    holders = alts
-    for aid in sorted(attrs):
-        attr = by_id[aid]
-        keys = list({alt.values[aid].key: None for alt in alts})  # distinct, in candidate order
-        if attr.kind == "categorical":
-            if len(keys) > 1:
+    held: Sequence[int] = range(len(alts))
+    for is_label, column in _columns(alts, attrs, task):
+        if is_label:
+            if len(set(column)) > 1:
                 return ()  # two labels never beat each other
-            continue
-        columns = signed_columns(keys, attr)
-        if len(keys) > 1:
-            # only the lexicographic maximum can be the componentwise one
-            coords = list(zip(*columns))
-            top = max(coords)
-            if top != tuple(map(max, columns)):
-                return ()
-            best = keys[coords.index(top)]
-            holders = [alt for alt in holders if alt.values[aid].key == best]
-            if not holders:
+        else:
+            top = max(column)
+            held = [i for i in held if column[i] == top]
+            if not held:
                 return ()
     # two different ids on the winning vector do not beat each other
-    ids = [alt.id for alt in holders]
+    ids = [alts[i].id for i in held]
     return tuple(ids) if len(set(ids)) == 1 else ()
 
 

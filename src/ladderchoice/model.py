@@ -207,10 +207,13 @@ def ordinal(level_or_label: Union[int, str]) -> AttributeValue:
 
 
 def category(label: str) -> AttributeValue:
+    """A category value; its label is a non-empty printable string, so a line that shows it stays one line."""
     if not isinstance(label, str):
         raise ValueError(f"category label must be a string, got {label!r}")
     if not label:
         raise ValueError("category needs a non-empty label")
+    if not label.isprintable():
+        raise ValueError(f"category label {label!r} holds a character that is not printable")
     return AttributeValue("category", ("c", label))
 
 
@@ -220,7 +223,8 @@ class Attribute:
     """One criterion of the task: numeric, ordinal (1..5 scale) or categorical.
 
     Polarity records which direction is preferable: cost (smaller is better),
-    benefit (larger is better), or none for categorical attributes.
+    benefit (larger is better), or none for categorical attributes.  The
+    name is printable, so a message that shows it stays one line.
     """
 
     id: int
@@ -237,6 +241,8 @@ class Attribute:
             raise ValueError(f"attribute id must be a positive integer, got {self.id!r}")
         if not isinstance(self.name, str):
             raise ValueError(f"attribute name must be a string, got {self.name!r}")
+        if not self.name.isprintable():
+            raise ValueError(f"attribute name {self.name!r} holds a character that is not printable")
         if self.unit is not None and not isinstance(self.unit, str):
             raise ValueError(f"attribute unit must be a string, got {self.unit!r}")
         if not isinstance(self.kind, str) or self.kind not in KIND_FAMILY:
@@ -260,8 +266,9 @@ class Threshold:
     """Acceptance predicate on one attribute.
 
     Ops: ``max``/``min`` bound a numeric value, ``min_level``/``max_level``
-    bound an ordinal level, ``allowed`` lists admissible category labels.
-    The op's family tag in :data:`OP_FAMILY` decides how the bound is read.
+    bound an ordinal level, ``allowed`` lists admissible category labels,
+    each printable as :func:`category` requires.  The op's family tag in
+    :data:`OP_FAMILY` decides how the bound is read.
     """
 
     attribute_id: int
@@ -285,6 +292,9 @@ class Threshold:
                 raise ValueError(f"allowed threshold needs a list of labels, got {self.bound!r}")
             if not self.bound or not all(isinstance(lab, str) for lab in self.bound):
                 raise ValueError("allowed threshold needs a non-empty set of labels")
+            for lab in self.bound:
+                if not lab.isprintable():
+                    raise ValueError(f"allowed label {lab!r} holds a character that is not printable")
             object.__setattr__(self, "bound", frozenset(self.bound))
 
     def __str__(self) -> str:

@@ -83,10 +83,16 @@ def _naive_dominates(s: Alternative, t: Alternative, attrs: Iterable[int], task:
     return any(_naive_strictly_better(s.values[aid], t.values[aid], pol[aid]) for aid in attrs)
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("global", "undominated"):
+        raise ValueError(f"mode must be 'global' or 'undominated', got {mode!r}")
+
+
 def brute_force_dominant(
     candidates: Sequence[str], attrs: Iterable[int], mode: str, task: DecisionTask
 ) -> tuple[str, ...]:
-    """Exhaustive pairwise dominance filter; ``mode`` is 'global' or 'undominated'."""
+    """Exhaustive pairwise dominance filter; ``mode`` is 'global' or 'undominated', anything else a ``ValueError``."""
+    _check_mode(mode)
     attrs = list(attrs)
     alts = {cid: task.alternative(cid) for cid in candidates}
     kept = []
@@ -104,10 +110,12 @@ def brute_force_dominant(
 def brute_force_lt(task: DecisionTask, mode: str = "global") -> tuple[str, Optional[str]]:
     """Re-run the whole sift-then-ladder pipeline with nested loops.
 
-    Returns (verdict name, chosen id or None).  The sift loop repeats until
-    no alternative can be removed, following the fixed-point phrasing rather
-    than the engine's single pass.
+    Returns (verdict name, chosen id or None); ``mode`` is as in
+    :func:`brute_force_dominant`.  The sift loop repeats until no alternative
+    can be removed, following the fixed-point phrasing rather than the
+    engine's single pass.
     """
+    _check_mode(mode)
     pool = list(task.alternatives)
     while True:
         removed = [

@@ -297,6 +297,12 @@ class TestBatch:
         code, out, _ = run(capsys, "batch", "--seed", "3", "--count", "50", "--mode", "undominated")
         assert code == 0
 
+    @pytest.mark.parametrize("mode", list(DominanceMode), ids=lambda mode: mode.value)
+    def test_run_batch_reads_a_value_as_its_mode(self, mode):
+        assert run_batch(1, 5, mode.value) == run_batch(1, 5, mode) == (0, "5/5 agree")
+        with pytest.raises(ValueError, match="^'foo' is not a valid DominanceMode$"):
+            run_batch(1, 5, "foo")
+
     def test_mutant_engine_is_caught(self):
         def mutant(task, mode):
             return ("Chosen", "wrong-id")

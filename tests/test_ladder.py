@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import tie_heavy_task
+from conftest import TIE_PARTITIONS, tie_heavy_task
 from ladderchoice import ladder
 from ladderchoice import (
     Alternative,
@@ -34,7 +34,6 @@ from ladderchoice import (
 )
 from ladderchoice.ladder import dominant_set, dominates, single_plan_gate
 from ladderchoice.oracle import _naive_dominates, brute_force_dominant, random_task
-from ladderchoice.values import signed_coords
 
 GLOBAL = DominanceMode.GLOBAL
 UNDOM = DominanceMode.UNDOMINATED
@@ -603,7 +602,8 @@ def window_reference(candidates, attrs, task):
             if attr.kind == "categorical":
                 labels.append(key)
             else:
-                coords += signed_coords(key, attr.polarity)
+                # (lo, hi) or (level,), larger being better
+                coords += key[1:] if attr.polarity == "benefit" else [-x for x in key[1:]]
         pairs[cid] = (tuple(labels), tuple(coords))
 
     def beats(s, t):
@@ -808,6 +808,16 @@ def antichain_columns(draw):
     return columns, 3
 
 
+def assert_modes_agree(candidates, attrs, task):
+    """GLOBAL keeps what UNDOMINATED keeps when that is one id, its repeats included, and nobody otherwise.
+
+    In a strict partial order a lone maximal row is the greatest row, so the
+    two modes check each other where the oracle is too slow.
+    """
+    undominated = dominant_set(candidates, attrs, UNDOM, task)
+    assert dominant_set(candidates, attrs, GLOBAL, task) == (undominated if len(set(undominated)) == 1 else ())
+
+
 class TestRungProperty:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(rung_columns(), antichain_columns()), st.randoms(use_true_random=False))
@@ -817,16 +827,28 @@ class TestRungProperty:
         attrs = set(range(1, len(columns) + 1))
         candidates = [a.id for a in task.alternatives]
         rng.shuffle(candidates)
+        candidates += rng.choices(candidates, k=rng.randint(0, 3))
         rows, labels = ladder._rows([task.alternative(cid) for cid in candidates], attrs, task)
         assert {len(row) - labels for row in rows} == {width}
         for mode in (GLOBAL, UNDOM):
             assert dominant_set(candidates, attrs, mode, task) == brute_force_dominant(candidates, attrs, mode.value, task)
+        assert_modes_agree(candidates, attrs, task)
         s, t = task.alternatives[:2]
         assert dominates(s, t, attrs, task) == _naive_dominates(s, t, attrs, task)
         assert dominates(t, s, attrs, task) == _naive_dominates(t, s, attrs, task)
 
+    def test_the_modes_agree_at_2000(self):
+        rng = random.Random(16)
+        ties = tie_heavy_task(21, 2000)
+        levels = {frozenset(level) for partition in TIE_PARTITIONS.values() for level in partition}
+        for task, attrs in [(crisp_antichain(2000), {1, 2, 3})] + [(ties, level) for level in levels]:
+            candidates = [a.id for a in task.alternatives]
+            rng.shuffle(candidates)
+            candidates += rng.choices(candidates, k=3)
+            assert_modes_agree(candidates, attrs, task)
+
     def test_the_columns_give_every_width(self):
-        # each path of _front: no coordinate, one, two, the staircase's three, and four or more
+        # each path of _front: no coordinate, one, the staircase's two and three, and four or more
         widths = set()
 
         @settings(max_examples=100, deadline=None, database=None, derandomize=True)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -97,6 +98,17 @@ class TestBruteForce:
 
     def test_case3_full_pipeline(self, case3):
         assert brute_force_lt(case3) == ("Chosen", "site2")
+
+    @pytest.mark.parametrize("mode", [DominanceMode.GLOBAL, "foo", "GLOBAL", "", None, {1, 2}], ids=repr)
+    def test_a_mode_it_does_not_know_is_refused(self, mode, case1):
+        # the reference imports nothing from the engine, so a DominanceMode is not a mode here either
+        message = "^" + re.escape(f"mode must be 'global' or 'undominated', got {mode!r}") + "$"
+        with pytest.raises(ValueError, match=message):
+            brute_force_dominant(["m1", "m2", "m3"], {1, 2}, mode, case1)
+        with pytest.raises(ValueError, match=message):
+            brute_force_lt(case1, mode)
+        assert brute_force_dominant(["m1", "m2", "m3"], {1, 2}, "global", case1) == ()
+        assert brute_force_dominant(["m1", "m2", "m3"], {1, 2}, "undominated", case1) == ("m1", "m3")
 
     def test_agrees_with_engine_across_seeds(self):
         for seed in range(500):

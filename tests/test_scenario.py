@@ -6,15 +6,18 @@ import hashlib
 import json
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
 
 from ladderchoice import (
     Alternative,
+    Attribute,
     ScenarioError,
     Threshold,
     Verdict,
+    category,
     decide_task,
     outcome_to_json,
     parse_scenario,
@@ -89,6 +92,9 @@ REJECTIONS = [
     ("alternative_id_delimiter.json", "schema", "schema: alternative: alternative id 'm1,x\\n|' holds ',', '|', '[', ']' or a character that is not printable"),
     ("unknown_key.json", "schema", "schema: scenario has unknown key 'aspirations'"),
     ("level_shape.json", "schema", "schema: dominance.levels: level 2 must be a list of attribute ids, got '2'"),
+    ("category_label_unprintable.json", "value", "value: alternative 'a', attribute 1: category label 'whi\\nte | attribute 9' holds a character that is not printable"),
+    ("allowed_label_unprintable.json", "value", "value: basic.thresholds[1]: allowed label 'blu\\te' holds a character that is not printable"),
+    ("attribute_name_unprintable.json", "schema", "schema: attribute 1: attribute name 'pri\\nce' holds a character that is not printable"),
 ]
 
 
@@ -304,6 +310,36 @@ class TestRejections:
             parse_scenario(json.dumps(doc))
         assert excinfo.value.category == "schema"
         assert str(excinfo.value).startswith(f"schema: alternative: alternative id {alt_id!r} holds")
+
+    # a label or name shows in eliminated lines and validate findings, and a line break would split one record in two
+    @pytest.mark.parametrize(
+        "char", ["\n", "\r", "\t", "\x00", "\x7f", "\u2028"],
+        ids=["newline", "return", "tab", "nul", "delete", "line-separator"],
+    )
+    def test_labels_and_names_must_be_printable(self, char):
+        text = f"whi{char}te"
+        for build, what in (
+            (lambda: category(text), "category label"),
+            (lambda: Threshold(3, "allowed", ["red", text]), "allowed label"),
+            (lambda: Attribute(1, text, "numeric", "cost"), "attribute name"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{what} {text!r} holds a character that is not printable')}$"):
+                build()
+        for path, category_name, prefix in (
+            (("alternatives", 0, "values", "3"), "value", "value: alternative 'w1', attribute 3: category label"),
+            (("basic", "thresholds", "3", "allowed", 2), "value", "value: basic.thresholds[3]: allowed label"),
+            (("attributes", 3, "name"), "schema", "schema: attribute 4: attribute name"),
+        ):
+            doc = json.loads(fixture_path("case4").read_text(encoding="utf-8"))
+            *parents, last = path
+            target = doc
+            for key in parents:
+                target = target[key]
+            target[last] = {"category": text} if last == "3" else text
+            with pytest.raises(ScenarioError) as excinfo:
+                parse_scenario(json.dumps(doc))
+            assert excinfo.value.category == category_name
+            assert str(excinfo.value) == f"{prefix} {text!r} holds a character that is not printable"
 
     @pytest.mark.parametrize("alt_id", ["m 1", "plan-2_b.c", "é", "{x}", "a:b;c"])
     def test_printable_ids_without_delimiters_are_accepted(self, alt_id):

@@ -2,12 +2,14 @@
 
 Value order is asserted on the code that decides: :func:`ladder.dominates` on
 a task of one attribute, whose rows a ladder rung builds from
-:func:`signed_coords`.
+:func:`signed_columns`.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import product
+from operator import ge
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,7 @@ from ladderchoice import (
 )
 from ladderchoice.model import label_level
 from ladderchoice.oracle import _naive_strictly_better, _naive_weakly_better
-from ladderchoice.values import satisfies_threshold, signed_columns, signed_coords
+from ladderchoice.values import satisfies_threshold, signed_columns
 
 finite = st.one_of(
     st.integers(min_value=-50, max_value=50).map(float),
@@ -59,21 +61,28 @@ def same_family_pair(draw):
     return draw(source), draw(source)
 
 
-def pair(value, polarity):
-    """A lone value's (category keys, signed coords): a rung gives two values one row exactly when these are equal."""
-    return ((value.key,), ()) if value.key[0] == "c" else ((), signed_coords(value.key, polarity))
-
-
 FAMILY_KIND = {"n": "numeric", "o": "ordinal", "c": "categorical"}
 
 
-def beats(a, b, polarity):
-    """Whether ``a`` strictly dominates ``b`` on a lone attribute of their family, a category's polarity being none."""
+def lone_attribute(a, b, polarity):
+    """Alternatives holding ``a`` and ``b`` on a lone attribute of their family, a category's polarity being none; and their task."""
     kind = FAMILY_KIND[a.key[0]]
     attr = Attribute(1, "x", kind, "none" if kind == "categorical" else polarity)
     s, t = Alternative("a", {1: a}), Alternative("b", {1: b})
-    task = DecisionTask("values", (attr,), frozenset(), (), DominancePartition([[1]]), (s, t))
+    return s, t, DecisionTask("values", (attr,), frozenset(), (), DominancePartition([[1]]), (s, t))
+
+
+def beats(a, b, polarity):
+    """Whether ``a`` strictly dominates ``b`` on a lone attribute of their family."""
+    s, t, task = lone_attribute(a, b, polarity)
     return ladder.dominates(s, t, {1}, task)
+
+
+def same_row(a, b, polarity):
+    """Whether a rung gives ``a`` and ``b`` one row on a lone attribute of their family, and so groups them."""
+    s, t, task = lone_attribute(a, b, polarity)
+    (row_s, row_t), _ = ladder._rows((s, t), {1}, task)
+    return row_s == row_t
 
 
 class TestCompareExamples:
@@ -90,7 +99,7 @@ class TestCompareExamples:
         assert not beats(at_least(2), at_least(3), "benefit")
 
     def test_identical_intervals_equal(self):
-        assert pair(interval(30, 70), "cost") == pair(interval(30, 70), "cost")
+        assert same_row(interval(30, 70), interval(30, 70), "cost")
         assert not beats(interval(30, 70), interval(30, 70), "cost")
 
     def test_crisp_lifts_against_interval(self):
@@ -102,37 +111,32 @@ class TestCompareExamples:
         assert not beats(interval(40, 50), interval(30, 70), "cost")
 
     def test_categories_equal_or_incomparable(self):
-        assert pair(category("white"), "none") == pair(category("white"), "none")
+        assert same_row(category("white"), category("white"), "none")
         assert not beats(category("white"), category("white"), "none")
-        assert pair(category("white"), "none") != pair(category("blue"), "none")
+        assert not same_row(category("white"), category("blue"), "none")
         assert not beats(category("white"), category("blue"), "none")
         assert not beats(category("blue"), category("white"), "none")
 
-    def test_signed_coords_refuses_categories_and_unordered_polarities(self):
-        with pytest.raises(ValueError):
-            signed_coords(category("x").key, "benefit")
-        with pytest.raises(ValueError):
-            signed_coords(crisp(3).key, "none")
-        with pytest.raises(ValueError):
-            signed_coords(ordinal(3).key, "none")
-
 
 class TestSignedColumns:
-    """The column form reads the order :func:`signed_coords` gives one value, a column at a time."""
+    """The column form of value order, row by row against the naive reference."""
 
     @settings(max_examples=200, deadline=None)
     @given(
         st.one_of(st.lists(numeric_values(), min_size=1, max_size=8), st.lists(ordinal_values, min_size=1, max_size=8)),
         polarities,
     )
-    def test_each_row_is_the_signed_coords_of_its_key(self, values, polarity):
+    def test_rows_order_as_the_reference_orders_their_values(self, values, polarity):
         keys = [value.key for value in values]
         kind = "ordinal" if keys[0][0] == "o" else "numeric"
         columns = signed_columns(keys, Attribute(1, "x", kind, polarity))
-        coords = [signed_coords(key, polarity) for key in keys]
-        # a column of points, whose coordinates all repeat their first, keeps only the first
-        width = 1 if all(c == c[:1] * len(c) for c in coords) else 2
-        assert list(zip(*columns)) == [c[:width] for c in coords]
+        # a column of points, whose upper ends repeat their lower ends, keeps only the lower ends
+        assert len(columns) == 1 + any(key[1] != key[-1] for key in keys)
+        rows = list(zip(*columns))
+        for (a, s), (b, t) in product(zip(values, rows), repeat=2):
+            weakly = all(map(ge, s, t))
+            assert weakly == _naive_weakly_better(a, b, polarity)
+            assert (weakly and s != t) == _naive_strictly_better(a, b, polarity)
 
     def test_the_first_value_that_has_no_order_here_is_named(self):
         numeric = Attribute(1, "x", "numeric", "benefit")
@@ -231,7 +235,7 @@ class TestCompareProperties:
         assert beats(a, b, polarity) == (forward and _naive_strictly_better(a, b, polarity))
         assert beats(b, a, polarity) == (backward and _naive_strictly_better(b, a, polarity))
         # a rung groups exactly the values the reference calls equal
-        assert (pair(a, polarity) == pair(b, polarity)) == (forward and backward)
+        assert same_row(a, b, polarity) == (forward and backward)
 
     @given(same_family_pair())
     @settings(max_examples=300)
@@ -310,7 +314,7 @@ class TestMonotoneRescaling:
         ga, gb = rescale(a, g), rescale(b, g)
         assert beats(a, b, polarity) == beats(ga, gb, polarity)
         assert beats(b, a, polarity) == beats(gb, ga, polarity)
-        assert (pair(a, polarity) == pair(b, polarity)) == (pair(ga, polarity) == pair(gb, polarity))
+        assert same_row(a, b, polarity) == same_row(ga, gb, polarity)
 
     @given(grid_numeric_values(), st.sampled_from(["max", "min"]), int_finite, increasing_maps())
     @settings(max_examples=300)
