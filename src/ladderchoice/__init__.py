@@ -6,7 +6,7 @@ ranked attribute groups until exactly one remains.  Prospect-theory and
 image-theory baseline choosers are included for side-by-side comparison.
 
 The names below are the documented public API; everything else is reached
-through its submodule (``ladderchoice.values``, ``ladderchoice.oracle``, ...).
+through its submodule (``ladderchoice.sift``, ``ladderchoice.oracle``, ...).
 ``compare_theories`` is imported from ``ladderchoice.baselines`` on first use,
 so importing the package does not load the baseline choosers.
 """

@@ -23,7 +23,7 @@ from typing import Callable, NoReturn, Optional
 
 from .ladder import DominanceMode, decide_task
 from .model import DecisionTask, Verdict
-from .scenario import ScenarioError, decision_to_json, level_line, parse_scenario, violation_category
+from .scenario import ScenarioError, decision_text, decision_to_json, parse_scenario, violation_category
 
 _VERDICT_EXIT = {
     Verdict.CHOSEN: 0,
@@ -45,20 +45,10 @@ def _load(path: str) -> DecisionTask:
 def cmd_decide(path: str, mode: DominanceMode, as_json: bool) -> int:
     task = _load(path)
     sifted, outcome = decide_task(task, mode)
-
     if as_json:
         print(json.dumps(decision_to_json(task, sifted, outcome), indent=2, ensure_ascii=False))
-        return _VERDICT_EXIT[outcome.verdict]
-
-    for e in sifted.eliminations:
-        print(f"eliminated {e.alternative_id} | attribute {e.attribute_id} | {e.threshold} | value {e.value}")
-    print(f"feasible [{','.join(sifted.feasible)}]")
-    for record in outcome.trace:
-        print(level_line(record))
-    if outcome.verdict is Verdict.CHOSEN:
-        print(f"Chosen: {outcome.chosen}")
     else:
-        print(outcome.verdict.value)
+        print(decision_text(sifted, outcome))
     return _VERDICT_EXIT[outcome.verdict]
 
 

@@ -12,15 +12,14 @@ alternative remains.  Two dominance modes are supported:
   rival; the set can never become empty, but may stay plural all the way
   down, ending in ``NoUniqueChoice``.
 
-Both modes read a rung through one function, :func:`_columns`, and one order,
-the one :mod:`~ladderchoice.values` defines: dominance is strict
-componentwise order on the polarity-signed coordinates
-:func:`~ladderchoice.values.signed_columns` gives, with equal category keys.
-Each column is read once, by its attribute's kind, never by a value's tag: a
-categorical column's keys are labels, and an ordered column holding a value
-of another family raises ``ValueError`` naming the first such value in
-candidate order.  An ordered column gives one coordinate when all its values
-are points, else two.  Cost of one rung over n candidates and m attributes:
+Both modes read a rung through one function, :func:`_columns`, and one order:
+dominance is strict componentwise order on the polarity-signed coordinates
+:func:`signed_columns` gives, with equal category keys.  Each column is read
+once, by its attribute's kind, never by a value's tag: a categorical column's
+keys are labels, and an ordered column holding a value of another family
+raises ``ValueError`` naming the first such value in candidate order.  An
+ordered column gives one coordinate when all its values are points, else
+two.  Cost of one rung over n candidates and m attributes:
 
 * ``GLOBAL`` makes no comparisons, O(n·m).  A vector that beats all the
   others is their componentwise maximum, so the rung keeps the candidates at
@@ -45,19 +44,22 @@ from __future__ import annotations
 from bisect import bisect_left
 from enum import Enum
 from itertools import compress
-from operator import ge
+from operator import ge, itemgetter, neg
 from typing import Iterable, Iterator, Sequence
 
 from .model import (
+    KIND_FAMILY,
     Alternative,
+    Attribute,
     DecisionTask,
     LadderOutcome,
     LevelRecord,
     SiftResult,
     Verdict,
 )
-from .sift import psp
-from .values import satisfies_threshold, signed_columns
+from .sift import psp, satisfies_threshold
+
+_tag, _lo, _hi = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
 class DominanceMode(Enum):
@@ -70,12 +72,38 @@ def _mode(mode: object) -> DominanceMode:
     return mode if type(mode) is DominanceMode else DominanceMode(mode)
 
 
+def signed_columns(keys: Sequence[tuple], attr: Attribute) -> list[list]:
+    """The coordinates that order the values of one ordered column, larger being better, read cell by cell.
+
+    Gives one list per coordinate, the i-th item of each belonging to
+    ``keys[i]``: a key's coordinates are ``(lo, hi)`` for the numeric shapes
+    and ``(level,)`` for an ordinal, each negated under cost.  When every
+    value is a point (crisp, ordinal, a degenerate interval) the upper ends
+    repeat the lower ends, so the lower ends come alone.  No key is hashed.
+    A category has no order and raises ``ValueError``, and so does a value of
+    another family than the attribute's kind, at the first such key.
+    """
+    family = KIND_FAMILY[attr.kind]
+    if family == "c" or set(map(_tag, keys)) != {family}:
+        for key in keys:
+            if key[0] == "c":
+                raise ValueError("a category value has no order")
+            if key[0] != family:
+                raise ValueError(f"{attr.kind} attribute {attr.id} cannot order a value of another family, {key!r}")
+    los = list(map(_lo, keys))
+    his = list(map(_hi, keys)) if family == "n" else los
+    columns = [los] if his == los else [los, his]
+    if attr.polarity == "cost":
+        return [list(map(neg, column)) for column in columns]
+    return columns
+
+
 def _columns(alts: Sequence[Alternative], attrs: Iterable[int], task: DecisionTask) -> Iterator[tuple[bool, list]]:
     """The columns of ``alts`` on ``attrs``, attribute by attribute in id order, each with whether it holds labels.
 
     A categorical attribute gives one column, its value keys, used as labels;
-    an ordered one its signed coordinate columns
-    (:func:`~ladderchoice.values.signed_columns`), read when it is reached.
+    an ordered one its signed coordinate columns (:func:`signed_columns`),
+    read when it is reached.
     """
     by_id = task._by_id
     cells = [alt.values for alt in alts]

@@ -256,6 +256,8 @@ class Attribute:
             if self.kind != "ordinal":
                 raise ValueError(f"attribute {self.id} ({self.kind}) cannot declare labels; only an ordinal attribute can")
             for lab, lvl in self.labels.items():
+                if not isinstance(lab, str):
+                    raise ValueError(f"ordinal label must be a string, got {lab!r}")
                 if not _is_level(lvl):
                     raise ValueError(f"label {lab!r} maps to level {lvl!r}, expected 1..5")
 
@@ -276,6 +278,8 @@ class Threshold:
     bound: Union[float, int, frozenset[str]] = 0.0
 
     def __post_init__(self) -> None:
+        if not _is_int(self.attribute_id):
+            raise ValueError(f"threshold attribute id must be an integer, got {self.attribute_id!r}")
         if not isinstance(self.op, str) or self.op not in OP_FAMILY:
             raise ValueError(f"unknown threshold op {self.op!r}")
         family = OP_FAMILY[self.op]
@@ -601,8 +605,10 @@ def validate_task(task: DecisionTask) -> list[Violation]:
                 )
             extra_values = values.keys() - declared
             if extra_values:
+                # int ids first in numeric order, then any other key by repr
+                undeclared = sorted(extra_values, key=lambda x: (0, x) if _is_int(x) else (1, repr(x)))
                 violations.append(
-                    Violation("unknown-reference", f"alternative {alt.id!r} has value(s) for undeclared attribute(s) {sorted(extra_values)}")
+                    Violation("unknown-reference", f"alternative {alt.id!r} has value(s) for undeclared attribute(s) {undeclared}")
                 )
             complete = relevant.isdisjoint(missing_values)
         keys = []

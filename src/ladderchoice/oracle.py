@@ -8,6 +8,7 @@ meaningful check rather than a tautology.  Speed is a non-goal.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -178,11 +179,12 @@ def _random_value(rng: random.Random, attr: Attribute, total_order_only: bool) -
     return at_least(rng.randint(0, 20))
 
 
-def _value_domain(attr: Attribute, total_order_only: bool) -> list[AttributeValue]:
-    """Every value :func:`_random_value` can draw for ``attr``, one per canonical key."""
-    if attr.kind == "ordinal":
+@functools.lru_cache(maxsize=None)
+def _value_domain(kind: str, total_order_only: bool) -> tuple[AttributeValue, ...]:
+    """Every value :func:`_random_value` can draw for an attribute of ``kind``, one per canonical key."""
+    if kind == "ordinal":
         drawable = [ordinal(level) for level in range(1, 6)]
-    elif attr.kind == "categorical":
+    elif kind == "categorical":
         drawable = [category(label) for label in CATEGORY_POOL]
     else:
         drawable = [crisp(x) for x in range(21)]
@@ -192,7 +194,7 @@ def _value_domain(attr: Attribute, total_order_only: bool) -> list[AttributeValu
     domain: dict[tuple, AttributeValue] = {}
     for value in drawable:
         domain.setdefault(value.key, value)
-    return list(domain.values())
+    return tuple(domain.values())
 
 
 def _random_threshold(rng: random.Random, attr: Attribute) -> Threshold:
@@ -240,7 +242,7 @@ def random_task(
 
     capacity = 1
     for attr in attributes:
-        capacity *= 21 if attr.kind == "numeric" else 5
+        capacity *= len(_value_domain(attr.kind, total_order_only))
         if capacity >= n_alternatives:
             break
     n_alternatives = min(n_alternatives, capacity)
@@ -273,7 +275,7 @@ def random_task(
             else:
                 # rejection sampling stalls once nearly every value vector is
                 # taken: draw the rest without replacement from the free ones
-                domains = [_value_domain(a, total_order_only) for a in attributes]
+                domains = [_value_domain(a.kind, total_order_only) for a in attributes]
                 unused = [
                     vector
                     for vector in itertools.product(*domains)

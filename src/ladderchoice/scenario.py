@@ -52,6 +52,7 @@ from .model import (
     LevelRecord,
     SiftResult,
     Threshold,
+    Verdict,
     Violation,
     at_least,
     category,
@@ -367,11 +368,23 @@ def serialize_task(task: DecisionTask) -> str:
 def serialize_outcome(outcome: LadderOutcome) -> str:
     """Stable plain-text trace: a verdict header, then one line per visited level."""
     lines = [f"{outcome.verdict.value} {outcome.chosen if outcome.chosen is not None else '-'}"]
-    lines.extend(level_line(record) for record in outcome.trace)
+    lines.extend(_level_line(record) for record in outcome.trace)
     return "\n".join(lines)
 
 
-def level_line(record: LevelRecord) -> str:
+def decision_text(sifted: SiftResult, outcome: LadderOutcome) -> str:
+    """The ``decide`` transcript: each elimination, the feasible ids, each rung, then the verdict."""
+    lines = [
+        f"eliminated {e.alternative_id} | attribute {e.attribute_id} | {e.threshold} | value {e.value}"
+        for e in sifted.eliminations
+    ]
+    lines.append(f"feasible [{','.join(sifted.feasible)}]")
+    lines.extend(_level_line(record) for record in outcome.trace)
+    lines.append(f"Chosen: {outcome.chosen}" if outcome.verdict is Verdict.CHOSEN else outcome.verdict.value)
+    return "\n".join(lines)
+
+
+def _level_line(record: LevelRecord) -> str:
     """One ladder rung as a plain-text trace line: its rank, attributes and survivors before and after."""
     attrs = ",".join(str(a) for a in sorted(record.attribute_ids))
     before = ",".join(record.survivors_before)

@@ -4,17 +4,35 @@ An alternative survives iff it satisfies every threshold; each failure is
 recorded as an audit entry.  One pass suffices because an alternative's fate
 depends only on its own values, never on the rest of the field.
 
-A verdict depends only on the value, so :func:`psp` asks
-:func:`~ladderchoice.values.satisfies_threshold` once per threshold per
-distinct value key and looks every other cell up: O(n·t) lookups plus one
-judgement per distinct (threshold, key) pair.  An audit entry is built only
-for a failing cell.
+Thresholds use best-case endpoints, so an interval passes a bound whenever
+some point of it does (:func:`satisfies_threshold`).  A verdict depends only
+on the value, so :func:`psp` judges once per threshold per distinct value key
+and looks every other cell up: O(n·t) lookups plus one judgement per distinct
+(threshold, key) pair.  An audit entry is built only for a failing cell.
 """
 
 from __future__ import annotations
 
-from .model import DecisionTask, Elimination, SiftResult
-from .values import satisfies_threshold
+from .model import OP_FAMILY, AttributeValue, DecisionTask, Elimination, SiftResult, Threshold
+
+
+def satisfies_threshold(value: AttributeValue, threshold: Threshold) -> bool:
+    """Whether a value meets an acceptance threshold.
+
+    A threshold judges only values of its op's family in
+    :data:`~ladderchoice.model.OP_FAMILY`; any other value is a contract
+    error.  Bounds use best-case endpoints of ``value.key``: ``max`` and
+    ``max_level`` test its lower end, ``min`` and ``min_level`` its upper end
+    (an ordinal's level is both), and ``allowed`` its label.
+    """
+    op, key = threshold.op, value.key
+    if key[0] != OP_FAMILY[op]:
+        raise ValueError(f"{op} threshold cannot judge a {value.kind} value")
+    if op == "max" or op == "max_level":
+        return key[1] <= threshold.bound
+    if op == "min" or op == "min_level":
+        return key[-1] >= threshold.bound
+    return key[1] in threshold.bound
 
 
 def psp(task: DecisionTask) -> SiftResult:

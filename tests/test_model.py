@@ -16,19 +16,22 @@ from ladderchoice import (
     Alternative,
     Attribute,
     DecisionTask,
+    DominanceMode,
     DominancePartition,
     Threshold,
     Verdict,
     at_least,
     category,
     crisp,
+    decide_task,
     interval,
     ordinal,
+    serialize_task,
     validate_task,
 )
 from ladderchoice.model import LadderOutcome
 from ladderchoice.oracle import random_task
-from ladderchoice.values import satisfies_threshold
+from ladderchoice.sift import satisfies_threshold
 
 
 def make_task(**overrides) -> DecisionTask:
@@ -263,6 +266,17 @@ class TestMalformedArguments:
         with pytest.raises(ValueError, match=rf"^alternative 'z' values must map attribute ids to values, got {re.escape(repr(values))}$"):
             Alternative("z", values)
 
+    @pytest.mark.parametrize("aid", ["z", None, 1.5, True], ids=["string", "none", "float", "bool"])
+    def test_threshold_attribute_id(self, aid):
+        # an id that is not an int would later break sorting the task's thresholds
+        with pytest.raises(ValueError, match=rf"^threshold attribute id must be an integer, got {re.escape(repr(aid))}$"):
+            Threshold(aid, "max", 3)
+
+    def test_label_keys_are_strings(self):
+        # a key that is not a string would later break sorting the labels in serialize_task
+        with pytest.raises(ValueError, match=r"^ordinal label must be a string, got 5$"):
+            Attribute(1, "x", "ordinal", "benefit", labels={"a": 3, 5: 2})
+
     def test_collections_of_each_kind_are_accepted(self):
         task = make_task(
             attributes=list(make_task().attributes),
@@ -273,6 +287,74 @@ class TestMalformedArguments:
         )
         assert task == make_task(aspiration=(Threshold(2, "min_level", 1),))
         assert validate_task(task) == []
+
+
+# the arguments of a clean task, swapped out one at a time below
+ARGUMENTS = {
+    Attribute: (3, "comfort", "ordinal", "benefit", "stars", {"okay": 3}),
+    Threshold: (2, "min", 1),
+    Alternative: ("a", {1: crisp(3), 2: crisp(5), 3: ordinal(4)}),
+    DominancePartition: ([[1, 2], [3]],),
+    DecisionTask: ("t", None, {1, 2}, None, None, None, (Threshold(3, "min_level", 2),)),  # None: built below
+}
+SLOTS = [(cls, position) for cls, args in ARGUMENTS.items() for position in range(len(args))]
+# what a caller might pass by mistake: scalars, and nested containers whose keys mix types
+hashables = st.one_of(
+    st.none(), st.booleans(), st.integers(1, 5), st.floats(), st.text(max_size=3), st.binary(max_size=2)
+)
+nested = st.recursive(
+    hashables,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.sets(hashables, max_size=3),
+        st.frozensets(hashables, max_size=3),
+        st.dictionaries(hashables, children, max_size=3),
+    ),
+    max_leaves=4,
+)
+# and maps whose values are often levels, so that a map of labels gets past the level check
+arbitrary = st.one_of(hashables, nested, st.dictionaries(hashables, st.one_of(st.integers(1, 5), nested), min_size=1, max_size=3))
+
+
+def build_with(cls: type, position: int, swapped: object) -> DecisionTask:
+    """The clean task of :data:`ARGUMENTS`, with argument ``position`` of its ``cls`` record swapped."""
+
+    def make(record: type) -> object:
+        args = list(ARGUMENTS[record])
+        if record is cls:
+            args[position] = swapped
+        return record(*args)
+
+    args = list(ARGUMENTS[DecisionTask])
+    args[1] = (Attribute(1, "price", "numeric", "cost"), Attribute(2, "speed", "numeric", "benefit"), make(Attribute))
+    args[3] = (Threshold(1, "max", 10), make(Threshold))
+    args[4] = make(DominancePartition)
+    args[5] = (make(Alternative), Alternative("b", {1: crisp(4), 2: crisp(6), 3: ordinal(2)}))
+    if cls is DecisionTask:
+        args[position] = swapped
+    return DecisionTask(*args)
+
+
+class TestArbitraryArguments:
+    def test_the_unswapped_task_is_clean(self):
+        assert validate_task(build_with(Attribute, 0, ARGUMENTS[Attribute][0])) == []
+
+    @pytest.mark.parametrize("cls,position", SLOTS, ids=[f"{cls.__name__}-{position}" for cls, position in SLOTS])
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(swapped=arbitrary)
+    def test_an_argument_is_refused_or_the_task_is_handled(self, cls, position, swapped):
+        # a construction succeeds or raises ValueError; validate_task reports and
+        # never raises; a clean task decides in both modes and serializes
+        try:
+            task = build_with(cls, position, swapped)
+        except ValueError:
+            return
+        findings = validate_task(task)
+        assert isinstance(findings, list)
+        if not findings:
+            for mode in DominanceMode:
+                decide_task(task, mode)
+            serialize_task(task)
 
 
 class TestPartition:
@@ -419,6 +501,14 @@ class TestValidateTask:
     def test_unknown_references_flagged(self):
         task = make_task(basic_ids=frozenset({1, 9}))
         assert any(v.code == "unknown-reference" for v in validate_task(task))
+
+    def test_undeclared_keys_of_any_type_are_unknown_references(self):
+        # int ids first in numeric order, then every other key by repr
+        row = {1: crisp(3), 2: ordinal(4), "a": crisp(1), 10: crisp(2), 5: crisp(2), (1,): crisp(2), 2.5: crisp(2)}
+        task = make_task(alternatives=(Alternative("a", row), Alternative("b", {1: crisp(60), 2: ordinal(3)})))
+        assert [str(v) for v in validate_task(task)] == [
+            "unknown-reference: alternative 'a' has value(s) for undeclared attribute(s) [5, 10, 'a', (1,), 2.5]"
+        ]
 
     def test_duplicate_attribute_id_flagged(self):
         task = make_task(

@@ -49,6 +49,19 @@ class TestGenerator:
         assert 1 <= len(task.alternatives) <= 21
         assert validate_task(task) == []
 
+    @pytest.mark.parametrize(
+        "seed,kind,n_alternatives,expected",
+        [(1, "numeric", 60, 60), (1, "numeric", 170, 170), (1, "numeric", 171, 170), (0, "categorical", 8, 5)],
+        ids=["numeric-60", "numeric-170", "numeric-171", "categorical-8"],
+    )
+    def test_the_cap_is_the_number_of_distinct_values(self, seed, kind, n_alternatives, expected):
+        # a numeric attribute in partial order draws 170 distinct values: 21
+        # crisp numbers, 128 intervals that are not points and 21 at_least bounds
+        task = random_task(seed, n_alternatives=n_alternatives, n_attributes=1)
+        assert task.attributes[0].kind == kind
+        assert len(task.alternatives) == expected
+        assert validate_task(task) == []
+
     def test_stream_is_unchanged(self):
         digest = hashlib.sha256()
         for seed in range(7, 1007):

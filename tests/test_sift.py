@@ -10,7 +10,7 @@ from conftest import tie_heavy_task
 from ladderchoice import Alternative, Threshold, crisp, interval, psp
 from ladderchoice.model import Elimination, SiftResult
 from ladderchoice.oracle import random_task
-from ladderchoice.values import satisfies_threshold
+from ladderchoice.sift import satisfies_threshold
 
 
 def restrict(task, keep_ids):

@@ -28,9 +28,10 @@ from ladderchoice import (
     ladder,
     ordinal,
 )
+from ladderchoice.ladder import signed_columns
 from ladderchoice.model import label_level
 from ladderchoice.oracle import _naive_strictly_better, _naive_weakly_better
-from ladderchoice.values import satisfies_threshold, signed_columns
+from ladderchoice.sift import satisfies_threshold
 
 finite = st.one_of(
     st.integers(min_value=-50, max_value=50).map(float),
