@@ -29,7 +29,7 @@ from ladderchoice import (
     serialize_task,
     validate_task,
 )
-from ladderchoice.model import LadderOutcome
+from ladderchoice.model import KIND_FAMILY, LadderOutcome, Violation
 from ladderchoice.oracle import random_task
 from ladderchoice.sift import satisfies_threshold
 
@@ -809,3 +809,148 @@ class TestRowFindings:
             task = broken_rows(seed, 10, 3, seed % 2 == 0)
             codes |= {code for code, _ in naive_row_findings(task)}
         assert codes == {"duplicate-alternative-id", "missing-value", "unknown-reference", "kind-mismatch", "duplicate-alternative"}
+
+
+def per_row(task: DecisionTask) -> list[Violation]:
+    """validate_task's findings on the alternatives, read one row and one cell at a time.
+
+    This is the row loop the validator ran before it screened whole columns,
+    kept as it was: each row's repeated id, missing and undeclared ids, and
+    each cell's value and family, in position order, then the duplicate pairs.
+    """
+    declared = task.attribute_ids()
+    relevant = (task.basic_ids | frozenset().union(*task.partition.levels)) & declared
+    cells = [(aid, attr.kind, KIND_FAMILY[attr.kind], aid in relevant) for aid, attr in sorted(task._by_id.items())]
+    violations: list[Violation] = []
+    alt_ids_seen: set[str] = set()
+    groups: dict[tuple, list[int]] = {}
+    for position, alt in enumerate(task.alternatives):
+        if alt.id in alt_ids_seen:
+            violations.append(Violation("duplicate-alternative-id", f"alternative id {alt.id!r} declared twice"))
+        alt_ids_seen.add(alt.id)
+
+        values = alt.values
+        complete = True
+        if values.keys() != declared:
+            missing_values = declared - values.keys()
+            if missing_values:
+                violations.append(
+                    Violation("missing-value", f"alternative {alt.id!r} lacks value(s) for attribute(s) {sorted(missing_values)}")
+                )
+            extra_values = values.keys() - declared
+            if extra_values:
+                undeclared = sorted(extra_values, key=lambda x: (0, x) if isinstance(x, int) and not isinstance(x, bool) else (1, repr(x)))
+                violations.append(
+                    Violation("unknown-reference", f"alternative {alt.id!r} has value(s) for undeclared attribute(s) {undeclared}")
+                )
+            complete = relevant.isdisjoint(missing_values)
+        keys = []
+        for aid, attr_kind, family, screened in cells:
+            if aid not in values:
+                continue
+            try:
+                key = values[aid].key
+            except AttributeError:
+                violations.append(
+                    Violation("kind-mismatch", f"alternative {alt.id!r} carries {values[aid]!r}, not a value, on {attr_kind} attribute {aid}")
+                )
+                if screened:
+                    complete = False
+                continue
+            if key[0] != family:
+                violations.append(
+                    Violation("kind-mismatch", f"alternative {alt.id!r} carries a {values[aid].kind} value on {attr_kind} attribute {aid}")
+                )
+                if screened:
+                    complete = False
+            elif screened:
+                keys.append(key)
+        if complete:
+            groups.setdefault(tuple(keys), []).append(position)
+
+    pairs = sorted(pair for group in groups.values() for pair in itertools.combinations(group, 2))
+    for i, j in pairs:
+        violations.append(
+            Violation(
+                "duplicate-alternative",
+                f"alternatives {task.alternatives[i].id!r} and {task.alternatives[j].id!r} are completely equal on every screened attribute",
+            )
+        )
+    return violations
+
+
+# what an anomaly puts in a cell that holds no value
+NOT_VALUES = (None, "x", 3, (("n", 1.0, 1.0),))
+# keys no attribute declares, and keys equal to id 1 that are not the int 1
+UNDECLARED_KEYS = (9, "x", 2.5, (1,), None)
+EQUAL_KEYS = (True, 1.0)
+ANOMALIES = ("missing", "extra-int", "extra-other", "equal-key", "misfit", "not-a-value", "repeat-id", "twin")
+
+
+@st.composite
+def anomalous_tasks(draw):
+    """A random_task, perhaps with an attribute outside every screen, whose rows take zero to three anomalies each.
+
+    ``twin`` copies an earlier row's values, which then take the row's other
+    anomalies; on the unscreened attribute a twin may differ, so its screened
+    row still repeats.  ``repeat-id`` takes an earlier row's id.
+    """
+    base = random_task(draw(st.integers(0, 2**16)), n_alternatives=draw(st.integers(1, 8)), n_attributes=draw(st.integers(1, 4)))
+    attributes = base.attributes
+    unscreened = draw(st.booleans())
+    if unscreened:
+        attributes += (Attribute(len(attributes) + 1, "aside", "numeric", "cost"),)
+    kinds = {attr.id: attr.kind for attr in attributes}
+    rows: list[Alternative] = []
+    for alt in base.alternatives:
+        alt_id, values = alt.id, dict(alt.values)
+        if unscreened:
+            values[len(attributes)] = crisp(draw(st.integers(0, 1)))
+        for anomaly in draw(st.lists(st.sampled_from(ANOMALIES), max_size=3)):
+            if anomaly == "twin" and rows:
+                values = dict(draw(st.sampled_from(rows)).values)
+                if unscreened and len(attributes) in values:
+                    values[len(attributes)] = crisp(draw(st.integers(0, 1)))
+            elif anomaly == "repeat-id" and rows:
+                alt_id = draw(st.sampled_from(rows)).id
+            elif anomaly == "missing" and values:
+                del values[draw(st.sampled_from(sorted(values, key=repr)))]
+            elif anomaly == "extra-int":
+                values[draw(st.integers(len(attributes) + 1, 12))] = crisp(1)
+            elif anomaly == "extra-other":
+                values[draw(st.sampled_from(UNDECLARED_KEYS))] = crisp(1)
+            elif anomaly == "equal-key" and 1 in values:
+                values[draw(st.sampled_from(EQUAL_KEYS))] = values.pop(1)
+            elif anomaly in ("misfit", "not-a-value"):
+                aid = draw(st.sampled_from(sorted(kinds)))
+                choices = MISFITS[kinds[aid]] if anomaly == "misfit" else NOT_VALUES
+                values[aid] = draw(st.sampled_from(choices))
+        rows.append(Alternative(alt_id, values))
+    return dataclasses.replace(base, attributes=attributes, alternatives=tuple(rows))
+
+
+class TestColumnScreen:
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(anomalous_tasks())
+    def test_the_findings_are_the_row_loops(self, task):
+        task_level = validate_task(dataclasses.replace(task, alternatives=()))
+        assert validate_task(task) == task_level + per_row(task)
+
+    def test_every_row_finding_is_drawn_and_rows_take_several(self):
+        codes: set[str] = set()
+        most = 0  # the most codes one row's findings have
+
+        @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+        @given(anomalous_tasks())
+        def record(task):
+            nonlocal most
+            by_row: dict[str, set[str]] = {}
+            for v in per_row(task):
+                codes.add(v.code)
+                if v.code != "duplicate-alternative":
+                    by_row.setdefault(re.search(r"'(.*?)'", v.message).group(1), set()).add(v.code)
+            most = max([most, *map(len, by_row.values())])
+
+        record()
+        assert codes == {"duplicate-alternative-id", "missing-value", "unknown-reference", "kind-mismatch", "duplicate-alternative"}
+        assert most >= 3
