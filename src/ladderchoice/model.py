@@ -22,8 +22,9 @@ import math
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import combinations
-from typing import Iterable, Optional, Union
+from itertools import combinations, compress, repeat
+from operator import attrgetter, itemgetter, ne
+from typing import Iterable, Optional, Sequence, Union
 
 ORDINAL_LABELS = ("very_low", "low", "moderate", "high", "very_high")
 ORDINAL_LEVELS = {label: i + 1 for i, label in enumerate(ORDINAL_LABELS)}
@@ -502,9 +503,16 @@ def validate_task(task: DecisionTask) -> list[Violation]:
     partition levels referencing known attributes, basic and dominance sets
     jointly covering every attribute, aspiration restricted to the top level,
     complete kind-consistent value vectors, and no two alternatives with
-    completely equal value vectors.  The duplicate screen is linear: it
-    groups alternatives by their tuple of value keys.  Each row is read
-    once, attribute by attribute in id order.
+    completely equal value vectors.
+
+    The alternatives are screened column by column.  Each declared
+    attribute's value keys are read once, as a list over the rows, and their
+    family tags are checked with one set per column.  A row is read again,
+    cell by cell, only when the screen flags it: for a repeated id, ids other
+    than the declared ones, or a cell that holds no value or a value of
+    another family.  That reading is the one place that builds a row's
+    findings.  The duplicate screen is linear: it zips the screened columns
+    into rows and groups equal ones.
     """
     violations: list[Violation] = []
 
@@ -582,72 +590,149 @@ def validate_task(task: DecisionTask) -> list[Violation]:
                     Violation("kind-mismatch", f"aspiration threshold '{t}' does not fit attribute {t.attribute_id}")
                 )
 
-    # one pass per alternative: its id, its coverage, the kind of each value,
-    # and the value keys of its screened ids, which group it for the
-    # complete-equality screen over basic + dominance attributes
+    # the column screen reads each declared attribute's value keys as a list over
+    # the rows and flags the rows that need a finding; only those go through
+    # _report_row, and the screened columns of the rest, zipped into rows, group
+    # them for the complete-equality screen over basic + dominance attributes
     relevant = (task.basic_ids | partition_ids) & declared
-    # (id, kind, family tag, screened?) of each declared attribute, in id order
-    cells = [(aid, attr.kind, KIND_FAMILY[attr.kind], aid in relevant) for aid, attr in sorted(task._by_id.items())]
-    alt_ids_seen: set[str] = set()
-    groups: dict[tuple, list[int]] = {}  # screened value keys -> positions of the complete rows holding them
-    for position, alt in enumerate(task.alternatives):
-        if alt.id in alt_ids_seen:
-            violations.append(Violation("duplicate-alternative-id", f"alternative id {alt.id!r} declared twice"))
-        alt_ids_seen.add(alt.id)
+    order = sorted(task._by_id.items())  # the first declaration of each id, in id order
+    alts = task.alternatives
+    rows = list(map(_values, alts))
+    alt_ids = list(map(_id, alts))
+    repeated = _repeated(alt_ids) if len(set(alt_ids)) < len(alt_ids) else set()
+    flagged = set(repeated)
+    positions: Sequence[int] = range(len(rows))  # the rows whose columns are read
+    try:
+        if set(map(len, rows)) - {len(declared)}:
+            raise KeyError  # a row holds more or fewer ids than are declared
+        columns = _column_keys(rows, order)
+    except KeyError:
+        # a row whose ids are not the declared ones is flagged, and read no further here
+        off = set(compress(positions, map(ne, map(dict.keys, rows), repeat(declared))))
+        flagged |= off
+        positions = [p for p in positions if p not in off]
+        columns = _column_keys([rows[p] for p in positions], order)
+    screened = []
+    for (aid, attr), keys in zip(order, columns):
+        family = KIND_FAMILY[attr.kind]
+        try:
+            if set(map(_tag, keys)) != {family}:
+                flagged.update(compress(positions, map(ne, map(_tag, keys), repeat(family))))
+        except Exception:  # a key that is no tuple: the row reporter reads each row as the validator always has
+            flagged.update(positions)
+        if aid in relevant:
+            screened.append(keys)
+    keyrows: list = list(zip(*screened)) or [()] * len(positions)
 
-        values = alt.values
-        complete = True
-        if values.keys() != declared:
-            missing_values = declared - values.keys()
-            if missing_values:
-                violations.append(
-                    Violation("missing-value", f"alternative {alt.id!r} lacks value(s) for attribute(s) {sorted(missing_values)}")
-                )
-            extra_values = values.keys() - declared
-            if extra_values:
-                # int ids first in numeric order, then any other key by repr
-                undeclared = sorted(extra_values, key=lambda x: (0, x) if _is_int(x) else (1, repr(x)))
-                violations.append(
-                    Violation("unknown-reference", f"alternative {alt.id!r} has value(s) for undeclared attribute(s) {undeclared}")
-                )
-            complete = relevant.isdisjoint(missing_values)
-        keys = []
-        for aid, attr_kind, family, screened in cells:
-            if aid not in values:
-                continue
-            try:
-                key = values[aid].key
-            except AttributeError:
-                violations.append(
-                    Violation(
-                        "kind-mismatch",
-                        f"alternative {alt.id!r} carries {values[aid]!r}, not a value, on {attr_kind} attribute {aid}",
-                    )
-                )
-                if screened:
-                    complete = False
-                continue
-            if key[0] != family:
-                violations.append(
-                    Violation(
-                        "kind-mismatch",
-                        f"alternative {alt.id!r} carries a {values[aid].kind} value on {attr_kind} attribute {aid}",
-                    )
-                )
-                if screened:
-                    complete = False
-            elif screened:
-                keys.append(key)
-        if complete:
-            groups.setdefault(tuple(keys), []).append(position)
+    if flagged:
+        cells = [(aid, attr.kind, KIND_FAMILY[attr.kind], aid in relevant) for aid, attr in order]
+        by_position = dict(zip(positions, keyrows))
+        for position in sorted(flagged):
+            found, keyrow = _report_row(alts[position], position in repeated, declared, relevant, cells)
+            violations += found
+            by_position[position] = keyrow
+        keyrows = list(map(by_position.__getitem__, range(len(alts))))
 
-    pairs = sorted(pair for group in groups.values() for pair in combinations(group, 2))
-    for i, j in pairs:
-        violations.append(
-            Violation(
-                "duplicate-alternative",
-                f"alternatives {task.alternatives[i].id!r} and {task.alternatives[j].id!r} are completely equal on every screened attribute",
+    if len(set(keyrows)) < len(keyrows):
+        groups: dict[tuple, list[int]] = {}  # screened value keys -> positions of the complete rows holding them
+        for position, keyrow in enumerate(keyrows):
+            if keyrow is not None:
+                groups.setdefault(keyrow, []).append(position)
+        pairs = sorted(pair for group in groups.values() for pair in combinations(group, 2))
+        for i, j in pairs:
+            violations.append(
+                Violation(
+                    "duplicate-alternative",
+                    f"alternatives {alts[i].id!r} and {alts[j].id!r} are completely equal on every screened attribute",
+                )
             )
-        )
 
     return violations
+
+
+_values, _id, _tag = attrgetter("values"), attrgetter("id"), itemgetter(0)
+
+# what the column screen reads as the key of a cell that holds no value: its tag is no family's
+_NO_VALUE = (None,)
+
+
+def _repeated(ids: list[str]) -> set[int]:
+    """The positions of ``ids`` that repeat an earlier one."""
+    seen: set[str] = set()
+    repeats = set()
+    for position, alt_id in enumerate(ids):
+        if alt_id in seen:
+            repeats.add(position)
+        seen.add(alt_id)
+    return repeats
+
+
+def _column_keys(rows: list[dict], order: list[tuple[int, Attribute]]) -> list[list]:
+    """The value keys of ``rows`` on each attribute of ``order``, one list per attribute.
+
+    A cell that holds no value reads as ``_NO_VALUE``, and a row without one
+    of the ids raises ``KeyError``.
+    """
+    try:
+        return [[values[aid].key for values in rows] for aid, _ in order]
+    except AttributeError:
+        return [[getattr(values[aid], "key", _NO_VALUE) for values in rows] for aid, _ in order]
+
+
+def _report_row(
+    alt: Alternative, repeated: bool, declared: frozenset, relevant: frozenset, cells: list[tuple]
+) -> tuple[list[Violation], Optional[tuple]]:
+    """The findings of one alternative, and its screened value keys if it holds a value on each screened attribute.
+
+    ``cells`` holds the (id, kind, family tag, screened?) of each declared
+    attribute in id order.  This is the one place that builds a row's
+    findings: a repeated id, missing values, values on undeclared attributes,
+    then each cell that holds no value or a value of another family.
+    """
+    violations = []
+    if repeated:
+        violations.append(Violation("duplicate-alternative-id", f"alternative id {alt.id!r} declared twice"))
+    values = alt.values
+    complete = True
+    if values.keys() != declared:
+        missing_values = declared - values.keys()
+        if missing_values:
+            violations.append(
+                Violation("missing-value", f"alternative {alt.id!r} lacks value(s) for attribute(s) {sorted(missing_values)}")
+            )
+        extra_values = values.keys() - declared
+        if extra_values:
+            # int ids first in numeric order, then any other key by repr
+            undeclared = sorted(extra_values, key=lambda x: (0, x) if _is_int(x) else (1, repr(x)))
+            violations.append(
+                Violation("unknown-reference", f"alternative {alt.id!r} has value(s) for undeclared attribute(s) {undeclared}")
+            )
+        complete = relevant.isdisjoint(missing_values)
+    keys = []
+    for aid, attr_kind, family, screened in cells:
+        if aid not in values:
+            continue
+        try:
+            key = values[aid].key
+        except AttributeError:
+            violations.append(
+                Violation(
+                    "kind-mismatch",
+                    f"alternative {alt.id!r} carries {values[aid]!r}, not a value, on {attr_kind} attribute {aid}",
+                )
+            )
+            if screened:
+                complete = False
+            continue
+        if key[0] != family:
+            violations.append(
+                Violation(
+                    "kind-mismatch",
+                    f"alternative {alt.id!r} carries a {values[aid].kind} value on {attr_kind} attribute {aid}",
+                )
+            )
+            if screened:
+                complete = False
+        elif screened:
+            keys.append(key)
+    return violations, tuple(keys) if complete else None

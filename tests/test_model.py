@@ -29,7 +29,7 @@ from ladderchoice import (
     serialize_task,
     validate_task,
 )
-from ladderchoice.model import KIND_FAMILY, LadderOutcome, Violation
+from ladderchoice.model import KIND_FAMILY, AttributeValue, LadderOutcome, Violation
 from ladderchoice.oracle import random_task
 from ladderchoice.sift import satisfies_threshold
 
@@ -935,6 +935,23 @@ class TestColumnScreen:
     def test_the_findings_are_the_row_loops(self, task):
         task_level = validate_task(dataclasses.replace(task, alternatives=()))
         assert validate_task(task) == task_level + per_row(task)
+
+    @pytest.mark.parametrize("key", [5, (), [["n"]]], ids=["no-sequence", "empty", "unhashable-tag"])
+    def test_a_key_the_screen_cannot_read_ends_as_the_row_loop_does(self, key):
+        # the raw constructor checks nothing, so a cell's key may hold no tag at all
+        task = make_task(
+            alternatives=(
+                Alternative("a", {1: crisp(50), 2: ordinal(4)}),
+                Alternative("b", {1: crisp(60), 2: AttributeValue("ordinal", key)}),
+            )
+        )
+        try:
+            expected = per_row(task)
+        except Exception as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                validate_task(task)
+        else:
+            assert validate_task(task) == validate_task(dataclasses.replace(task, alternatives=())) + expected
 
     def test_every_row_finding_is_drawn_and_rows_take_several(self):
         codes: set[str] = set()
