@@ -137,9 +137,12 @@ def _front(rows: list[tuple]) -> list[tuple]:
     After a descending sort an earlier row is never smaller on the first
     coordinate, and the rows are distinct, so a row is beaten exactly when an
     earlier kept row is at least as large on the rest.  One coordinate keeps
-    the maximum; two and three sweep once in that order against a staircase
-    (Kung, Luccio and Preparata, JACM 1975) and call no :func:`_beats`; four
-    or more run the Sort-Filter-Skyline loop.
+    the maximum.  More sweep once in that order (Kung, Luccio and Preparata,
+    JACM 1975) and call no :func:`_beats`: each kept row goes into a staircase
+    of (second, third) pairs keyed by its coordinates past the third, and a
+    row is beaten when the staircase of some key at least as large as its own
+    holds a pair at least as large as its own.  Two and three coordinates have
+    the one key ``()``, so they sweep a single staircase.
     """
     if len(rows) == 1:
         return rows
@@ -147,38 +150,50 @@ def _front(rows: list[tuple]) -> list[tuple]:
     if width == 1:
         return [max(rows)]
     rows.sort(reverse=True)
+    # a staircase holds the (second, third) pairs of kept rows that no other
+    # kept row of its key covers, second ascending and so third descending; of
+    # the entries whose second is at least a row's, the first has the largest
+    # third, so it alone decides whether the staircase beats the row
+    front = []
     if width <= 3:
-        # the staircase: the (second, last) pairs of kept rows that no other kept
-        # row covers, second ascending and so last descending; of the entries
-        # whose second is at least a row's, the first has the largest last, so it
-        # alone decides whether the row is beaten (on two coordinates the pair is
-        # the second twice)
-        front = []
         seconds: list = []
         lasts: list = []
         for row in rows:
-            second, last = row[1], row[-1]
+            second, last = row[1], row[-1]  # on two coordinates the pair is the second twice
             i = bisect_left(seconds, second)
             if i < len(lasts) and lasts[i] >= last:
                 continue
             front.append(row)
-            # the row covers the run before position i whose lasts are no larger,
-            # and the entry at i if it has the same second; it replaces them
-            start = end = i
-            if i < len(seconds) and seconds[i] == second:
-                end += 1
-            while start and lasts[start - 1] <= last:
-                start -= 1
-            seconds[start:end] = [second]
-            lasts[start:end] = [last]
+            _cover(seconds, lasts, i, second, last)
         return front
-    # the top row is beaten by nothing left, and whatever it beats is out
-    front = []
-    while rows:
-        top = rows[0]
-        front.append(top)
-        rows = [row for row in rows[1:] if not _beats(top, row)]
+    stairs: dict[tuple, tuple[list, list]] = {}
+    for row in rows:
+        second, last, key = row[1], row[2], row[3:]
+        for above, (seconds, lasts) in stairs.items():
+            if all(map(ge, above, key)):
+                i = bisect_left(seconds, second)
+                if i < len(lasts) and lasts[i] >= last:
+                    break
+        else:
+            front.append(row)
+            seconds, lasts = stairs.setdefault(key, ([], []))
+            _cover(seconds, lasts, bisect_left(seconds, second), second, last)
     return front
+
+
+def _cover(seconds: list, lasts: list, i: int, second, last) -> None:
+    """Put the pair (second, last) into a staircase at ``bisect_left(seconds, second)``, which is ``i``.
+
+    The pair covers the run before position i whose lasts are no larger, and
+    the entry at i if it has the same second; it replaces them.
+    """
+    start = end = i
+    if i < len(seconds) and seconds[i] == second:
+        end += 1
+    while start and lasts[start - 1] <= last:
+        start -= 1
+    seconds[start:end] = [second]
+    lasts[start:end] = [last]
 
 
 def dominates(s: Alternative, t: Alternative, attrs: Iterable[int], task: DecisionTask) -> bool:

@@ -367,9 +367,8 @@ class TestModeArgument:
 class TestComparisonCount:
     """Pairwise comparisons of a rung grow with its distinct value vectors, not with its ties.
 
-    GLOBAL reads column maxima and compares no pair.  UNDOMINATED compares
-    none on labels and on one, two or three coordinates, and stays within d
-    squared on more.
+    GLOBAL reads column maxima and compares no pair, and UNDOMINATED sweeps
+    staircases, so neither calls ``_beats`` at any width.
     """
 
     @staticmethod
@@ -406,7 +405,7 @@ class TestComparisonCount:
         task = crisp_antichain(2000)
         assert self.count_beats([a.id for a in task.alternatives], {1, 2, 3}, UNDOM, task, monkeypatch) == 0
 
-    def test_four_coordinates_compare_within_distinct_vectors_squared(self, monkeypatch):
+    def test_four_coordinates_make_no_comparisons(self, monkeypatch):
         rng = random.Random(21)
         n = 1000
         task = column_task(
@@ -417,9 +416,41 @@ class TestComparisonCount:
         attrs = {1, 2, 3}  # an interval column, two coordinates, beside an ordinal and a crisp one
         candidates = [a.id for a in task.alternatives]
         distinct = {tuple(a.values[aid].key for aid in sorted(attrs)) for a in task.alternatives}
-        calls = self.count_beats(candidates, attrs, UNDOM, task, monkeypatch)
-        assert 0 < calls <= len(distinct) ** 2
+        assert len(distinct) > 100
+        assert self.count_beats(candidates, attrs, UNDOM, task, monkeypatch) == 0
         assert dominant_set(candidates, attrs, UNDOM, task) == brute_force_dominant(candidates, attrs, "undominated", task)
+
+
+    def test_four_coordinates_compare_keys_only_with_the_staircases_keys(self, monkeypatch):
+        # the rows lie on x + y + z = 1000, an antichain, beside a fourth column of two values;
+        # a row's key, its fourth coordinate, is compared with each staircase's key, and
+        # there is one staircase per distinct key
+        task = four_coordinate_antichain(600)
+        attrs = {1, 2, 3, 4}
+        rows = set(ladder._rows(task.alternatives, attrs, task)[0])
+        keys = {row[3:] for row in rows}
+        assert {len(row) for row in rows} == {4} and len(keys) == 2
+        compared = 0
+
+        def counting(a, b):
+            nonlocal compared
+            compared += 1
+            return a >= b
+
+        monkeypatch.setattr(ladder, "ge", counting)
+        kept = dominant_set([a.id for a in task.alternatives], attrs, UNDOM, task)
+        assert 0 < compared <= len(rows) * len(keys)
+        assert len(kept) > 500
+
+
+def four_coordinate_antichain(n):
+    """Three crisp benefit columns holding the points of ``plane``, and a fourth of 0 or 1."""
+    rng = random.Random(18)
+    points = plane(rng, n, 1000, 500)
+    return column_task(
+        *(("numeric", "benefit", [crisp(p[k]) for p in points]) for k in range(3)),
+        ("numeric", "benefit", [crisp(rng.randint(0, 1)) for _ in range(n)]),
+    )
 
 
 def column_task(*columns):
@@ -734,6 +765,32 @@ class TestUndominatedFront:
         for attrs in ({1, 2, 3}, {4, 5, 6}, {7, 8}):
             assert {len(row) for row in ladder._rows(task.alternatives, attrs, task)[0]} == {3}
             assert len(self.undominated_rung(task, everyone, attrs, self.oracle)) > n // 10
+
+    @pytest.mark.parametrize("polarity", ["benefit", "cost"])
+    def test_four_and_five_coordinate_antichains_against_the_oracle(self, polarity):
+        rng = random.Random(17)
+        n = 300
+        sign = 1 if polarity == "benefit" else -1
+        spans, flat = plane(rng, n, 60, 30), plane(rng, n, 60, 30)
+        # an interval under cost holds the negated bounds; the rows of each rung are an
+        # antichain on their first columns, and a column of few values ties them further
+        task = column_task(
+            ("numeric", polarity, [interval(x, y) if sign == 1 else interval(-y, -x) for x, y, _ in spans]),
+            ("numeric", polarity, [crisp(sign * z) for _, _, z in spans]),
+            ("ordinal", polarity, [ordinal(rng.randint(1, 3)) for _ in range(n)]),
+            *(("numeric", polarity, [crisp(sign * p[k]) for p in flat]) for k in range(3)),
+            ("numeric", polarity, [crisp(sign * rng.randint(0, 1)) for _ in range(n)]),
+            ("numeric", polarity, [interval(z, z + rng.randint(0, 2)) if sign == 1 else interval(-z - 2, -z) for _, _, z in spans]),
+        )
+        everyone = [a.id for a in task.alternatives]
+        for attrs, width in (({1, 2, 3}, 4), ({4, 5, 6, 7}, 4), ({1, 8}, 4), ({1, 2, 3, 7}, 5), ({1, 3, 7, 8}, 6)):
+            assert {len(row) for row in ladder._rows(task.alternatives, attrs, task)[0]} == {width}
+            assert len(self.undominated_rung(task, everyone, attrs, self.oracle)) > n // 10
+
+    def test_a_four_coordinate_antichain_of_2000_against_the_window_pass(self):
+        task = four_coordinate_antichain(2000)
+        everyone = [a.id for a in task.alternatives]
+        assert len(self.undominated_rung(task, everyone, {1, 2, 3, 4}, window_reference)) > 1500
 
     def test_a_three_coordinate_antichain_of_2000_against_the_window_pass(self):
         task = crisp_antichain(2000)
