@@ -14,15 +14,19 @@ import pytest
 from ladderchoice import (
     Alternative,
     Attribute,
+    DecisionTask,
+    DominancePartition,
     ScenarioError,
     Threshold,
     Verdict,
     category,
+    crisp,
     decide_task,
     outcome_to_json,
     parse_scenario,
     serialize_outcome,
     serialize_task,
+    validate_task,
 )
 from ladderchoice.cli import main
 from ladderchoice.model import LadderOutcome, LevelRecord
@@ -537,6 +541,21 @@ class TestRoundTrip:
         for seed in range(100):
             task = random_task(seed, n_alternatives=5, n_attributes=5, n_levels=3)
             assert parse_scenario(serialize_task(task)) == task
+
+    def test_a_key_equal_to_a_declared_id_is_written_as_that_id(self):
+        # True and 1.0 are taken for id 1 wherever a row's keys are read, so the text names id 1
+        task = DecisionTask(
+            task_id="keys",
+            attributes=tuple(Attribute(aid, f"a{aid}", "numeric", "benefit") for aid in (1, 2)),
+            basic_ids=frozenset(),
+            thresholds=(),
+            partition=DominancePartition([[1, 2]]),
+            alternatives=(Alternative("a", {True: crisp(3), 2: crisp(1)}), Alternative("b", {1.0: crisp(4), 2: crisp(0)})),
+        )
+        assert validate_task(task) == []
+        text = serialize_task(task)
+        assert [list(alt["values"]) for alt in json.loads(text)["alternatives"]] == [["1", "2"], ["1", "2"]]
+        assert parse_scenario(text) == task
 
     def test_serialization_is_deterministic(self, case1):
         assert serialize_task(case1) == serialize_task(case1)
