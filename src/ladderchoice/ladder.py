@@ -30,13 +30,13 @@ two.  Cost of one rung over n candidates and m attributes:
   (:func:`_rows`), O(n·m).  Rows with different labels or equal rows never
   beat each other, so each label group's d distinct rows are judged alone
   (:func:`_front`) and the result is mapped back.  With no coordinate every
-  row stays; with one, the maximum, O(d).  With two or three, Kung, Luccio
-  and Preparata (JACM 1975) sort the rows in descending order and sweep them
-  once against a staircase of the kept rows, O(d log d), so a trade-off does
-  not cost d squared.  With four or more, the descending presort of
-  Sort-Filter-Skyline (Chomicki et al., ICDE 2003) puts every dominator
-  first; the top row is kept, every row it beats is dropped, and so on,
-  O(d log d + d·k) :func:`_beats` calls for k kept rows.
+  row stays; with one, the maximum, O(d).  With more, Kung, Luccio and
+  Preparata (JACM 1975) sort the rows in descending order and sweep them
+  once against staircases of the kept rows, so a trade-off does not cost d
+  squared and no pair of rows is compared.  Two and three coordinates sweep
+  one staircase, O(d log d).  Four or more keep a staircase per value of
+  the coordinates past the third and test a row against each staircase
+  whose key is at least its own, O(d·k log d) for k such values.
 """
 
 from __future__ import annotations

@@ -599,7 +599,10 @@ def validate_task(task: DecisionTask) -> list[Violation]:
     alts = task.alternatives
     rows = list(map(_values, alts))
     alt_ids = list(map(_id, alts))
-    repeated = _repeated(alt_ids) if len(set(alt_ids)) < len(alt_ids) else set()
+    repeated: set[int] = set()  # the positions whose id an earlier alternative holds
+    if len(set(alt_ids)) < len(alt_ids):
+        firsts: dict[str, int] = {}
+        repeated = {position for position, alt_id in enumerate(alt_ids) if firsts.setdefault(alt_id, position) != position}
     flagged = set(repeated)
     positions: Sequence[int] = range(len(rows))  # the rows whose columns are read
     try:
@@ -618,7 +621,7 @@ def validate_task(task: DecisionTask) -> list[Violation]:
         try:
             if set(map(_tag, keys)) != {family}:
                 flagged.update(compress(positions, map(ne, map(_tag, keys), repeat(family))))
-        except Exception:  # a key that is no tuple: the row reporter reads each row as the validator always has
+        except (TypeError, LookupError):  # a key with no tag to read: the row reporter reads every row
             flagged.update(positions)
         if aid in relevant:
             screened.append(keys)
@@ -654,17 +657,6 @@ _values, _id, _tag = attrgetter("values"), attrgetter("id"), itemgetter(0)
 
 # what the column screen reads as the key of a cell that holds no value: its tag is no family's
 _NO_VALUE = (None,)
-
-
-def _repeated(ids: list[str]) -> set[int]:
-    """The positions of ``ids`` that repeat an earlier one."""
-    seen: set[str] = set()
-    repeats = set()
-    for position, alt_id in enumerate(ids):
-        if alt_id in seen:
-            repeats.add(position)
-        seen.add(alt_id)
-    return repeats
 
 
 def _column_keys(rows: list[dict], order: list[tuple[int, Attribute]]) -> list[list]:
