@@ -150,25 +150,15 @@ def _front(rows: list[tuple]) -> list[tuple]:
     if width == 1:
         return [max(rows)]
     rows.sort(reverse=True)
+    third = min(width, 3) - 1  # on two coordinates the pair is the second twice
     # a staircase holds the (second, third) pairs of kept rows that no other
     # kept row of its key covers, second ascending and so third descending; of
     # the entries whose second is at least a row's, the first has the largest
     # third, so it alone decides whether the staircase beats the row
     front = []
-    if width <= 3:
-        seconds: list = []
-        lasts: list = []
-        for row in rows:
-            second, last = row[1], row[-1]  # on two coordinates the pair is the second twice
-            i = bisect_left(seconds, second)
-            if i < len(lasts) and lasts[i] >= last:
-                continue
-            front.append(row)
-            _cover(seconds, lasts, i, second, last)
-        return front
     stairs: dict[tuple, tuple[list, list]] = {}
     for row in rows:
-        second, last, key = row[1], row[2], row[3:]
+        second, last, key = row[1], row[third], row[3:]
         for above, (seconds, lasts) in stairs.items():
             if all(map(ge, above, key)):
                 i = bisect_left(seconds, second)
@@ -176,24 +166,17 @@ def _front(rows: list[tuple]) -> list[tuple]:
                     break
         else:
             front.append(row)
+            # the new pair covers the run before its position whose thirds are
+            # no larger, and the entry at it if that has the same second
             seconds, lasts = stairs.setdefault(key, ([], []))
-            _cover(seconds, lasts, bisect_left(seconds, second), second, last)
+            start = end = bisect_left(seconds, second)
+            if end < len(seconds) and seconds[end] == second:
+                end += 1
+            while start and lasts[start - 1] <= last:
+                start -= 1
+            seconds[start:end] = [second]
+            lasts[start:end] = [last]
     return front
-
-
-def _cover(seconds: list, lasts: list, i: int, second, last) -> None:
-    """Put the pair (second, last) into a staircase at ``bisect_left(seconds, second)``, which is ``i``.
-
-    The pair covers the run before position i whose lasts are no larger, and
-    the entry at i if it has the same second; it replaces them.
-    """
-    start = end = i
-    if i < len(seconds) and seconds[i] == second:
-        end += 1
-    while start and lasts[start - 1] <= last:
-        start -= 1
-    seconds[start:end] = [second]
-    lasts[start:end] = [last]
 
 
 def dominates(s: Alternative, t: Alternative, attrs: Iterable[int], task: DecisionTask) -> bool:

@@ -22,9 +22,9 @@ import math
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import combinations, compress, repeat
+from itertools import combinations, compress, count, repeat
 from operator import attrgetter, itemgetter, ne
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 ORDINAL_LABELS = ("very_low", "low", "moderate", "high", "very_high")
 ORDINAL_LEVELS = {label: i + 1 for i, label in enumerate(ORDINAL_LABELS)}
@@ -604,37 +604,26 @@ def validate_task(task: DecisionTask) -> list[Violation]:
         firsts: dict[str, int] = {}
         repeated = {position for position, alt_id in enumerate(alt_ids) if firsts.setdefault(alt_id, position) != position}
     flagged = set(repeated)
-    positions: Sequence[int] = range(len(rows))  # the rows whose columns are read
-    try:
-        if set(map(len, rows)) - {len(declared)}:
-            raise KeyError  # a row holds more or fewer ids than are declared
-        columns = _column_keys(rows, order)
-    except KeyError:
-        # a row whose ids are not the declared ones is flagged, and read no further here
-        off = set(compress(positions, map(ne, map(dict.keys, rows), repeat(declared))))
-        flagged |= off
-        positions = [p for p in positions if p not in off]
-        columns = _column_keys([rows[p] for p in positions], order)
+    # a row with more ids than are declared, or fewer; one missing a declared id reads a _NO_VALUE
+    flagged.update(compress(count(), map(ne, map(len, rows), repeat(len(declared)))))
+    columns = _column_keys(rows, order)
     screened = []
     for (aid, attr), keys in zip(order, columns):
         family = KIND_FAMILY[attr.kind]
         try:
             if set(map(_tag, keys)) != {family}:
-                flagged.update(compress(positions, map(ne, map(_tag, keys), repeat(family))))
+                flagged.update(compress(count(), map(ne, map(_tag, keys), repeat(family))))
         except (TypeError, LookupError):  # a key with no tag to read: the row reporter reads every row
-            flagged.update(positions)
+            flagged.update(range(len(rows)))
         if aid in relevant:
             screened.append(keys)
-    keyrows: list = list(zip(*screened)) or [()] * len(positions)
+    keyrows: list = list(zip(*screened)) or [()] * len(rows)
 
     if flagged:
         cells = [(aid, attr.kind, KIND_FAMILY[attr.kind], aid in relevant) for aid, attr in order]
-        by_position = dict(zip(positions, keyrows))
         for position in sorted(flagged):
-            found, keyrow = _report_row(alts[position], position in repeated, declared, relevant, cells)
+            found, keyrows[position] = _report_row(alts[position], position in repeated, declared, relevant, cells)
             violations += found
-            by_position[position] = keyrow
-        keyrows = list(map(by_position.__getitem__, range(len(alts))))
 
     if len(set(keyrows)) < len(keyrows):
         groups: dict[tuple, list[int]] = {}  # screened value keys -> positions of the complete rows holding them
@@ -655,20 +644,19 @@ def validate_task(task: DecisionTask) -> list[Violation]:
 
 _values, _id, _tag = attrgetter("values"), attrgetter("id"), itemgetter(0)
 
-# what the column screen reads as the key of a cell that holds no value: its tag is no family's
+# what the column screen reads as the key of a missing cell or one that holds no value: its tag is no family's
 _NO_VALUE = (None,)
 
 
 def _column_keys(rows: list[dict], order: list[tuple[int, Attribute]]) -> list[list]:
     """The value keys of ``rows`` on each attribute of ``order``, one list per attribute.
 
-    A cell that holds no value reads as ``_NO_VALUE``, and a row without one
-    of the ids raises ``KeyError``.
+    A cell that holds no value, or a row without the id, reads as ``_NO_VALUE``.
     """
     try:
         return [[values[aid].key for values in rows] for aid, _ in order]
-    except AttributeError:
-        return [[getattr(values[aid], "key", _NO_VALUE) for values in rows] for aid, _ in order]
+    except (KeyError, AttributeError):
+        return [[getattr(values.get(aid), "key", _NO_VALUE) for values in rows] for aid, _ in order]
 
 
 def _report_row(
