@@ -1,9 +1,9 @@
 """Baseline choosers: a prospect-theory proxy and an image-theory screen-and-rank.
 
 Two fidelities of prospect theory live here.  The quantitative layer is the
-standard two-outcome value/weighting machinery (power value function with
-loss aversion, inverse-S probability weighting); the comparison harness never
-uses it.  The qualitative layer is :func:`pt_proxy_choose`: under a gain
+standard value and weighting functions (power value function with loss
+aversion, inverse-S probability weighting); the comparison harness never
+uses them.  The qualitative layer is :func:`pt_proxy_choose`: under a gain
 frame a risk-averse chooser simply minimizes a designated risk attribute
 across all alternatives, with no sifting stage.
 
@@ -47,25 +47,6 @@ class PtParams:
             warnings.warn("loss_aversion below 1 models loss tolerance, not aversion", stacklevel=2)
 
 
-class UnsupportedLotteryError(ValueError):
-    """Raised for lotteries outside the supported two-outcome form."""
-
-
-@dataclass(frozen=True)
-class Lottery:
-    """Finite lottery as (payoff, probability) pairs; probabilities sum to one."""
-
-    outcomes: tuple[tuple[float, float], ...]
-
-    def __init__(self, outcomes) -> None:
-        pairs = tuple((float(x), float(p)) for x, p in outcomes)
-        if any(not 0.0 <= p <= 1.0 for _, p in pairs):
-            raise ValueError("probabilities must lie in [0, 1]")
-        if abs(sum(p for _, p in pairs) - 1.0) > 1e-9:
-            raise ValueError("probabilities must sum to 1")
-        object.__setattr__(self, "outcomes", pairs)
-
-
 def pt_value(x: float, params: PtParams = PtParams()) -> float:
     """Reference-dependent value: x^alpha on gains, -loss_aversion*(-x)^beta on losses."""
     if x >= 0:
@@ -81,18 +62,6 @@ def pt_weight(prob: float, gamma: float) -> float:
         return prob
     num = prob**gamma
     return num / (num + (1.0 - prob) ** gamma) ** (1.0 / gamma)
-
-
-def cpt_evaluate(lottery: Lottery, params: PtParams = PtParams()) -> float:
-    """Separable two-outcome evaluation: sum of w(p)*v(x), gains weighted by gamma, losses by delta."""
-    nonzero = [(x, p) for x, p in lottery.outcomes if x != 0.0]
-    if len(nonzero) > 2:
-        raise UnsupportedLotteryError("only lotteries with at most two nonzero outcomes are supported")
-    total = 0.0
-    for x, p in nonzero:
-        g = params.gamma if x >= 0 else params.delta
-        total += pt_weight(p, g) * pt_value(x, params)
-    return total
 
 
 THEORIES = ("lt", "pt", "it")

@@ -84,15 +84,44 @@ def first_by_id(records: Iterable) -> dict:
     return index
 
 
-def _refuse_changes(cls: type) -> type:
-    """Make every assignment to or deletion from an instance of ``cls`` raise ``FrozenInstanceError``.
+def key_order(key: object) -> tuple:
+    """Where a key of an alternative's values is listed: int ids first in numeric order, then any other key by ``repr``."""
+    return (0, key) if _is_int(key) else (1, repr(key))
 
-    For a frozen slotted dataclass, the ``__setattr__`` and ``__delattr__`` the
-    decorator generates name the class as it was before ``slots=True`` rebuilt
-    it, so on a name that is not a field they fail with a ``TypeError`` from
-    ``super()``.  These two replace them; ``__init__`` and unpickling set
-    fields through ``object.__setattr__`` and are unaffected.
+
+# how a record's __init__ sets a field, since the record's own __setattr__ refuses; bound once, for the hot constructors
+_set = object.__setattr__
+
+
+class _Record:
+    """What every record shares: equality, hashing, ``repr``, refusing changes, and copying and pickling.
+
+    Each record is a ``dataclass(init=False, repr=False, eq=False)``, which
+    writes no method but lets ``dataclasses.fields``, ``replace`` and
+    ``asdict`` see its fields, and writes its own ``__init__``, which checks
+    the arguments and sets each field with ``object.__setattr__`` (``_set``).  Equality
+    and hashing read the fields in order, as a tuple, and only a record of
+    the same class compares equal.  Every assignment or deletion raises
+    ``FrozenInstanceError``.  A copy or an unpickled record is built again
+    from the field values, through ``__init__``.
     """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._astuple = attrgetter(*cls.__annotations__)  # the field values in order; a lone field's value itself
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._astuple(self) == other._astuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__dataclass_fields__)
+        return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -100,14 +129,12 @@ def _refuse_changes(cls: type) -> type:
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    cls.__setattr__ = __setattr__
-    cls.__delattr__ = __delattr__
-    return cls
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
 
 
-@_refuse_changes
-@dataclass(frozen=True, slots=True)
-class AttributeValue:
+@dataclass(init=False, repr=False, eq=False, slots=True)
+class AttributeValue(_Record):
     """Tagged value an alternative can take on one attribute.
 
     A value is its ``kind`` and its ``key``.  The key is the canonical form
@@ -125,6 +152,10 @@ class AttributeValue:
 
     kind: str
     key: tuple
+
+    def __init__(self, kind: str, key: tuple) -> None:
+        _set(self, "kind", kind)
+        _set(self, "key", key)
 
     @property
     def lo(self) -> Optional[float]:
@@ -218,9 +249,8 @@ def category(label: str) -> AttributeValue:
     return AttributeValue("category", ("c", label))
 
 
-@_refuse_changes
-@dataclass(frozen=True, slots=True)
-class Attribute:
+@dataclass(init=False, repr=False, eq=False, slots=True)
+class Attribute(_Record):
     """One criterion of the task: numeric, ordinal (1..5 scale) or categorical.
 
     Polarity records which direction is preferable: cost (smaller is better),
@@ -235,37 +265,44 @@ class Attribute:
     unit: Optional[str] = None
     labels: Optional[dict[str, int]] = None  # extra ordinal labels -> level, beyond the built-in five
 
-    def __post_init__(self) -> None:
-        if self.labels is not None and not isinstance(self.labels, dict):
+    def __init__(
+        self, id: int, name: str, kind: str, polarity: str, unit: Optional[str] = None, labels: Optional[dict[str, int]] = None
+    ) -> None:
+        if labels is not None and not isinstance(labels, dict):
             raise ValueError("labels must map label -> level")
-        if not _is_int(self.id) or self.id <= 0:
-            raise ValueError(f"attribute id must be a positive integer, got {self.id!r}")
-        if not isinstance(self.name, str):
-            raise ValueError(f"attribute name must be a string, got {self.name!r}")
-        if not self.name.isprintable():
-            raise ValueError(f"attribute name {self.name!r} holds a character that is not printable")
-        if self.unit is not None and not isinstance(self.unit, str):
-            raise ValueError(f"attribute unit must be a string, got {self.unit!r}")
-        if not isinstance(self.kind, str) or self.kind not in KIND_FAMILY:
-            raise ValueError(f"unknown attribute kind {self.kind!r}")
-        if self.kind == "categorical":
-            if self.polarity != "none":
-                raise ValueError(f"categorical attribute {self.id} must have polarity 'none'")
-        elif self.polarity not in ("cost", "benefit"):
-            raise ValueError(f"attribute {self.id} ({self.kind}) needs polarity 'cost' or 'benefit'")
-        if self.labels is not None:
-            if self.kind != "ordinal":
-                raise ValueError(f"attribute {self.id} ({self.kind}) cannot declare labels; only an ordinal attribute can")
-            for lab, lvl in self.labels.items():
+        if not _is_int(id) or id <= 0:
+            raise ValueError(f"attribute id must be a positive integer, got {id!r}")
+        if not isinstance(name, str):
+            raise ValueError(f"attribute name must be a string, got {name!r}")
+        if not name.isprintable():
+            raise ValueError(f"attribute name {name!r} holds a character that is not printable")
+        if unit is not None and not isinstance(unit, str):
+            raise ValueError(f"attribute unit must be a string, got {unit!r}")
+        if not isinstance(kind, str) or kind not in KIND_FAMILY:
+            raise ValueError(f"unknown attribute kind {kind!r}")
+        if kind == "categorical":
+            if polarity != "none":
+                raise ValueError(f"categorical attribute {id} must have polarity 'none'")
+        elif polarity not in ("cost", "benefit"):
+            raise ValueError(f"attribute {id} ({kind}) needs polarity 'cost' or 'benefit'")
+        if labels is not None:
+            if kind != "ordinal":
+                raise ValueError(f"attribute {id} ({kind}) cannot declare labels; only an ordinal attribute can")
+            for lab, lvl in labels.items():
                 if not isinstance(lab, str):
                     raise ValueError(f"ordinal label must be a string, got {lab!r}")
                 if not _is_level(lvl):
                     raise ValueError(f"label {lab!r} maps to level {lvl!r}, expected 1..5")
+        _set(self, "id", id)
+        _set(self, "name", name)
+        _set(self, "kind", kind)
+        _set(self, "polarity", polarity)
+        _set(self, "unit", unit)
+        _set(self, "labels", labels)
 
 
-@_refuse_changes
-@dataclass(frozen=True, slots=True)
-class Threshold:
+@dataclass(init=False, repr=False, eq=False, slots=True)
+class Threshold(_Record):
     """Acceptance predicate on one attribute.
 
     Ops: ``max``/``min`` bound a numeric value, ``min_level``/``max_level``
@@ -278,29 +315,31 @@ class Threshold:
     op: str
     bound: Union[float, int, frozenset[str]] = 0.0
 
-    def __post_init__(self) -> None:
-        if not _is_int(self.attribute_id):
-            raise ValueError(f"threshold attribute id must be an integer, got {self.attribute_id!r}")
-        if not isinstance(self.op, str) or self.op not in OP_FAMILY:
-            raise ValueError(f"unknown threshold op {self.op!r}")
-        family = OP_FAMILY[self.op]
+    def __init__(self, attribute_id: int, op: str, bound: Union[float, int, frozenset[str]] = 0.0) -> None:
+        if not _is_int(attribute_id):
+            raise ValueError(f"threshold attribute id must be an integer, got {attribute_id!r}")
+        if not isinstance(op, str) or op not in OP_FAMILY:
+            raise ValueError(f"unknown threshold op {op!r}")
+        family = OP_FAMILY[op]
         if family == "n":
-            bound = _as_number(self.bound, f"{self.op} threshold bound")
+            bound = _as_number(bound, f"{op} threshold bound")
             if not math.isfinite(bound):
-                raise ValueError(f"{self.op} threshold needs a finite numeric bound")
-            object.__setattr__(self, "bound", bound)
+                raise ValueError(f"{op} threshold needs a finite numeric bound")
         elif family == "o":
-            if not _is_level(self.bound):
-                raise ValueError(f"{self.op} threshold needs a level in 1..5, got {self.bound!r}")
+            if not _is_level(bound):
+                raise ValueError(f"{op} threshold needs a level in 1..5, got {bound!r}")
         else:
-            if not isinstance(self.bound, _COLLECTIONS):
-                raise ValueError(f"allowed threshold needs a list of labels, got {self.bound!r}")
-            if not self.bound or not all(isinstance(lab, str) for lab in self.bound):
+            if not isinstance(bound, _COLLECTIONS):
+                raise ValueError(f"allowed threshold needs a list of labels, got {bound!r}")
+            if not bound or not all(isinstance(lab, str) for lab in bound):
                 raise ValueError("allowed threshold needs a non-empty set of labels")
-            for lab in self.bound:
+            for lab in bound:
                 if not lab.isprintable():
                     raise ValueError(f"allowed label {lab!r} holds a character that is not printable")
-            object.__setattr__(self, "bound", frozenset(self.bound))
+            bound = frozenset(bound)
+        _set(self, "attribute_id", attribute_id)
+        _set(self, "op", op)
+        _set(self, "bound", bound)
 
     def __str__(self) -> str:
         if self.op == "allowed":
@@ -308,8 +347,8 @@ class Threshold:
         return f"{self.op} {format_number(self.bound)}"
 
 
-@dataclass(frozen=True)
-class DominancePartition:
+@dataclass(init=False, repr=False, eq=False)
+class DominancePartition(_Record):
     """Dominance attributes grouped into importance levels, least important first.
 
     ``levels[0]`` is the least important group and ``levels[-1]`` the most
@@ -336,7 +375,7 @@ class DominancePartition:
             raise ValueError("partition needs at least one level")
         if any(not level for level in normalized):
             raise ValueError("partition levels must be non-empty")
-        object.__setattr__(self, "levels", normalized)
+        _set(self, "levels", normalized)
 
     @property
     def level_count(self) -> int:
@@ -351,9 +390,8 @@ class DominancePartition:
 _ID_DELIMITERS = frozenset(",|[]")
 
 
-@_refuse_changes
-@dataclass(frozen=True, slots=True)
-class Alternative:
+@dataclass(init=False, repr=False, eq=False, slots=True)
+class Alternative(_Record):
     """A candidate plan: an id plus one value per task attribute.
 
     The id is a non-empty printable string without ``,``, ``|``, ``[`` or
@@ -363,19 +401,19 @@ class Alternative:
     id: str
     values: dict[int, AttributeValue]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.id, str) or not self.id:
-            raise ValueError(f"alternative needs a non-empty string id, got {self.id!r}")
-        if not self.id.isprintable() or not _ID_DELIMITERS.isdisjoint(self.id):
-            raise ValueError(
-                f"alternative id {self.id!r} holds ',', '|', '[', ']' or a character that is not printable"
-            )
-        if not isinstance(self.values, dict):
-            raise ValueError(f"alternative {self.id!r} values must map attribute ids to values, got {self.values!r}")
+    def __init__(self, id: str, values: dict[int, AttributeValue]) -> None:
+        if not isinstance(id, str) or not id:
+            raise ValueError(f"alternative needs a non-empty string id, got {id!r}")
+        if not id.isprintable() or not _ID_DELIMITERS.isdisjoint(id):
+            raise ValueError(f"alternative id {id!r} holds ',', '|', '[', ']' or a character that is not printable")
+        if not isinstance(values, dict):
+            raise ValueError(f"alternative {id!r} values must map attribute ids to values, got {values!r}")
+        _set(self, "id", id)
+        _set(self, "values", values)
 
 
-@dataclass(frozen=True)
-class DecisionTask:
+@dataclass(init=False, repr=False, eq=False)
+class DecisionTask(_Record):
     """A full choice task: attributes, screening thresholds, importance ladder, alternatives.
 
     ``basic_ids`` names the attributes screened during sifting; ``thresholds``
@@ -393,29 +431,34 @@ class DecisionTask:
     alternatives: tuple[Alternative, ...]
     aspiration: Optional[tuple[Threshold, ...]] = None
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.task_id, str):
-            raise ValueError(f"task_id must be a string, got {self.task_id!r}")
-        if not isinstance(self.partition, DominancePartition):
-            raise ValueError(f"partition must be a DominancePartition, got {self.partition!r}")
-        object.__setattr__(self, "attributes", _records(self.attributes, Attribute, "attributes"))
-        basic_ids = _collection(self.basic_ids, "basic_ids")
+    def __init__(
+        self,
+        task_id: str,
+        attributes: Iterable[Attribute],
+        basic_ids: Iterable[int],
+        thresholds: Iterable[Threshold],
+        partition: DominancePartition,
+        alternatives: Iterable[Alternative],
+        aspiration: Optional[Iterable[Threshold]] = None,
+    ) -> None:
+        if not isinstance(task_id, str):
+            raise ValueError(f"task_id must be a string, got {task_id!r}")
+        if not isinstance(partition, DominancePartition):
+            raise ValueError(f"partition must be a DominancePartition, got {partition!r}")
+        _set(self, "task_id", task_id)
+        _set(self, "attributes", _records(attributes, Attribute, "attributes"))
+        basic_ids = _collection(basic_ids, "basic_ids")
         for aid in basic_ids:
             if not _is_int(aid):
                 raise ValueError(f"basic ids must be integer attribute ids, got {aid!r}")
-        object.__setattr__(self, "basic_ids", frozenset(basic_ids))
-        object.__setattr__(
-            self,
-            "thresholds",
-            tuple(sorted(_records(self.thresholds, Threshold, "thresholds"), key=lambda t: t.attribute_id)),
-        )
-        object.__setattr__(self, "alternatives", _records(self.alternatives, Alternative, "alternatives"))
-        if self.aspiration is not None:
-            object.__setattr__(
-                self,
-                "aspiration",
-                tuple(sorted(_records(self.aspiration, Threshold, "aspiration"), key=lambda t: t.attribute_id)),
-            )
+        _set(self, "basic_ids", frozenset(basic_ids))
+        by_attribute = attrgetter("attribute_id")
+        _set(self, "thresholds", tuple(sorted(_records(thresholds, Threshold, "thresholds"), key=by_attribute)))
+        _set(self, "partition", partition)
+        _set(self, "alternatives", _records(alternatives, Alternative, "alternatives"))
+        if aspiration is not None:
+            aspiration = tuple(sorted(_records(aspiration, Threshold, "aspiration"), key=by_attribute))
+        _set(self, "aspiration", aspiration)
 
     @cached_property
     def _by_id(self) -> dict[int, Attribute]:
@@ -436,8 +479,8 @@ class DecisionTask:
         return self._alternative_by_id[alt_id]
 
 
-@dataclass(frozen=True)
-class Elimination:
+@dataclass(init=False, repr=False, eq=False)
+class Elimination(_Record):
     """Audit record for one rejected (alternative, attribute) pair during sifting."""
 
     alternative_id: str
@@ -445,13 +488,23 @@ class Elimination:
     threshold: Threshold
     value: AttributeValue
 
+    def __init__(self, alternative_id: str, attribute_id: int, threshold: Threshold, value: AttributeValue) -> None:
+        _set(self, "alternative_id", alternative_id)
+        _set(self, "attribute_id", attribute_id)
+        _set(self, "threshold", threshold)
+        _set(self, "value", value)
 
-@dataclass(frozen=True)
-class SiftResult:
+
+@dataclass(init=False, repr=False, eq=False)
+class SiftResult(_Record):
     """Outcome of the sifting stage: surviving ids in input order plus all eliminations."""
 
     feasible: tuple[str, ...]
     eliminations: tuple[Elimination, ...]
+
+    def __init__(self, feasible: tuple[str, ...], eliminations: tuple[Elimination, ...]) -> None:
+        _set(self, "feasible", feasible)
+        _set(self, "eliminations", eliminations)
 
 
 class Verdict(Enum):
@@ -461,8 +514,8 @@ class Verdict(Enum):
     NO_UNIQUE_CHOICE = "NoUniqueChoice"
 
 
-@dataclass(frozen=True)
-class LevelRecord:
+@dataclass(init=False, repr=False, eq=False)
+class LevelRecord(_Record):
     """Trace entry for one ladder level: which ids entered and which survived."""
 
     r: int
@@ -470,26 +523,41 @@ class LevelRecord:
     survivors_before: tuple[str, ...]
     survivors_after: tuple[str, ...]
 
+    def __init__(
+        self, r: int, attribute_ids: frozenset[int], survivors_before: tuple[str, ...], survivors_after: tuple[str, ...]
+    ) -> None:
+        _set(self, "r", r)
+        _set(self, "attribute_ids", attribute_ids)
+        _set(self, "survivors_before", survivors_before)
+        _set(self, "survivors_after", survivors_after)
 
-@dataclass(frozen=True)
-class LadderOutcome:
+
+@dataclass(init=False, repr=False, eq=False)
+class LadderOutcome(_Record):
     """Final verdict of the ladder search plus its per-level trace."""
 
     verdict: Verdict
     chosen: Optional[str] = None
     trace: tuple[LevelRecord, ...] = ()
 
-    def __post_init__(self) -> None:
-        if (self.verdict is Verdict.CHOSEN) != (self.chosen is not None):
+    def __init__(self, verdict: Verdict, chosen: Optional[str] = None, trace: tuple[LevelRecord, ...] = ()) -> None:
+        if (verdict is Verdict.CHOSEN) != (chosen is not None):
             raise ValueError("chosen id is set exactly when the verdict is Chosen")
+        _set(self, "verdict", verdict)
+        _set(self, "chosen", chosen)
+        _set(self, "trace", trace)
 
 
-@dataclass(frozen=True)
-class Violation:
+@dataclass(init=False, repr=False, eq=False)
+class Violation(_Record):
     """One validator finding; ``code`` is stable, ``message`` is for humans."""
 
     code: str
     message: str
+
+    def __init__(self, code: str, message: str) -> None:
+        _set(self, "code", code)
+        _set(self, "message", message)
 
     def __str__(self) -> str:
         return f"{self.code}: {self.message}"
@@ -682,8 +750,7 @@ def _report_row(
             )
         extra_values = values.keys() - declared
         if extra_values:
-            # int ids first in numeric order, then any other key by repr
-            undeclared = sorted(extra_values, key=lambda x: (0, x) if _is_int(x) else (1, repr(x)))
+            undeclared = sorted(extra_values, key=key_order)
             violations.append(
                 Violation("unknown-reference", f"alternative {alt.id!r} has value(s) for undeclared attribute(s) {undeclared}")
             )

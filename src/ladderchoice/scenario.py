@@ -59,6 +59,7 @@ from .model import (
     crisp,
     first_by_id,
     interval,
+    key_order,
     label_level,
     ordinal,
     validate_task,
@@ -348,13 +349,14 @@ def task_to_json(task: DecisionTask) -> dict[str, Any]:
     if task.aspiration is not None:
         doc["aspiration"] = {str(t.attribute_id): _threshold_to_json(t) for t in task.aspiration}
     extra_labels = {attr.id: attr.labels for attr in task.attributes}
-    # a key that equals a declared id, such as True or 1.0 for id 1, is written as that id
+    # a key that equals a declared id, such as True or 1.0 for id 1, is written as that id, and listed as it
     ids = {aid: aid for aid in task._by_id}
     doc["alternatives"] = [
         {
             "id": alt.id,
             "values": {
-                str(ids.get(aid, aid)): _value_to_json(alt.values[aid], extra_labels.get(aid)) for aid in sorted(alt.values)
+                str(ids.get(aid, aid)): _value_to_json(alt.values[aid], extra_labels.get(aid))
+                for aid in sorted(alt.values, key=lambda aid: key_order(ids.get(aid, aid)))
             },
         }
         for alt in task.alternatives

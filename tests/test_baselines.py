@@ -9,12 +9,9 @@ import pytest
 
 from ladderchoice import baselines, compare_theories, psp
 from ladderchoice.baselines import (
-    Lottery,
     PtParams,
     TheoryRow,
-    UnsupportedLotteryError,
     compatibility_screen,
-    cpt_evaluate,
     it_choose,
     pt_proxy_choose,
     pt_value,
@@ -26,7 +23,6 @@ from ladderchoice.oracle import _naive_passes, brute_force_dominant, random_task
 VALUE_100 = 57.543993733715695       # exp(0.88 * log(100))
 VALUE_NEG_100 = -129.47398590086033  # -2.25 * exp(0.88 * log(100))
 WEIGHT_HALF = 0.42063935433575617    # 0.5^0.61 / (0.5^0.61 + 0.5^0.61)^(1/0.61)
-CPT_COINFLIP = 24.20526837005097     # WEIGHT_HALF * VALUE_100
 
 
 class TestValueFunction:
@@ -76,31 +72,7 @@ class TestWeightingFunction:
             pt_weight(1.5, 0.61)
 
 
-class TestTwoOutcomeEvaluation:
-    def test_certainty_reduces_to_value(self):
-        assert cpt_evaluate(Lottery([(100.0, 1.0)])) == pytest.approx(pt_value(100.0), abs=1e-12)
-
-    def test_zero_lottery_is_zero(self):
-        assert cpt_evaluate(Lottery([(0.0, 1.0)])) == 0.0
-
-    def test_even_coinflip_over_a_gain(self):
-        assert cpt_evaluate(Lottery([(100.0, 0.5), (0.0, 0.5)])) == pytest.approx(CPT_COINFLIP, abs=1e-9)
-
-    def test_losses_weighted_separately(self):
-        mixed = cpt_evaluate(Lottery([(100.0, 0.5), (-100.0, 0.5)]))
-        expected = pt_weight(0.5, 0.61) * pt_value(100.0) + pt_weight(0.5, 0.69) * pt_value(-100.0)
-        assert mixed == pytest.approx(expected, abs=1e-12)
-
-    def test_too_many_nonzero_outcomes_rejected(self):
-        with pytest.raises(UnsupportedLotteryError):
-            cpt_evaluate(Lottery([(1.0, 0.25), (2.0, 0.25), (3.0, 0.5)]))
-
-    def test_lottery_invariants(self):
-        with pytest.raises(ValueError):
-            Lottery([(1.0, 0.4), (2.0, 0.4)])
-        with pytest.raises(ValueError):
-            Lottery([(1.0, 1.2), (2.0, -0.2)])
-
+class TestParams:
     def test_params_must_be_positive(self):
         with pytest.raises(ValueError):
             PtParams(alpha=0.0)

@@ -557,6 +557,19 @@ class TestRoundTrip:
         assert [list(alt["values"]) for alt in json.loads(text)["alternatives"]] == [["1", "2"], ["1", "2"]]
         assert parse_scenario(text) == task
 
+    def test_a_row_with_a_string_key_beside_an_int_id_serializes(self):
+        # the validator reports the row; the text lists the int id first, as the report does
+        task = DecisionTask(
+            task_id="mixed",
+            attributes=(Attribute(1, "a1", "numeric", "benefit"),),
+            basic_ids=frozenset(),
+            thresholds=(),
+            partition=DominancePartition([[1]]),
+            alternatives=(Alternative("a", {"x": crisp(2), 1: crisp(1)}),),
+        )
+        assert [v.code for v in validate_task(task)] == ["unknown-reference"]
+        assert list(json.loads(serialize_task(task))["alternatives"][0]["values"]) == ["1", "x"]
+
     def test_serialization_is_deterministic(self, case1):
         assert serialize_task(case1) == serialize_task(case1)
 
