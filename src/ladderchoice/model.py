@@ -22,8 +22,8 @@ import math
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import combinations, compress, count, repeat
-from operator import attrgetter, itemgetter, ne
+from itertools import combinations
+from operator import attrgetter, itemgetter
 from typing import Iterable, Optional, Union
 
 ORDINAL_LABELS = ("very_low", "low", "moderate", "high", "very_high")
@@ -574,13 +574,14 @@ def validate_task(task: DecisionTask) -> list[Violation]:
     completely equal value vectors.
 
     The alternatives are screened column by column.  Each declared
-    attribute's value keys are read once, as a list over the rows, and their
-    family tags are checked with one set per column.  A row is read again,
-    cell by cell, only when the screen flags it: for a repeated id, ids other
-    than the declared ones, or a cell that holds no value or a value of
-    another family.  That reading is the one place that builds a row's
-    findings.  The duplicate screen is linear: it zips the screened columns
-    into rows and groups equal ones.
+    attribute's value keys are read once, as a list over the rows, and the
+    screen asks one question: is the whole task clean, with no repeated id,
+    every row on exactly the declared ids, and every cell a value of its
+    attribute's family?  A clean task has no row finding.  Any other task is
+    read again, row by row and cell by cell, by the one function that builds
+    a row's findings.  The duplicate screen is linear: it groups equal rows of
+    screened value keys, zipped from the screened columns of a clean task or
+    given by the row reading of any other.
     """
     violations: list[Violation] = []
 
@@ -658,40 +659,36 @@ def validate_task(task: DecisionTask) -> list[Violation]:
                     Violation("kind-mismatch", f"aspiration threshold '{t}' does not fit attribute {t.attribute_id}")
                 )
 
-    # the column screen reads each declared attribute's value keys as a list over
-    # the rows and flags the rows that need a finding; only those go through
-    # _report_row, and the screened columns of the rest, zipped into rows, group
-    # them for the complete-equality screen over basic + dominance attributes
+    # the screen reads each declared attribute's value keys once, as a list over the rows,
+    # and asks whether the whole task is clean: no repeated id, every row on exactly the
+    # declared ids, every cell a value of its attribute's family.  A clean task zips its
+    # screened columns into key rows; any other goes through _report_row, every row in
+    # order, which gives its key rows.  Equal key rows are complete-equality duplicates.
     relevant = (task.basic_ids | partition_ids) & declared
-    order = sorted(task._by_id.items())  # the first declaration of each id, in id order
+    # (id, kind, family tag, screened?) of the first declaration of each id, in id order
+    cells = [(aid, attr.kind, KIND_FAMILY[attr.kind], aid in relevant) for aid, attr in sorted(task._by_id.items())]
     alts = task.alternatives
     rows = list(map(_values, alts))
-    alt_ids = list(map(_id, alts))
-    repeated: set[int] = set()  # the positions whose id an earlier alternative holds
-    if len(set(alt_ids)) < len(alt_ids):
-        firsts: dict[str, int] = {}
-        repeated = {position for position, alt_id in enumerate(alt_ids) if firsts.setdefault(alt_id, position) != position}
-    flagged = set(repeated)
-    # a row with more ids than are declared, or fewer; one missing a declared id reads a _NO_VALUE
-    flagged.update(compress(count(), map(ne, map(len, rows), repeat(len(declared)))))
-    columns = _column_keys(rows, order)
-    screened = []
-    for (aid, attr), keys in zip(order, columns):
-        family = KIND_FAMILY[attr.kind]
-        try:
-            if set(map(_tag, keys)) != {family}:
-                flagged.update(compress(count(), map(ne, map(_tag, keys), repeat(family))))
-        except (TypeError, LookupError):  # a key with no tag to read: the row reporter reads every row
-            flagged.update(range(len(rows)))
-        if aid in relevant:
-            screened.append(keys)
-    keyrows: list = list(zip(*screened)) or [()] * len(rows)
-
-    if flagged:
-        cells = [(aid, attr.kind, KIND_FAMILY[attr.kind], aid in relevant) for aid, attr in order]
-        for position in sorted(flagged):
-            found, keyrows[position] = _report_row(alts[position], position in repeated, declared, relevant, cells)
+    try:
+        columns = [[values[aid].key for values in rows] for aid, *_ in cells]
+        clean = (
+            len(set(map(_id, alts))) == len(alts)
+            and set(map(len, rows)) <= {len(declared)}
+            and all(set(map(_tag, keys)) <= {family} for keys, (_, _, family, _) in zip(columns, cells))
+        )
+    except (LookupError, AttributeError, TypeError):  # a cell with no value, or a key with no tag to read
+        clean = False
+    if clean:
+        screened = [keys for keys, (*_, is_screened) in zip(columns, cells) if is_screened]
+        keyrows: list = list(zip(*screened)) or [()] * len(rows)
+    else:
+        keyrows = []
+        seen: set[str] = set()
+        for alt in alts:
+            found, keyrow = _report_row(alt, alt.id in seen, declared, relevant, cells)
+            seen.add(alt.id)
             violations += found
+            keyrows.append(keyrow)
 
     if len(set(keyrows)) < len(keyrows):
         groups: dict[tuple, list[int]] = {}  # screened value keys -> positions of the complete rows holding them
@@ -711,20 +708,6 @@ def validate_task(task: DecisionTask) -> list[Violation]:
 
 
 _values, _id, _tag = attrgetter("values"), attrgetter("id"), itemgetter(0)
-
-# what the column screen reads as the key of a missing cell or one that holds no value: its tag is no family's
-_NO_VALUE = (None,)
-
-
-def _column_keys(rows: list[dict], order: list[tuple[int, Attribute]]) -> list[list]:
-    """The value keys of ``rows`` on each attribute of ``order``, one list per attribute.
-
-    A cell that holds no value, or a row without the id, reads as ``_NO_VALUE``.
-    """
-    try:
-        return [[values[aid].key for values in rows] for aid, _ in order]
-    except (KeyError, AttributeError):
-        return [[getattr(values.get(aid), "key", _NO_VALUE) for values in rows] for aid, _ in order]
 
 
 def _report_row(
