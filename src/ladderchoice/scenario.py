@@ -331,7 +331,7 @@ def _attribute_to_json(attr: Attribute) -> dict[str, Any]:
     doc: dict[str, Any] = {"id": attr.id, "name": attr.name, "kind": attr.kind, "polarity": attr.polarity}
     if attr.unit is not None:
         doc["unit"] = attr.unit
-    if attr.labels:
+    if attr.labels is not None:
         doc["labels"] = dict(sorted(attr.labels.items()))
     return doc
 

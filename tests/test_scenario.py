@@ -22,6 +22,7 @@ from ladderchoice import (
     category,
     crisp,
     decide_task,
+    ordinal,
     outcome_to_json,
     parse_scenario,
     serialize_outcome,
@@ -569,6 +570,19 @@ class TestRoundTrip:
         )
         assert [v.code for v in validate_task(task)] == ["unknown-reference"]
         assert list(json.loads(serialize_task(task))["alternatives"][0]["values"]) == ["1", "x"]
+
+    def test_an_empty_extra_label_map_survives(self):
+        task = DecisionTask(
+            task_id="no-extra-labels",
+            attributes=(Attribute(1, "grade", "ordinal", "benefit", labels={}),),
+            basic_ids=frozenset(),
+            thresholds=(),
+            partition=DominancePartition([[1]]),
+            alternatives=(Alternative("a", {1: ordinal(2)}),),
+        )
+        text = serialize_task(task)
+        assert json.loads(text)["attributes"][0]["labels"] == {}
+        assert parse_scenario(text) == task
 
     def test_serialization_is_deterministic(self, case1):
         assert serialize_task(case1) == serialize_task(case1)
