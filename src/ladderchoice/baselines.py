@@ -1,11 +1,13 @@
 """Baseline choosers: a prospect-theory proxy and an image-theory screen-and-rank.
 
 Two fidelities of prospect theory live here.  The quantitative layer is the
-standard value and weighting functions (power value function with loss
-aversion, inverse-S probability weighting); the comparison harness never
-uses them.  The qualitative layer is :func:`pt_proxy_choose`: under a gain
-frame a risk-averse chooser simply minimizes a designated risk attribute
-across all alternatives, with no sifting stage.
+standard value and weighting functions: :func:`pt_value`, a power value
+function with loss aversion set by :class:`PtParams`, and :func:`pt_weight`,
+an inverse-S probability weighting that takes its own curvature.  The
+comparison harness never uses them.  The qualitative layer is
+:func:`pt_proxy_choose`: under a gain frame a risk-averse chooser simply
+minimizes a designated risk attribute across all alternatives, with no
+sifting stage.
 
 The image-theory chooser screens alternatives by counting basic-threshold
 violations against a rejection budget, then ranks survivors on one
@@ -27,20 +29,18 @@ from .sift import psp
 
 @dataclass(frozen=True)
 class PtParams:
-    """Curvature, loss-aversion and weighting parameters.
+    """Curvature and loss-aversion parameters of :func:`pt_value`.
 
     Defaults are the conventional experimentally estimated constants
-    (0.88, 0.88, 2.25, 0.61, 0.69); they are configuration, not results.
+    (0.88, 0.88, 2.25); they are configuration, not results.
     """
 
     alpha: float = 0.88
     beta: float = 0.88
     loss_aversion: float = 2.25
-    gamma: float = 0.61
-    delta: float = 0.69
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "loss_aversion", "gamma", "delta"):
+        for name in ("alpha", "beta", "loss_aversion"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
         if self.loss_aversion < 1:

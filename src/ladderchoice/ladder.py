@@ -67,11 +67,6 @@ class DominanceMode(Enum):
     UNDOMINATED = "undominated"
 
 
-def _mode(mode: object) -> DominanceMode:
-    """``mode`` as a :class:`DominanceMode`: a member or its value; anything else is a ``ValueError``."""
-    return mode if type(mode) is DominanceMode else DominanceMode(mode)
-
-
 def signed_columns(keys: Sequence[tuple], attr: Attribute) -> list[list]:
     """The coordinates that order the values of one ordered column, larger being better, read cell by cell.
 
@@ -203,7 +198,7 @@ def dominant_set(
     in both modes, and so do the repeats of a lone id.  ``mode`` may also be
     a mode's value, ``"global"`` or ``"undominated"``.
     """
-    mode = _mode(mode)
+    mode = DominanceMode(mode)
     by_id = task._alternative_by_id
     alts = [by_id[cid] for cid in candidates]
     if len(alts) < 2:
@@ -270,7 +265,7 @@ def lsp(
     least important, each filtering the current survivor set, so the trace
     never exceeds the level count.  ``mode`` may also be a mode's value.
     """
-    mode = _mode(mode)
+    mode = DominanceMode(mode)
     if not feasible:
         return LadderOutcome(Verdict.ABSTAIN)
     if len(feasible) == 1:
