@@ -669,17 +669,18 @@ def validate_task(task: DecisionTask) -> list[Violation]:
     cells = [(aid, attr.kind, KIND_FAMILY[attr.kind], aid in relevant) for aid, attr in sorted(task._by_id.items())]
     alts = task.alternatives
     rows = list(map(_values, alts))
+    screened = []
     try:
-        columns = [[values[aid].key for values in rows] for aid, *_ in cells]
-        clean = (
-            len(set(map(_id, alts))) == len(alts)
-            and set(map(len, rows)) <= {len(declared)}
-            and all(set(map(_tag, keys)) <= {family} for keys, (_, _, family, _) in zip(columns, cells))
-        )
-    except (LookupError, AttributeError, TypeError):  # a cell with no value, or a key with no tag to read
+        clean = len(set(map(_id, alts))) == len(alts) and set(map(len, rows)) <= {len(declared)}
+        for aid, _, family, is_screened in cells:
+            keys = [values[aid].key for values in rows]
+            if not set(map(_tag, keys)) <= {family}:
+                clean = False
+            if is_screened:
+                screened.append(keys)
+    except (LookupError, AttributeError, TypeError):  # a missing cell, one holding no value, or a key with no tag
         clean = False
     if clean:
-        screened = [keys for keys, (*_, is_screened) in zip(columns, cells) if is_screened]
         keyrows: list = list(zip(*screened)) or [()] * len(rows)
     else:
         keyrows = []
