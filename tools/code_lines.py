@@ -11,6 +11,7 @@ counted.  Prints one line per module of the directory, then the total:
 from __future__ import annotations
 
 import ast
+import io
 import sys
 import tokenize
 from pathlib import Path
@@ -34,13 +35,11 @@ def _docstring_lines(tree: ast.Module) -> set[int]:
 
 def code_lines(path: Path) -> int:
     """The number of lines of ``path`` that hold code."""
-    with tokenize.open(path) as handle:
-        source = handle.read()
+    source = path.read_bytes()
     lines: set[int] = set()
-    with open(path, "rb") as handle:
-        for token in tokenize.tokenize(handle.readline):
-            if token.type not in _SKIPPED:
-                lines.update(range(token.start[0], token.end[0] + 1))
+    for token in tokenize.tokenize(io.BytesIO(source).readline):
+        if token.type not in _SKIPPED:
+            lines.update(range(token.start[0], token.end[0] + 1))
     return len(lines - _docstring_lines(ast.parse(source, str(path))))
 
 
