@@ -196,6 +196,11 @@ def format_number(x: float) -> str:
     return str(x)
 
 
+def with_article(word: str) -> str:
+    """``word`` after "an" when it starts with a vowel, else after "a": ``a crisp``, ``an ordinal``."""
+    return f"{'an' if str(word).startswith(tuple('aeiou')) else 'a'} {word}"
+
+
 def _as_number(x: object, what: str) -> float:
     """``x`` as a float; booleans, anything but an int or a float, and ints beyond float range are refused."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
@@ -580,8 +585,11 @@ def validate_task(task: DecisionTask) -> list[Violation]:
     attribute's family?  A clean task has no row finding.  Any other task is
     read again, row by row and cell by cell, by the one function that builds
     a row's findings.  The duplicate screen is linear: it groups equal rows of
-    screened value keys, zipped from the screened columns of a clean task or
-    given by the row reading of any other.
+    value keys over the declared attributes, zipped from the columns of a
+    clean task or given by the row reading of any other, where a row missing a
+    value or holding one of another family has none.  Its message says "every
+    screened attribute": on a task that passes the ``coverage`` check, every
+    declared attribute is basic or in the partition, so the two sets are one.
     """
     violations: list[Violation] = []
 
@@ -662,37 +670,36 @@ def validate_task(task: DecisionTask) -> list[Violation]:
     # the screen reads each declared attribute's value keys once, as a list over the rows,
     # and asks whether the whole task is clean: no repeated id, every row on exactly the
     # declared ids, every cell a value of its attribute's family.  A clean task zips its
-    # screened columns into key rows; any other goes through _report_row, every row in
-    # order, which gives its key rows.  Equal key rows are complete-equality duplicates.
-    relevant = (task.basic_ids | partition_ids) & declared
-    # (id, kind, family tag, screened?) of the first declaration of each id, in id order
-    cells = [(aid, attr.kind, KIND_FAMILY[attr.kind], aid in relevant) for aid, attr in sorted(task._by_id.items())]
+    # columns into key rows; any other goes through _report_row, every row in order, which
+    # gives its key rows.  Equal key rows are complete-equality duplicates.  A key row holds
+    # every declared attribute, which is every screened one once coverage holds.
+    # (id, kind, family tag) of the first declaration of each id, in id order
+    cells = [(aid, attr.kind, KIND_FAMILY[attr.kind]) for aid, attr in sorted(task._by_id.items())]
     alts = task.alternatives
     rows = list(map(_values, alts))
-    screened = []
+    columns = []
     try:
         clean = len(set(map(_id, alts))) == len(alts) and set(map(len, rows)) <= {len(declared)}
-        for aid, _, family, is_screened in cells:
+        for aid, _, family in cells:
             keys = [values[aid].key for values in rows]
             if not set(map(_tag, keys)) <= {family}:
                 clean = False
-            if is_screened:
-                screened.append(keys)
+            columns.append(keys)
     except (LookupError, AttributeError, TypeError):  # a missing cell, one holding no value, or a key with no tag
         clean = False
     if clean:
-        keyrows: list = list(zip(*screened)) or [()] * len(rows)
+        keyrows: list = list(zip(*columns)) or [()] * len(rows)
     else:
         keyrows = []
         seen: set[str] = set()
         for alt in alts:
-            found, keyrow = _report_row(alt, alt.id in seen, declared, relevant, cells)
+            found, keyrow = _report_row(alt, alt.id in seen, declared, cells)
             seen.add(alt.id)
             violations += found
             keyrows.append(keyrow)
 
     if len(set(keyrows)) < len(keyrows):
-        groups: dict[tuple, list[int]] = {}  # screened value keys -> positions of the complete rows holding them
+        groups: dict[tuple, list[int]] = {}  # value keys -> positions of the complete rows holding them
         for position, keyrow in enumerate(keyrows):
             if keyrow is not None:
                 groups.setdefault(keyrow, []).append(position)
@@ -712,20 +719,18 @@ _values, _id, _tag = attrgetter("values"), attrgetter("id"), itemgetter(0)
 
 
 def _report_row(
-    alt: Alternative, repeated: bool, declared: frozenset, relevant: frozenset, cells: list[tuple]
+    alt: Alternative, repeated: bool, declared: frozenset, cells: list[tuple]
 ) -> tuple[list[Violation], Optional[tuple]]:
-    """The findings of one alternative, and its screened value keys if it holds a value on each screened attribute.
+    """The findings of one alternative, and its value keys if it holds a value of its family on each declared attribute.
 
-    ``cells`` holds the (id, kind, family tag, screened?) of each declared
-    attribute in id order.  This is the one place that builds a row's
-    findings: a repeated id, missing values, values on undeclared attributes,
-    then each cell that holds no value or a value of another family.
+    ``cells`` holds the (id, kind, family tag) of each declared attribute in
+    id order.  This is the one place that builds a row's findings: a repeated
+    id, missing values, values on undeclared attributes, then each cell that
+    holds no value or a value of another family.  The row's keys are complete
+    exactly when every cell gave one.
     """
-    violations = []
-    if repeated:
-        violations.append(Violation("duplicate-alternative-id", f"alternative id {alt.id!r} declared twice"))
+    violations = [Violation("duplicate-alternative-id", f"alternative id {alt.id!r} declared twice")] if repeated else []
     values = alt.values
-    complete = True
     if values.keys() != declared:
         missing_values = declared - values.keys()
         if missing_values:
@@ -738,9 +743,8 @@ def _report_row(
             violations.append(
                 Violation("unknown-reference", f"alternative {alt.id!r} has value(s) for undeclared attribute(s) {undeclared}")
             )
-        complete = relevant.isdisjoint(missing_values)
     keys = []
-    for aid, attr_kind, family, screened in cells:
+    for aid, attr_kind, family in cells:
         if aid not in values:
             continue
         try:
@@ -752,18 +756,14 @@ def _report_row(
                     f"alternative {alt.id!r} carries {values[aid]!r}, not a value, on {attr_kind} attribute {aid}",
                 )
             )
-            if screened:
-                complete = False
             continue
         if key[0] != family:
             violations.append(
                 Violation(
                     "kind-mismatch",
-                    f"alternative {alt.id!r} carries a {values[aid].kind} value on {attr_kind} attribute {aid}",
+                    f"alternative {alt.id!r} carries {with_article(values[aid].kind)} value on {attr_kind} attribute {aid}",
                 )
             )
-            if screened:
-                complete = False
-        elif screened:
+        else:
             keys.append(key)
-    return violations, tuple(keys) if complete else None
+    return violations, tuple(keys) if len(keys) == len(cells) else None

@@ -13,7 +13,7 @@ and looks every other cell up: O(n·t) lookups plus one judgement per distinct
 
 from __future__ import annotations
 
-from .model import OP_FAMILY, AttributeValue, DecisionTask, Elimination, SiftResult, Threshold
+from .model import OP_FAMILY, AttributeValue, DecisionTask, Elimination, SiftResult, Threshold, with_article
 
 
 def satisfies_threshold(value: AttributeValue, threshold: Threshold) -> bool:
@@ -27,7 +27,7 @@ def satisfies_threshold(value: AttributeValue, threshold: Threshold) -> bool:
     """
     op, key = threshold.op, value.key
     if key[0] != OP_FAMILY[op]:
-        raise ValueError(f"{op} threshold cannot judge a {value.kind} value")
+        raise ValueError(f"{op} threshold cannot judge {with_article(value.kind)} value")
     if op == "max" or op == "max_level":
         return key[1] <= threshold.bound
     if op == "min" or op == "min_level":

@@ -29,7 +29,7 @@ from ladderchoice import (
     serialize_task,
     validate_task,
 )
-from ladderchoice.model import KIND_FAMILY, AttributeValue, LadderOutcome, Violation
+from ladderchoice.model import AttributeValue, LadderOutcome
 from ladderchoice.oracle import random_task
 from ladderchoice.sift import satisfies_threshold
 
@@ -403,6 +403,8 @@ VALUES = {
     "category": category("red"),
 }
 POLARITY = {"numeric": "cost", "ordinal": "cost", "categorical": "none"}
+# each value kind as a message names it, with its article
+A_KIND = {"crisp": "a crisp", "interval": "an interval", "at_least": "an at_least", "ordinal": "an ordinal", "category": "a category"}
 
 
 class TestFitMatrix:
@@ -430,7 +432,7 @@ class TestFitMatrix:
                 f"aspiration threshold '{threshold}' does not fit attribute 1",
             ]
         if value_kind not in value_kinds:
-            expected.append(f"alternative 'x' carries a {value_kind} value on {attr_kind} attribute 1")
+            expected.append(f"alternative 'x' carries {A_KIND[value_kind]} value on {attr_kind} attribute 1")
         findings = validate_task(task)
         assert [v.message for v in findings] == expected
         assert all(v.code == "kind-mismatch" for v in findings)
@@ -439,7 +441,7 @@ class TestFitMatrix:
         try:
             satisfies_threshold(value, threshold)
         except ValueError as exc:
-            assert str(exc) == f"{op} threshold cannot judge a {value_kind} value"
+            assert str(exc) == f"{op} threshold cannot judge {A_KIND[value_kind]} value"
             raised = True
         else:
             raised = False
@@ -559,8 +561,8 @@ class TestValidateTask:
         assert any(v.code == "kind-mismatch" for v in validate_task(task))
 
     def test_a_cell_holding_no_value_is_a_kind_mismatch(self):
-        # twins holding None on a screened attribute are kept out of the duplicate
-        # screen; on attribute 3, which no screen reads, they are still compared
+        # twins holding None on any declared attribute are kept out of the duplicate
+        # screen, on attribute 3 too, which neither the basic set nor the partition holds
         task = make_task(
             attributes=(*make_task().attributes, Attribute(3, "extra", "numeric", "cost")),
             alternatives=(
@@ -576,7 +578,6 @@ class TestValidateTask:
             "kind-mismatch: alternative 'b' carries None, not a value, on numeric attribute 1",
             "kind-mismatch: alternative 'c' carries None, not a value, on numeric attribute 3",
             "kind-mismatch: alternative 'd' carries None, not a value, on numeric attribute 3",
-            "duplicate-alternative: alternatives 'c' and 'd' are completely equal on every screened attribute",
         ]
 
     def test_aspiration_restricted_to_top_level(self):
@@ -613,16 +614,16 @@ def naive_row_findings(task: DecisionTask) -> list[tuple[str, str]]:
     """What validate_task finds in the alternatives, one row and one cell at a time.
 
     Per row, in order: a repeated id, missing values, values on undeclared
-    attributes, then each value whose shape its attribute's kind does not take
-    (FITS), by attribute id.  A row with no missing or misfitting value on a
-    screened attribute is comparable, and every pair of comparable rows equal on
-    all screened attributes is a duplicate, in (i, j) order.
+    keys (int ids in numeric order, then any other key by repr), then each
+    declared attribute, by id, whose cell holds no value or a value whose shape
+    its kind does not take (FITS).  A row holding a fitting value on every
+    declared attribute is comparable, and every pair of comparable rows equal on
+    all of them is a duplicate, in (i, j) order.
     """
     declared = task.attribute_ids()
     kinds: dict[int, str] = {}
     for attr in task.attributes:
         kinds.setdefault(attr.id, attr.kind)
-    screened = (task.basic_ids | frozenset().union(*task.partition.levels)) & declared
     findings = []
     seen: set[str] = set()
     comparable = []
@@ -633,21 +634,29 @@ def naive_row_findings(task: DecisionTask) -> list[tuple[str, str]]:
         missing = sorted(declared - alt.values.keys())
         if missing:
             findings.append(("missing-value", f"alternative {alt.id!r} lacks value(s) for attribute(s) {missing}"))
-        extra = sorted(alt.values.keys() - declared)
+        extra = alt.values.keys() - declared
         if extra:
+            ints = sorted(key for key in extra if type(key) is int)
+            others = sorted((key for key in extra if type(key) is not int), key=repr)
             findings.append(
-                ("unknown-reference", f"alternative {alt.id!r} has value(s) for undeclared attribute(s) {extra}")
+                ("unknown-reference", f"alternative {alt.id!r} has value(s) for undeclared attribute(s) {ints + others}")
             )
-        misfits = [aid for aid in sorted(declared & alt.values.keys()) if alt.values[aid].kind not in FITS[kinds[aid]][1]]
-        for aid in misfits:
-            findings.append(
-                ("kind-mismatch", f"alternative {alt.id!r} carries a {alt.values[aid].kind} value on {kinds[aid]} attribute {aid}")
-            )
-        if screened.isdisjoint(missing + misfits):
+        fitting = 0
+        for aid in sorted(declared):
+            if aid not in alt.values:
+                continue
+            value, kind = alt.values[aid], kinds[aid]
+            if not isinstance(value, AttributeValue):
+                findings.append(("kind-mismatch", f"alternative {alt.id!r} carries {value!r}, not a value, on {kind} attribute {aid}"))
+            elif value.kind not in FITS[kind][1]:
+                findings.append(("kind-mismatch", f"alternative {alt.id!r} carries {A_KIND[value.kind]} value on {kind} attribute {aid}"))
+            else:
+                fitting += 1
+        if fitting == len(declared):
             comparable.append(alt)
     for i, first in enumerate(comparable):
         for second in comparable[i + 1 :]:
-            if all(_naive_same(first.values[aid], second.values[aid]) for aid in screened):
+            if all(_naive_same(first.values[aid], second.values[aid]) for aid in declared):
                 findings.append(
                     (
                         "duplicate-alternative",
@@ -707,22 +716,23 @@ class TestDuplicateScreen:
         assert first.key == second.key
         assert duplicate_messages(task) == naive_duplicate_messages(task) != []
 
-    def test_wrong_kind_or_missing_value_keeps_a_pair_out_only_on_screened_attributes(self):
-        # attribute 3 is neither basic nor in the partition, so the screen ignores it
+    @pytest.mark.parametrize("levels", [[[1], [2, 3]], [[1], [2]]], ids=["covered", "uncovered"])
+    def test_wrong_kind_or_missing_value_keeps_a_pair_out(self, levels):
+        # on any declared attribute, whether or not the partition holds attribute 3
         pairs = [
-            ("a", {1: category("x"), 2: ordinal(4), 3: crisp(1)}),  # wrong kind on a screened attribute
+            ("a", {1: category("x"), 2: ordinal(4), 3: crisp(1)}),  # wrong kind on attribute 1
             ("c", {1: crisp(5), 2: ordinal(4), 3: category("y")}),  # wrong kind on attribute 3
-            ("e", {2: ordinal(2), 3: crisp(1)}),  # no value on a screened attribute
+            ("e", {2: ordinal(2), 3: crisp(1)}),  # no value on attribute 1
             ("g", {1: crisp(7), 2: ordinal(2)}),  # no value on attribute 3
+            ("i", {1: crisp(7), 2: ordinal(2), 3: crisp(1)}),  # a value of its kind on every attribute
         ]
         task = make_task(
             attributes=(*make_task().attributes, Attribute(3, "extra", "numeric", "cost")),
+            partition=DominancePartition(levels),
             alternatives=tuple(Alternative(name + suffix, dict(values)) for name, values in pairs for suffix in "12"),
         )
-        assert [m.split(" are ")[0] for m in duplicate_messages(task)] == [
-            "alternatives 'c1' and 'c2'",
-            "alternatives 'g1' and 'g2'",
-        ]
+        assert duplicate_messages(task) == naive_duplicate_messages(task)
+        assert [m.split(" are ")[0] for m in duplicate_messages(task)] == ["alternatives 'i1' and 'i2'"]
 
     def test_matches_pairwise_screen_on_large_tasks(self):
         rng = random.Random(29)
@@ -750,135 +760,6 @@ class TestDuplicateScreen:
 MISFITS = {"numeric": (ordinal(2), category("x")), "ordinal": (crisp(2), category("x")), "categorical": (crisp(2), ordinal(2))}
 
 
-def broken_rows(seed: int, n: int, m: int, unscreened: bool) -> DecisionTask:
-    """A random_task whose rows lose, gain and misfit cells and repeat earlier rows and ids.
-
-    With ``unscreened``, the task's ids move up by one and id 1 is an attribute
-    outside the basic set and the partition, so the screened ids are not a
-    prefix of the declared ones.
-    """
-    rng = random.Random(seed)
-    base = random_task(seed, n_alternatives=n, n_attributes=m, n_levels=2)
-    shift = 1 if unscreened else 0
-    attributes = tuple(dataclasses.replace(attr, id=attr.id + shift) for attr in base.attributes)
-    if unscreened:
-        attributes = (Attribute(1, "aside", "numeric", "cost"), *attributes)
-    kinds = {attr.id: attr.kind for attr in attributes}
-    rows = []
-    for index, alt in enumerate(base.alternatives):
-        values = {aid + shift: value for aid, value in alt.values.items()}
-        if unscreened:
-            values[1] = crisp(rng.randint(0, 1))
-        for aid in list(values):
-            roll = rng.random()
-            if roll < 0.1:
-                del values[aid]
-            elif roll < 0.2:
-                values[aid] = rng.choice(MISFITS[kinds[aid]])
-        if rng.random() < 0.1:
-            values[m + 2] = crisp(1)
-        rows.append(Alternative(alt.id, values))
-        if rng.random() < 0.3:
-            twin = rng.choice(rows)
-            values = dict(twin.values)
-            if 1 in values and unscreened:
-                values[1] = crisp(rng.randint(0, 1))  # equal on the screened attributes only, half the time
-            rows.append(Alternative(twin.id if rng.random() < 0.3 else f"{twin.id}-{index}", values))
-    return DecisionTask(
-        task_id=base.task_id,
-        attributes=attributes,
-        basic_ids=frozenset(aid + shift for aid in base.basic_ids),
-        thresholds=tuple(Threshold(t.attribute_id + shift, t.op, t.bound) for t in base.thresholds),
-        partition=DominancePartition([[aid + shift for aid in level] for level in base.partition.levels]),
-        alternatives=tuple(rows),
-    )
-
-
-class TestRowFindings:
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 4), st.booleans())
-    def test_matches_the_per_row_reference(self, seed, n, m, unscreened):
-        task = broken_rows(seed, n, m, unscreened)
-        task_findings = validate_task(dataclasses.replace(task, alternatives=()))
-        expected = [(v.code, v.message) for v in task_findings] + naive_row_findings(task)
-        assert [(v.code, v.message) for v in validate_task(task)] == expected
-
-    def test_the_reference_sees_every_row_finding(self):
-        codes = set()
-        for seed in range(200):
-            task = broken_rows(seed, 10, 3, seed % 2 == 0)
-            codes |= {code for code, _ in naive_row_findings(task)}
-        assert codes == {"duplicate-alternative-id", "missing-value", "unknown-reference", "kind-mismatch", "duplicate-alternative"}
-
-
-def per_row(task: DecisionTask) -> list[Violation]:
-    """validate_task's findings on the alternatives, read one row and one cell at a time.
-
-    This is the row loop the validator ran before it screened whole columns,
-    kept as it was: each row's repeated id, missing and undeclared ids, and
-    each cell's value and family, in position order, then the duplicate pairs.
-    """
-    declared = task.attribute_ids()
-    relevant = (task.basic_ids | frozenset().union(*task.partition.levels)) & declared
-    cells = [(aid, attr.kind, KIND_FAMILY[attr.kind], aid in relevant) for aid, attr in sorted(task._by_id.items())]
-    violations: list[Violation] = []
-    alt_ids_seen: set[str] = set()
-    groups: dict[tuple, list[int]] = {}
-    for position, alt in enumerate(task.alternatives):
-        if alt.id in alt_ids_seen:
-            violations.append(Violation("duplicate-alternative-id", f"alternative id {alt.id!r} declared twice"))
-        alt_ids_seen.add(alt.id)
-
-        values = alt.values
-        complete = True
-        if values.keys() != declared:
-            missing_values = declared - values.keys()
-            if missing_values:
-                violations.append(
-                    Violation("missing-value", f"alternative {alt.id!r} lacks value(s) for attribute(s) {sorted(missing_values)}")
-                )
-            extra_values = values.keys() - declared
-            if extra_values:
-                undeclared = sorted(extra_values, key=lambda x: (0, x) if isinstance(x, int) and not isinstance(x, bool) else (1, repr(x)))
-                violations.append(
-                    Violation("unknown-reference", f"alternative {alt.id!r} has value(s) for undeclared attribute(s) {undeclared}")
-                )
-            complete = relevant.isdisjoint(missing_values)
-        keys = []
-        for aid, attr_kind, family, screened in cells:
-            if aid not in values:
-                continue
-            try:
-                key = values[aid].key
-            except AttributeError:
-                violations.append(
-                    Violation("kind-mismatch", f"alternative {alt.id!r} carries {values[aid]!r}, not a value, on {attr_kind} attribute {aid}")
-                )
-                if screened:
-                    complete = False
-                continue
-            if key[0] != family:
-                violations.append(
-                    Violation("kind-mismatch", f"alternative {alt.id!r} carries a {values[aid].kind} value on {attr_kind} attribute {aid}")
-                )
-                if screened:
-                    complete = False
-            elif screened:
-                keys.append(key)
-        if complete:
-            groups.setdefault(tuple(keys), []).append(position)
-
-    pairs = sorted(pair for group in groups.values() for pair in itertools.combinations(group, 2))
-    for i, j in pairs:
-        violations.append(
-            Violation(
-                "duplicate-alternative",
-                f"alternatives {task.alternatives[i].id!r} and {task.alternatives[j].id!r} are completely equal on every screened attribute",
-            )
-        )
-    return violations
-
-
 # what an anomaly puts in a cell that holds no value
 NOT_VALUES = (None, "x", 3, (("n", 1.0, 1.0),))
 # keys no attribute declares, and keys equal to id 1 that are not the int 1
@@ -889,27 +770,27 @@ ANOMALIES = ("missing", "extra-int", "extra-other", "equal-key", "misfit", "not-
 
 @st.composite
 def anomalous_tasks(draw):
-    """A random_task, perhaps with an attribute outside every screen, whose rows take zero to three anomalies each.
+    """A random_task, perhaps with an attribute outside the basic set and the partition, whose rows take zero to three anomalies each.
 
     ``twin`` copies an earlier row's values, which then take the row's other
-    anomalies; on the unscreened attribute a twin may differ, so its screened
-    row still repeats.  ``repeat-id`` takes an earlier row's id.
+    anomalies; on the uncovered attribute a twin may differ, and then it is no
+    duplicate.  ``repeat-id`` takes an earlier row's id.
     """
     base = random_task(draw(st.integers(0, 2**16)), n_alternatives=draw(st.integers(1, 8)), n_attributes=draw(st.integers(1, 4)))
     attributes = base.attributes
-    unscreened = draw(st.booleans())
-    if unscreened:
+    uncovered = draw(st.booleans())
+    if uncovered:
         attributes += (Attribute(len(attributes) + 1, "aside", "numeric", "cost"),)
     kinds = {attr.id: attr.kind for attr in attributes}
     rows: list[Alternative] = []
     for alt in base.alternatives:
         alt_id, values = alt.id, dict(alt.values)
-        if unscreened:
+        if uncovered:
             values[len(attributes)] = crisp(draw(st.integers(0, 1)))
         for anomaly in draw(st.lists(st.sampled_from(ANOMALIES), max_size=3)):
             if anomaly == "twin" and rows:
                 values = dict(draw(st.sampled_from(rows)).values)
-                if unscreened and len(attributes) in values:
+                if uncovered and len(attributes) in values:
                     values[len(attributes)] = crisp(draw(st.integers(0, 1)))
             elif anomaly == "repeat-id" and rows:
                 alt_id = draw(st.sampled_from(rows)).id
@@ -933,41 +814,49 @@ class TestColumnScreen:
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
     @given(anomalous_tasks())
     def test_the_findings_are_the_row_loops(self, task):
-        task_level = validate_task(dataclasses.replace(task, alternatives=()))
-        assert validate_task(task) == task_level + per_row(task)
+        task_level = [(v.code, v.message) for v in validate_task(dataclasses.replace(task, alternatives=()))]
+        assert [(v.code, v.message) for v in validate_task(task)] == task_level + naive_row_findings(task)
 
-    @pytest.mark.parametrize("key", [5, (), [["n"]]], ids=["no-sequence", "empty", "unhashable-tag"])
-    def test_a_key_the_screen_cannot_read_ends_as_the_row_loop_does(self, key):
-        # the raw constructor checks nothing, so a cell's key may hold no tag at all
+    @pytest.mark.parametrize(
+        "key,error",
+        [(5, (TypeError, "'int' object is not subscriptable")), ((), (IndexError, "tuple index out of range")), ([["n"]], None)],
+        ids=["no-sequence", "empty", "unhashable-tag"],
+    )
+    def test_a_key_the_screen_cannot_read_ends_as_the_row_loop_does(self, key, error):
+        # the raw constructor checks nothing, so a cell's key may hold no tag at all; the
+        # screen gives such a task to _report_row, which reads the tag as key[0]
         task = make_task(
             alternatives=(
                 Alternative("a", {1: crisp(50), 2: ordinal(4)}),
                 Alternative("b", {1: crisp(60), 2: AttributeValue("ordinal", key)}),
             )
         )
-        try:
-            expected = per_row(task)
-        except Exception as exc:
-            with pytest.raises(type(exc), match=re.escape(str(exc))):
+        if error:
+            with pytest.raises(error[0], match=f"^{re.escape(error[1])}$"):
                 validate_task(task)
         else:
-            assert validate_task(task) == validate_task(dataclasses.replace(task, alternatives=())) + expected
+            assert [str(v) for v in validate_task(task)] == [
+                "kind-mismatch: alternative 'b' carries an ordinal value on ordinal attribute 2"
+            ]
 
     def test_every_row_finding_is_drawn_and_rows_take_several(self):
         codes: set[str] = set()
+        covered: set[bool] = set()  # whether a task passed the coverage check
         most = 0  # the most codes one row's findings have
 
         @settings(max_examples=200, derandomize=True, database=None, deadline=None)
         @given(anomalous_tasks())
         def record(task):
             nonlocal most
+            covered.add(all(v.code != "coverage" for v in validate_task(task)))
             by_row: dict[str, set[str]] = {}
-            for v in per_row(task):
-                codes.add(v.code)
-                if v.code != "duplicate-alternative":
-                    by_row.setdefault(re.search(r"'(.*?)'", v.message).group(1), set()).add(v.code)
+            for code, message in naive_row_findings(task):
+                codes.add(code)
+                if code != "duplicate-alternative":
+                    by_row.setdefault(re.search(r"'(.*?)'", message).group(1), set()).add(code)
             most = max([most, *map(len, by_row.values())])
 
         record()
         assert codes == {"duplicate-alternative-id", "missing-value", "unknown-reference", "kind-mismatch", "duplicate-alternative"}
+        assert covered == {True, False}
         assert most >= 3

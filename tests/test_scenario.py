@@ -84,7 +84,7 @@ REJECTIONS = [
     ("at_least_nonfinite.json", "value", "value: alternative 'a', attribute 1: at_least needs a finite lower bound"),
     ("unknown_attribute_ref.json", "unknown-reference", "unknown-reference: unknown-reference: alternative 'a' has value(s) for undeclared attribute(s) [9]"),
     ("threshold_kind_mismatch.json", "kind-mismatch", "kind-mismatch: kind-mismatch: threshold 'min_level 3' does not fit numeric attribute 1 (time)"),
-    ("value_kind_mismatch.json", "kind-mismatch", "kind-mismatch: kind-mismatch: alternative 'a' carries a ordinal value on numeric attribute 1"),
+    ("value_kind_mismatch.json", "kind-mismatch", "kind-mismatch: kind-mismatch: alternative 'a' carries an ordinal value on numeric attribute 1"),
     ("duplicate_attribute_id.json", "duplicate-id", "duplicate-id: duplicate-attribute-id: attribute id 1 declared twice"),
     ("duplicate_alternative_id.json", "duplicate-id", "duplicate-id: duplicate-alternative-id: alternative id 'a' declared twice"),
     ("def2_duplicate.json", "duplicate-alternative", "duplicate-alternative: duplicate-alternative: alternatives 'a' and 'b' are completely equal on every screened attribute"),

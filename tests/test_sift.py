@@ -162,7 +162,7 @@ class TestRepeatedValues:
         [
             (Threshold(1, "max", 3), "max threshold cannot judge a category value"),
             (Threshold(4, "min_level", 2), "min_level threshold cannot judge a crisp value"),
-            (Threshold(3, "allowed", frozenset({"red"})), "allowed threshold cannot judge a ordinal value"),
+            (Threshold(3, "allowed", frozenset({"red"})), "allowed threshold cannot judge an ordinal value"),
         ],
         ids=["max-on-category", "level-on-number", "labels-on-level"],
     )
