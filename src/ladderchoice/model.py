@@ -729,20 +729,21 @@ def _report_row(
     holds no value or a value of another family.  The row's keys are complete
     exactly when every cell gave one.
     """
-    violations = [Violation("duplicate-alternative-id", f"alternative id {alt.id!r} declared twice")] if repeated else []
+    violations = []
+    if repeated:
+        violations.append(Violation("duplicate-alternative-id", f"alternative id {alt.id!r} declared twice"))
     values = alt.values
-    if values.keys() != declared:
-        missing_values = declared - values.keys()
-        if missing_values:
-            violations.append(
-                Violation("missing-value", f"alternative {alt.id!r} lacks value(s) for attribute(s) {sorted(missing_values)}")
-            )
-        extra_values = values.keys() - declared
-        if extra_values:
-            undeclared = sorted(extra_values, key=key_order)
-            violations.append(
-                Violation("unknown-reference", f"alternative {alt.id!r} has value(s) for undeclared attribute(s) {undeclared}")
-            )
+    missing_values = declared - values.keys()
+    if missing_values:
+        violations.append(
+            Violation("missing-value", f"alternative {alt.id!r} lacks value(s) for attribute(s) {sorted(missing_values)}")
+        )
+    extra_values = values.keys() - declared
+    if extra_values:
+        undeclared = sorted(extra_values, key=key_order)
+        violations.append(
+            Violation("unknown-reference", f"alternative {alt.id!r} has value(s) for undeclared attribute(s) {undeclared}")
+        )
     keys = []
     for aid, attr_kind, family in cells:
         if aid not in values:

@@ -153,8 +153,8 @@ if __name__ == "__main__":
         decided = 0
         for mode in DominanceMode:
             verdicts, found = check(mode, space())
-            print("\n".join(found[:10]))
             if found:
+                print("\n".join(found[:10]))
                 sys.exit(f"{len(found)} of {sum(verdicts.values())} {mode.value} decisions of the {name} space disagree with the reference")
             decided += sum(verdicts.values())
         print(f"{decided} decisions of the {name} space agree with the reference on Python {sys.version.split()[0]}")
