@@ -20,15 +20,13 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 
 from .ladder import DominanceMode, decide_task, dominant_set
-from .model import DecisionTask, Verdict
+from .model import DecisionTask, Verdict, _Record, _set
 from .sift import psp
 
 
-@dataclass(frozen=True)
-class PtParams:
+class PtParams(_Record):
     """Curvature and loss-aversion parameters of :func:`pt_value`.
 
     Defaults are the conventional experimentally estimated constants
@@ -39,12 +37,15 @@ class PtParams:
     beta: float = 0.88
     loss_aversion: float = 2.25
 
-    def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "loss_aversion"):
-            if getattr(self, name) <= 0:
+    def __init__(self, alpha: float = 0.88, beta: float = 0.88, loss_aversion: float = 2.25) -> None:
+        for name, value in (("alpha", alpha), ("beta", beta), ("loss_aversion", loss_aversion)):
+            if value <= 0:
                 raise ValueError(f"{name} must be strictly positive")
-        if self.loss_aversion < 1:
+        if loss_aversion < 1:
             warnings.warn("loss_aversion below 1 models loss tolerance, not aversion", stacklevel=2)
+        _set(self, "alpha", alpha)
+        _set(self, "beta", beta)
+        _set(self, "loss_aversion", loss_aversion)
 
 
 def pt_value(x: float, params: PtParams = PtParams()) -> float:
@@ -67,14 +68,19 @@ def pt_weight(prob: float, gamma: float) -> float:
 THEORIES = ("lt", "pt", "it")
 
 
-@dataclass(frozen=True)
-class TheoryRow:
+class TheoryRow(_Record):
     """One theory's prediction: its status, the chosen id when there is one, and why not otherwise."""
 
     theory: str
     status: str  # chosen | undecidable | inapplicable | abstain | repartition | no-unique-choice
     chosen: str | None = None
     detail: str = ""
+
+    def __init__(self, theory: str, status: str, chosen: str | None = None, detail: str = "") -> None:
+        _set(self, "theory", theory)
+        _set(self, "status", status)
+        _set(self, "chosen", chosen)
+        _set(self, "detail", detail)
 
 
 def _check_risk_attribute(task: DecisionTask, risk_attribute_id: int) -> None:

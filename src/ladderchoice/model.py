@@ -19,7 +19,6 @@ their tags agree, and that comparison is the only fit check there is.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import combinations
@@ -93,23 +92,45 @@ def key_order(key: object) -> tuple:
 _set = object.__setattr__
 
 
+class _FieldsOnFirstUse:
+    """``__dataclass_fields__`` of a record class, written the first time anything reads it.
+
+    The first read, from the class or from an instance, applies
+    ``dataclass(init=False, repr=False, eq=False)`` to the class, which sets
+    the real ``__dataclass_fields__`` in the class's own namespace, over this
+    descriptor, and compiles no method.  So ``dataclasses`` is imported only
+    by a caller that asks for a record's metadata.
+    """
+
+    def __get__(self, instance: object, owner: type) -> dict:
+        if owner is _Record:  # dataclass() reads every base; made one, _Record's empty fields would shadow this
+            raise AttributeError("__dataclass_fields__")
+        from dataclasses import dataclass
+
+        return dataclass(init=False, repr=False, eq=False)(owner).__dataclass_fields__
+
+
 class _Record:
     """What every record shares: equality, hashing, ``repr``, refusing changes, and copying and pickling.
 
-    Each record is a ``dataclass(init=False, repr=False, eq=False)``, which
-    writes no method but lets ``dataclasses.fields``, ``replace`` and
-    ``asdict`` see its fields, and writes its own ``__init__``, which checks
-    the arguments and sets each field with ``object.__setattr__`` (``_set``).  Equality
-    and hashing read the fields in order, as a tuple, and only a record of
-    the same class compares equal.  Every assignment or deletion raises
-    ``FrozenInstanceError``.  A copy or an unpickled record is built again
-    from the field values, through ``__init__``.
+    Each record writes its own ``__init__``, which checks the arguments and
+    sets each field with ``object.__setattr__`` (``_set``); its fields are its
+    annotations, in order.  Equality and hashing read the fields in order, as
+    a tuple, and only a record of the same class compares equal.  Every
+    assignment or deletion raises ``dataclasses.FrozenInstanceError``.  A copy
+    or an unpickled record is built again from the field values, through
+    ``__init__``.  A record class becomes a dataclass the first time
+    ``dataclasses.is_dataclass``, ``fields``, ``replace`` or ``asdict`` reads
+    its ``__dataclass_fields__`` (:class:`_FieldsOnFirstUse`); that read, and
+    the first refused change, import ``dataclasses``.
     """
 
     __slots__ = ()
+    __dataclass_fields__ = _FieldsOnFirstUse()
 
     def __init_subclass__(cls) -> None:
-        cls._astuple = attrgetter(*cls.__annotations__)  # the field values in order; a lone field's value itself
+        cls._fields = cls.__match_args__ = tuple(cls.__annotations__)  # the field names in order
+        cls._astuple = attrgetter(*cls._fields)  # the field values in order; a lone field's value itself
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -120,20 +141,29 @@ class _Record:
         return hash(self._astuple(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__dataclass_fields__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self) -> tuple:
-        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __replace__(self, /, **changes: object) -> _Record:
+        """``copy.replace`` (Python 3.13): the record with ``changes``, through ``dataclasses.replace``."""
+        from dataclasses import replace
+
+        return replace(self, **changes)
 
 
-@dataclass(init=False, repr=False, eq=False, slots=True)
 class AttributeValue(_Record):
     """Tagged value an alternative can take on one attribute.
 
@@ -150,6 +180,7 @@ class AttributeValue(_Record):
     the raw constructor checks nothing.
     """
 
+    __slots__ = ("kind", "key")
     kind: str
     key: tuple
 
@@ -254,7 +285,6 @@ def category(label: str) -> AttributeValue:
     return AttributeValue("category", ("c", label))
 
 
-@dataclass(init=False, repr=False, eq=False, slots=True)
 class Attribute(_Record):
     """One criterion of the task: numeric, ordinal (1..5 scale) or categorical.
 
@@ -263,12 +293,13 @@ class Attribute(_Record):
     name is printable, so a message that shows it stays one line.
     """
 
+    __slots__ = ("id", "name", "kind", "polarity", "unit", "labels")
     id: int
     name: str
     kind: str
     polarity: str
-    unit: Optional[str] = None
-    labels: Optional[dict[str, int]] = None  # extra ordinal labels -> level, beyond the built-in five
+    unit: Optional[str]
+    labels: Optional[dict[str, int]]  # extra ordinal labels -> level, beyond the built-in five
 
     def __init__(
         self, id: int, name: str, kind: str, polarity: str, unit: Optional[str] = None, labels: Optional[dict[str, int]] = None
@@ -306,7 +337,6 @@ class Attribute(_Record):
         _set(self, "labels", labels)
 
 
-@dataclass(init=False, repr=False, eq=False, slots=True)
 class Threshold(_Record):
     """Acceptance predicate on one attribute.
 
@@ -316,9 +346,10 @@ class Threshold(_Record):
     :data:`OP_FAMILY` decides how the bound is read.
     """
 
+    __slots__ = ("attribute_id", "op", "bound")
     attribute_id: int
     op: str
-    bound: Union[float, int, frozenset[str]] = 0.0
+    bound: Union[float, int, frozenset[str]]
 
     def __init__(self, attribute_id: int, op: str, bound: Union[float, int, frozenset[str]] = 0.0) -> None:
         if not _is_int(attribute_id):
@@ -352,7 +383,6 @@ class Threshold(_Record):
         return f"{self.op} {format_number(self.bound)}"
 
 
-@dataclass(init=False, repr=False, eq=False)
 class DominancePartition(_Record):
     """Dominance attributes grouped into importance levels, least important first.
 
@@ -395,7 +425,6 @@ class DominancePartition(_Record):
 _ID_DELIMITERS = frozenset(",|[]")
 
 
-@dataclass(init=False, repr=False, eq=False, slots=True)
 class Alternative(_Record):
     """A candidate plan: an id plus one value per task attribute.
 
@@ -403,6 +432,7 @@ class Alternative(_Record):
     ``]``, so that every id reads back unambiguously from a text trace line.
     """
 
+    __slots__ = ("id", "values")
     id: str
     values: dict[int, AttributeValue]
 
@@ -417,7 +447,6 @@ class Alternative(_Record):
         _set(self, "values", values)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class DecisionTask(_Record):
     """A full choice task: attributes, screening thresholds, importance ladder, alternatives.
 
@@ -484,7 +513,6 @@ class DecisionTask(_Record):
         return self._alternative_by_id[alt_id]
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Elimination(_Record):
     """Audit record for one rejected (alternative, attribute) pair during sifting."""
 
@@ -500,7 +528,6 @@ class Elimination(_Record):
         _set(self, "value", value)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class SiftResult(_Record):
     """Outcome of the sifting stage: surviving ids in input order plus all eliminations."""
 
@@ -519,7 +546,6 @@ class Verdict(Enum):
     NO_UNIQUE_CHOICE = "NoUniqueChoice"
 
 
-@dataclass(init=False, repr=False, eq=False)
 class LevelRecord(_Record):
     """Trace entry for one ladder level: which ids entered and which survived."""
 
@@ -537,7 +563,6 @@ class LevelRecord(_Record):
         _set(self, "survivors_after", survivors_after)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class LadderOutcome(_Record):
     """Final verdict of the ladder search plus its per-level trace."""
 
@@ -553,7 +578,6 @@ class LadderOutcome(_Record):
         _set(self, "trace", trace)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Violation(_Record):
     """One validator finding; ``code`` is stable, ``message`` is for humans."""
 
@@ -726,8 +750,10 @@ def _report_row(
     ``cells`` holds the (id, kind, family tag) of each declared attribute in
     id order.  This is the one place that builds a row's findings: a repeated
     id, missing values, values on undeclared attributes, then each cell that
-    holds no value or a value of another family.  The row's keys are complete
-    exactly when every cell gave one.
+    holds no value or a value of another family.  A value whose key has no
+    first item to read as its tag, which only the raw constructor can build,
+    counts as no value.  The row's keys are complete exactly when every cell
+    gave one.
     """
     violations = []
     if repeated:
@@ -750,7 +776,8 @@ def _report_row(
             continue
         try:
             key = values[aid].key
-        except AttributeError:
+            tag = key[0]
+        except (LookupError, AttributeError, TypeError):  # no value, or one whose key has no tag
             violations.append(
                 Violation(
                     "kind-mismatch",
@@ -758,7 +785,7 @@ def _report_row(
                 )
             )
             continue
-        if key[0] != family:
+        if tag != family:
             violations.append(
                 Violation(
                     "kind-mismatch",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -80,6 +81,53 @@ class TestParams:
     def test_loss_tolerance_warns(self):
         with pytest.warns(UserWarning):
             PtParams(loss_aversion=0.5)
+
+    def test_defaults_checks_and_warning_read_as_pinned(self):
+        assert (PtParams().alpha, PtParams().beta, PtParams().loss_aversion) == (0.88, 0.88, 2.25)
+        assert PtParams(0.5, 0.6, 1.5) == PtParams(alpha=0.5, beta=0.6, loss_aversion=1.5)
+        # each field is checked in order, so the first non-positive one is named
+        for fields, name in [((0, 0, 0), "alpha"), ((1, -1, 0), "beta"), ((1, 1, 0), "loss_aversion")]:
+            with pytest.raises(ValueError, match=f"^{name} must be strictly positive$"):
+                PtParams(*fields)
+        with pytest.warns(UserWarning, match="^loss_aversion below 1 models loss tolerance, not aversion$"):
+            PtParams(loss_aversion=0.5)
+
+
+class TestRecords:
+    """``PtParams`` and ``TheoryRow``: repr, equality, hashing and refused changes."""
+
+    def test_repr_equality_and_hash(self):
+        for record, text, fields in [
+            (PtParams(), "PtParams(alpha=0.88, beta=0.88, loss_aversion=2.25)", (0.88, 0.88, 2.25)),
+            (
+                TheoryRow("pt", "chosen", "m1"),
+                "TheoryRow(theory='pt', status='chosen', chosen='m1', detail='')",
+                ("pt", "chosen", "m1", ""),
+            ),
+            (
+                TheoryRow("it", "undecidable", detail="no alternatives"),
+                "TheoryRow(theory='it', status='undecidable', chosen=None, detail='no alternatives')",
+                ("it", "undecidable", None, "no alternatives"),
+            ),
+        ]:
+            assert repr(record) == text
+            twin = eval(text, {"PtParams": PtParams, "TheoryRow": TheoryRow})
+            assert twin is not record and twin == record and not twin != record
+            assert hash(twin) == hash(record) == hash(fields)
+            assert record != fields and record.__eq__(fields) is NotImplemented
+        assert PtParams() != PtParams(alpha=0.5)
+        assert TheoryRow("pt", "chosen", "m1") != TheoryRow("pt", "chosen", "m2")
+        assert PtParams().__eq__(TheoryRow("pt", "chosen")) is NotImplemented
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        for record in (PtParams(), TheoryRow("lt", "chosen", "m3")):
+            for name in [field.name for field in dataclasses.fields(record)] + ["extra"]:
+                with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+                    setattr(record, name, 1)
+                with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+                    delattr(record, name)
+        assert [field.name for field in dataclasses.fields(PtParams)] == ["alpha", "beta", "loss_aversion"]
+        assert dataclasses.replace(TheoryRow("pt", "chosen", "m1"), chosen="m2") == TheoryRow("pt", "chosen", "m2")
 
 
 class TestRiskMinimizingProxy:

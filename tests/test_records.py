@@ -1,10 +1,13 @@
 """Record contract: repr, equality, hashing, immutability, derived fields, copying and pickling.
 
-Each of the eleven record classes of ``ladderchoice.model`` is a dataclass
-whose instances refuse every change; values, attributes, thresholds and
-alternatives hold their fields in slots.  Copying and pickling such records
-differ between Python versions, so this module imports no test framework and
-also runs as a plain script, on any interpreter the package supports:
+The instances of each of the eleven record classes of ``ladderchoice.model``
+refuse every change; values, attributes, thresholds and alternatives hold
+their fields in slots.  A record class becomes a dataclass the first time
+its metadata is read, so each way to read it is also checked as the first
+use of a record class in a fresh interpreter.  Copying and pickling such
+records differ between Python versions, so this module imports no test
+framework and also runs as a plain script, on any interpreter the package
+supports:
 
     PYTHONPATH=src python tests/test_records.py
 """
@@ -15,6 +18,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import subprocess
 import sys
 from pathlib import Path
 
@@ -36,6 +40,7 @@ from ladderchoice import (
 from ladderchoice.model import AttributeValue, Elimination, LadderOutcome, LevelRecord, SiftResult, Violation
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # (factory, its arguments, kind, lo, hi, level, label): each checked builder and what its value reads as
 VALUES = [
@@ -303,6 +308,73 @@ def test_a_parsed_task_copies_and_pickles_to_an_equal_task():
             assert twin == task
             assert decide_task(twin) == expected
             assert [alt.values for alt in twin.alternatives] == [alt.values for alt in task.alternatives]
+
+
+# each way to read a record's metadata or to be refused a change, as the first use of a record
+# class in a fresh interpreter, and what it prints
+FIRST_USES = {
+    "is_dataclass": (
+        "import dataclasses; print(dataclasses.is_dataclass(Violation), dataclasses.is_dataclass(Violation('c', 'm')))",
+        "True True",
+    ),
+    "fields": ("import dataclasses; print([field.name for field in dataclasses.fields(crisp(5))])", "['kind', 'key']"),
+    "fields with defaults": (
+        "import dataclasses; print([(field.name, field.default) for field in dataclasses.fields(PtParams)])",
+        "[('alpha', 0.88), ('beta', 0.88), ('loss_aversion', 2.25)]",
+    ),
+    "replace": (
+        "import dataclasses; print(repr(dataclasses.replace(Threshold(1, 'max', 50), bound=40)))",
+        "Threshold(attribute_id=1, op='max', bound=40.0)",
+    ),
+    "asdict": (
+        "import dataclasses; print(dataclasses.asdict(Elimination('a', 1, Threshold(1, 'max', 50), crisp(60))))",
+        "{'alternative_id': 'a', 'attribute_id': 1, 'threshold': {'attribute_id': 1, 'op': 'max', 'bound': 50.0},"
+        " 'value': {'kind': 'crisp', 'key': ('n', 60.0, 60.0)}}",
+    ),
+    "assignment": (
+        "try:\n    crisp(5).kind = 'interval'\nexcept Exception as exc:\n    import dataclasses\n"
+        "    print(type(exc) is dataclasses.FrozenInstanceError, exc)",
+        "True cannot assign to field 'kind'",
+    ),
+    "deletion": (
+        "try:\n    del Violation('c', 'm').code\nexcept Exception as exc:\n    import dataclasses\n"
+        "    print(type(exc) is dataclasses.FrozenInstanceError, exc)",
+        "True cannot delete field 'code'",
+    ),
+    "match": (
+        "match crisp(5), Violation('c', 'm'):\n    case AttributeValue(kind, key), Violation(code, message):\n"
+        "        print(kind, key, code, message)",
+        "crisp ('n', 5.0, 5.0) c m",
+    ),
+    "copy.replace": (
+        "import copy; print(repr(copy.replace(crisp(5), kind='interval')))",
+        "AttributeValue(kind='interval', key=('n', 5.0, 5.0))",
+    ),
+    # dataclass() reads __dataclass_fields__ on every base of the class it makes a dataclass, _Record too
+    "fields of a second class": (
+        "import dataclasses; dataclasses.fields(crisp(5)); print([field.name for field in dataclasses.fields(Violation)])",
+        "['code', 'message']",
+    ),
+}
+
+
+def fresh(code: str) -> str:
+    """What ``code`` prints in a fresh interpreter that has imported the record classes and used none of them."""
+    imports = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
+        "from ladderchoice.baselines import PtParams\n"
+        "from ladderchoice.model import AttributeValue, Elimination, Threshold, Violation, crisp\n"
+    )
+    run = subprocess.run([sys.executable, "-c", imports + code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.strip()
+
+
+def test_each_metadata_read_and_refusal_works_as_the_first_use_of_a_record_class():
+    for name, (code, expected) in FIRST_USES.items():
+        if name == "copy.replace" and sys.version_info < (3, 13):
+            continue  # copy.replace is new in Python 3.13
+        assert fresh(code) == expected, name
 
 
 if __name__ == "__main__":
