@@ -19,11 +19,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, NoReturn, Optional
+from collections.abc import Callable
 
 from .ladder import DominanceMode, decide_task
 from .model import DecisionTask, Verdict
 from .scenario import ScenarioError, decision_text, decision_to_json, parse_scenario, violation_category
+
+TYPE_CHECKING = False  # read by name by type checkers; nothing at run time imports typing
+if TYPE_CHECKING:
+    from typing import NoReturn
 
 _VERDICT_EXIT = {
     Verdict.CHOSEN: 0,
@@ -54,9 +58,9 @@ def cmd_decide(path: str, mode: DominanceMode, as_json: bool) -> int:
 
 def cmd_compare(
     path: str,
-    theories: Optional[list[str]],
-    pt_risk_attr: Optional[int],
-    it_profit_attr: Optional[int],
+    theories: list[str] | None,
+    pt_risk_attr: int | None,
+    it_profit_attr: int | None,
     it_budget: int,
     mode: DominanceMode,
 ) -> int:
@@ -109,10 +113,7 @@ def cmd_validate(paths: list[str]) -> int:
     return 0 if ok else 1
 
 
-EngineFn = Callable[[DecisionTask, DominanceMode], tuple[str, Optional[str]]]
-
-
-def _engine_verdict(task: DecisionTask, mode: DominanceMode) -> tuple[str, Optional[str]]:
+def _engine_verdict(task: DecisionTask, mode: DominanceMode) -> tuple[str, str | None]:
     _, outcome = decide_task(task, mode)
     return (outcome.verdict.value, outcome.chosen)
 
@@ -121,7 +122,7 @@ def run_batch(
     seed: int,
     count: int,
     mode: DominanceMode = DominanceMode.GLOBAL,
-    engine: EngineFn = _engine_verdict,
+    engine: Callable[[DecisionTask, DominanceMode], tuple[str, str | None]] = _engine_verdict,
 ) -> tuple[int, str]:
     """Sweep generated tasks through the engine and the naive reference.
 
@@ -212,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except _UsageError as exc:

@@ -42,10 +42,10 @@ two.  Cost of one rung over n candidates and m attributes:
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
 from itertools import compress
 from operator import ge, itemgetter, neg
-from typing import Iterable, Iterator, Sequence
 
 from .model import (
     KIND_FAMILY,
@@ -121,11 +121,6 @@ def _rows(alts: Sequence[Alternative], attrs: Iterable[int], task: DecisionTask)
     return list(zip(*labels, *coords)) or [()] * len(alts), len(labels)
 
 
-def _beats(s: tuple, t: tuple) -> bool:
-    """Strict dominance of one coordinate row over another: different, and no coordinate of ``s`` smaller."""
-    return s != t and all(map(ge, s, t))
-
-
 def _front(rows: list[tuple]) -> list[tuple]:
     """The rows that no other row beats, out of distinct rows of one width and one label group.
 
@@ -133,11 +128,11 @@ def _front(rows: list[tuple]) -> list[tuple]:
     coordinate, and the rows are distinct, so a row is beaten exactly when an
     earlier kept row is at least as large on the rest.  One coordinate keeps
     the maximum.  More sweep once in that order (Kung, Luccio and Preparata,
-    JACM 1975) and call no :func:`_beats`: each kept row goes into a staircase
-    of (second, third) pairs keyed by its coordinates past the third, and a
-    row is beaten when the staircase of some key at least as large as its own
-    holds a pair at least as large as its own.  Two and three coordinates have
-    the one key ``()``, so they sweep a single staircase.
+    JACM 1975): each kept row goes into a staircase of (second, third) pairs
+    keyed by its coordinates past the third, and a row is beaten when the
+    staircase of some key at least as large as its own holds a pair at least
+    as large as its own.  Two and three coordinates have the one key ``()``,
+    so they sweep a single staircase.
     """
     if len(rows) == 1:
         return rows
@@ -172,17 +167,6 @@ def _front(rows: list[tuple]) -> list[tuple]:
             seconds[start:end] = [second]
             lasts[start:end] = [last]
     return front
-
-
-def dominates(s: Alternative, t: Alternative, attrs: Iterable[int], task: DecisionTask) -> bool:
-    """Strict dominance of ``s`` over ``t`` on the given attributes.
-
-    Requires ``s`` to be at least as good as ``t`` on every attribute and
-    strictly better on at least one; any Incomparable or Worse attribute
-    breaks dominance.
-    """
-    (s_row, t_row), n_labels = _rows((s, t), attrs, task)
-    return s_row[:n_labels] == t_row[:n_labels] and _beats(s_row[n_labels:], t_row[n_labels:])
 
 
 def dominant_set(

@@ -19,11 +19,11 @@ their tags agree, and that comparison is the only fit check there is.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from enum import Enum
 from functools import cached_property
 from itertools import combinations
 from operator import attrgetter, itemgetter
-from typing import Iterable, Optional, Union
 
 ORDINAL_LABELS = ("very_low", "low", "moderate", "high", "very_high")
 ORDINAL_LEVELS = {label: i + 1 for i, label in enumerate(ORDINAL_LABELS)}
@@ -31,6 +31,8 @@ ORDINAL_LEVELS = {label: i + 1 for i, label in enumerate(ORDINAL_LABELS)}
 # family tag of each attribute kind and of each threshold op, matching AttributeValue.key[0]
 KIND_FAMILY = {"numeric": "n", "ordinal": "o", "categorical": "c"}
 OP_FAMILY = {"max": "n", "min": "n", "min_level": "o", "max_level": "o", "allowed": "c"}
+# each value kind with the family tag its factory writes, as pairs read with ==, so no raw kind is hashed
+_KIND_TAGS = (("crisp", "n"), ("interval", "n"), ("at_least", "n"), ("ordinal", "o"), ("category", "c"))
 
 
 def _is_int(x: object) -> bool:
@@ -43,7 +45,7 @@ def _is_level(x: object) -> bool:
     return _is_int(x) and 1 <= x <= 5
 
 
-def label_level(label: str, extra_labels: Optional[dict[str, int]] = None) -> int:
+def label_level(label: str, extra_labels: dict[str, int] | None = None) -> int:
     """Level of a scale label: an attribute's declared extra label, else one of the five built-in ones."""
     if extra_labels and label in extra_labels:
         return extra_labels[label]
@@ -189,22 +191,22 @@ class AttributeValue(_Record):
         _set(self, "key", key)
 
     @property
-    def lo(self) -> Optional[float]:
+    def lo(self) -> float | None:
         """Lower bound of a numeric value (the number itself when crisp), else None."""
         return self.key[1] if self.key[0] == "n" else None
 
     @property
-    def hi(self) -> Optional[float]:
+    def hi(self) -> float | None:
         """Upper bound of an interval, else None."""
         return self.key[2] if self.kind == "interval" else None
 
     @property
-    def level(self) -> Optional[int]:
+    def level(self) -> int | None:
         """Level of an ordinal value, else None."""
         return self.key[1] if self.key[0] == "o" else None
 
     @property
-    def label(self) -> Optional[str]:
+    def label(self) -> str | None:
         """Label of a category value, else None."""
         return self.key[1] if self.key[0] == "c" else None
 
@@ -265,7 +267,7 @@ def at_least(x: float) -> AttributeValue:
     return AttributeValue("at_least", ("n", x, math.inf))
 
 
-def ordinal(level_or_label: Union[int, str]) -> AttributeValue:
+def ordinal(level_or_label: int | str) -> AttributeValue:
     """Build an ordinal value from a level (1..5) or a canonical scale label."""
     if isinstance(level_or_label, str):
         level_or_label = label_level(level_or_label)
@@ -298,11 +300,11 @@ class Attribute(_Record):
     name: str
     kind: str
     polarity: str
-    unit: Optional[str]
-    labels: Optional[dict[str, int]]  # extra ordinal labels -> level, beyond the built-in five
+    unit: str | None
+    labels: dict[str, int] | None  # extra ordinal labels -> level, beyond the built-in five
 
     def __init__(
-        self, id: int, name: str, kind: str, polarity: str, unit: Optional[str] = None, labels: Optional[dict[str, int]] = None
+        self, id: int, name: str, kind: str, polarity: str, unit: str | None = None, labels: dict[str, int] | None = None
     ) -> None:
         if labels is not None and not isinstance(labels, dict):
             raise ValueError("labels must map label -> level")
@@ -349,9 +351,9 @@ class Threshold(_Record):
     __slots__ = ("attribute_id", "op", "bound")
     attribute_id: int
     op: str
-    bound: Union[float, int, frozenset[str]]
+    bound: float | int | frozenset[str]
 
-    def __init__(self, attribute_id: int, op: str, bound: Union[float, int, frozenset[str]] = 0.0) -> None:
+    def __init__(self, attribute_id: int, op: str, bound: float | int | frozenset[str] = 0.0) -> None:
         if not _is_int(attribute_id):
             raise ValueError(f"threshold attribute id must be an integer, got {attribute_id!r}")
         if not isinstance(op, str) or op not in OP_FAMILY:
@@ -463,7 +465,7 @@ class DecisionTask(_Record):
     thresholds: tuple[Threshold, ...]
     partition: DominancePartition
     alternatives: tuple[Alternative, ...]
-    aspiration: Optional[tuple[Threshold, ...]] = None
+    aspiration: tuple[Threshold, ...] | None = None
 
     def __init__(
         self,
@@ -473,7 +475,7 @@ class DecisionTask(_Record):
         thresholds: Iterable[Threshold],
         partition: DominancePartition,
         alternatives: Iterable[Alternative],
-        aspiration: Optional[Iterable[Threshold]] = None,
+        aspiration: Iterable[Threshold] | None = None,
     ) -> None:
         if not isinstance(task_id, str):
             raise ValueError(f"task_id must be a string, got {task_id!r}")
@@ -567,10 +569,10 @@ class LadderOutcome(_Record):
     """Final verdict of the ladder search plus its per-level trace."""
 
     verdict: Verdict
-    chosen: Optional[str] = None
+    chosen: str | None = None
     trace: tuple[LevelRecord, ...] = ()
 
-    def __init__(self, verdict: Verdict, chosen: Optional[str] = None, trace: tuple[LevelRecord, ...] = ()) -> None:
+    def __init__(self, verdict: Verdict, chosen: str | None = None, trace: tuple[LevelRecord, ...] = ()) -> None:
         if (verdict is Verdict.CHOSEN) != (chosen is not None):
             raise ValueError("chosen id is set exactly when the verdict is Chosen")
         _set(self, "verdict", verdict)
@@ -744,16 +746,17 @@ _values, _id, _tag = attrgetter("values"), attrgetter("id"), itemgetter(0)
 
 def _report_row(
     alt: Alternative, repeated: bool, declared: frozenset, cells: list[tuple]
-) -> tuple[list[Violation], Optional[tuple]]:
+) -> tuple[list[Violation], tuple | None]:
     """The findings of one alternative, and its value keys if it holds a value of its family on each declared attribute.
 
     ``cells`` holds the (id, kind, family tag) of each declared attribute in
     id order.  This is the one place that builds a row's findings: a repeated
     id, missing values, values on undeclared attributes, then each cell that
     holds no value or a value of another family.  A value whose key has no
-    first item to read as its tag, which only the raw constructor can build,
-    counts as no value.  The row's keys are complete exactly when every cell
-    gave one.
+    first item to read as its tag, or whose tag is not the family of its kind,
+    counts as no value; only the raw constructor can build either, and a
+    misfit is named by its kind only when that kind is of its tag's family.
+    The row's keys are complete exactly when every cell gave one.
     """
     violations = []
     if repeated:
@@ -774,24 +777,19 @@ def _report_row(
     for aid, attr_kind, family in cells:
         if aid not in values:
             continue
+        value = values[aid]
         try:
-            key = values[aid].key
-            tag = key[0]
+            tag = value.key[0]
         except (LookupError, AttributeError, TypeError):  # no value, or one whose key has no tag
-            violations.append(
-                Violation(
-                    "kind-mismatch",
-                    f"alternative {alt.id!r} carries {values[aid]!r}, not a value, on {attr_kind} attribute {aid}",
-                )
-            )
+            tag = None
+        if tag == family:
+            keys.append(value.key)
             continue
-        if tag != family:
-            violations.append(
-                Violation(
-                    "kind-mismatch",
-                    f"alternative {alt.id!r} carries {with_article(values[aid].kind)} value on {attr_kind} attribute {aid}",
-                )
-            )
+        if (getattr(value, "kind", None), tag) in _KIND_TAGS:
+            carried = f"{with_article(value.kind)} value"
         else:
-            keys.append(key)
+            carried = f"{value!r}, not a value,"
+        violations.append(
+            Violation("kind-mismatch", f"alternative {alt.id!r} carries {carried} on {attr_kind} attribute {aid}")
+        )
     return violations, tuple(keys) if len(keys) == len(cells) else None

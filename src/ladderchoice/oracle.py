@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 import random
-from typing import Iterable, Optional, Sequence
+from collections.abc import Iterable, Sequence
 
 from .model import (
     Alternative,
@@ -108,7 +108,7 @@ def brute_force_dominant(
     return tuple(kept)
 
 
-def brute_force_lt(task: DecisionTask, mode: str = "global") -> tuple[str, Optional[str]]:
+def brute_force_lt(task: DecisionTask, mode: str = "global") -> tuple[str, str | None]:
     """Re-run the whole sift-then-ladder pipeline with nested loops.
 
     Returns (verdict name, chosen id or None); ``mode`` is as in
@@ -265,7 +265,7 @@ def random_task(
 
     alternatives: list[Alternative] = []
     seen: set[tuple] = set()
-    unused: Optional[list[tuple[AttributeValue, ...]]] = None
+    unused: list[tuple[AttributeValue, ...]] | None = None
     for index in range(n_alternatives):
         if unused is None:
             for _ in range(1000):

@@ -39,7 +39,6 @@ interval lists and whatever else is neither a string nor a number.
 from __future__ import annotations
 
 import json
-from typing import Any, Optional
 
 from .model import (
     ORDINAL_LABELS,
@@ -64,6 +63,10 @@ from .model import (
     ordinal,
     validate_task,
 )
+
+TYPE_CHECKING = False  # read by name by type checkers; nothing at run time imports typing
+if TYPE_CHECKING:
+    from typing import Any
 
 CATEGORIES = (
     "syntax",
@@ -97,8 +100,8 @@ class ScenarioError(Exception):
         self,
         category_name: str,
         message: str,
-        line: Optional[int] = None,
-        column: Optional[int] = None,
+        line: int | None = None,
+        column: int | None = None,
         violations: tuple[Violation, ...] = (),
     ) -> None:
         if category_name not in CATEGORIES:
@@ -146,7 +149,7 @@ def _parse_attribute(raw: Any) -> Attribute:
         raise ScenarioError("schema", f"attribute {aid}: {exc}") from exc
 
 
-def _parse_value(tag: Optional[str], payload: Any, attribute: Optional[Attribute]) -> AttributeValue:
+def _parse_value(tag: str | None, payload: Any, attribute: Attribute | None) -> AttributeValue:
     """The value a cell holds as ``{tag: payload}``, or as a bare ``payload`` when ``tag`` is None.
 
     Raises ``ValueError`` when it is malformed.
@@ -307,7 +310,7 @@ def parse_scenario(text: str) -> DecisionTask:
     return task
 
 
-def _value_to_json(value: AttributeValue, extra_labels: Optional[dict[str, int]]) -> Any:
+def _value_to_json(value: AttributeValue, extra_labels: dict[str, int] | None) -> Any:
     if value.kind == "crisp":
         return value.lo
     if value.kind == "interval":

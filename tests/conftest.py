@@ -16,6 +16,7 @@ from ladderchoice import (
     ordinal,
     parse_scenario,
 )
+from ladderchoice.ladder import dominant_set
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
@@ -28,6 +29,15 @@ def fixture_path(name: str) -> Path:
 
 def load_case(name: str) -> DecisionTask:
     return parse_scenario(fixture_path(name).read_text(encoding="utf-8"))
+
+
+def dominates(s, t, attrs, mode, task) -> bool:
+    """Whether ``s`` strictly dominates ``t`` on ``attrs``: a rung of the two, in ``mode``, keeps ``s`` alone.
+
+    The rung decides it in either mode when the two ids differ: GLOBAL keeps
+    the id that beats the other, and UNDOMINATED drops the id that is beaten.
+    """
+    return dominant_set([s.id, t.id], attrs, mode, task) == (s.id,)
 
 
 @pytest.fixture(scope="session")

@@ -28,10 +28,9 @@ from ladderchoice import (
     serialize_task,
 )
 from ladderchoice.cli import main, run_batch
-from ladderchoice.ladder import dominates
 from ladderchoice.oracle import brute_force_lt, random_task
 
-from conftest import CASES, fixture_path, load_case
+from conftest import CASES, dominates, fixture_path, load_case
 
 GLOBAL = DominanceMode.GLOBAL
 UNDOM = DominanceMode.UNDOMINATED
@@ -169,22 +168,23 @@ def test_criterion_5_invariant_suites():
             again = psp(replace(task, alternatives=tuple(a for a in task.alternatives if a.id in feasible)))
             assert again.feasible == feasible
 
-        # dominance: antisymmetric and transitive
+        # dominance, as a rung of two decides it in either mode: antisymmetric and transitive
         for seed in range(200):
             task = random_task(seed, n_alternatives=4, n_attributes=4, n_levels=2)
             attrs = task.partition.level(task.partition.level_count)
             alts = task.alternatives
-            for s in alts:
-                for t in alts:
-                    if s is t:
-                        continue
-                    if dominates(s, t, attrs, task):
-                        assert not dominates(t, s, attrs, task)
-                    for u in alts:
-                        if u in (s, t):
+            for mode in (GLOBAL, UNDOM):
+                for s in alts:
+                    for t in alts:
+                        if s is t:
                             continue
-                        if dominates(s, t, attrs, task) and dominates(t, u, attrs, task):
-                            assert dominates(s, u, attrs, task)
+                        if dominates(s, t, attrs, mode, task):
+                            assert not dominates(t, s, attrs, mode, task)
+                        for u in alts:
+                            if u in (s, t):
+                                continue
+                            if dominates(s, t, attrs, mode, task) and dominates(t, u, attrs, mode, task):
+                                assert dominates(s, u, attrs, mode, task)
 
         # global filter cardinality and undominated survivor monotonicity
         for seed in range(200):

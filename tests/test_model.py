@@ -403,6 +403,9 @@ VALUES = {
     "category": category("red"),
 }
 POLARITY = {"numeric": "cost", "ordinal": "cost", "categorical": "none"}
+# the family tag that starts the keys of each attribute kind's values, and of each value kind's
+TAG = {"numeric": "n", "ordinal": "o", "categorical": "c"}
+KIND_TAG = {shape: value.key[0] for shape, value in VALUES.items()}
 # each value kind as a message names it, with its article
 A_KIND = {"crisp": "a crisp", "interval": "an interval", "at_least": "an at_least", "ordinal": "an ordinal", "category": "a category"}
 
@@ -617,9 +620,12 @@ def naive_row_findings(task: DecisionTask) -> list[tuple[str, str]]:
     keys (int ids in numeric order, then any other key by repr), then each
     declared attribute, by id, whose cell holds no value or a value whose shape
     its kind does not take (FITS).  A value whose key has no first item holds
-    no value.  A row holding a fitting value on every
-    declared attribute is comparable, and every pair of comparable rows equal on
-    all of them is a duplicate, in (i, j) order.
+    no value.  A raw value whose key starts with another tag than its kind's
+    (KIND_TAG) is read by that tag alone, as the screen reads every cell: it
+    fits when the tag is the attribute's (TAG), and holds no value otherwise.
+    A row holding a fitting value on every declared attribute is comparable,
+    and every pair of comparable rows equal on all of them is a duplicate, in
+    (i, j) order.
     """
     declared = task.attribute_ids()
     kinds: dict[int, str] = {}
@@ -647,12 +653,16 @@ def naive_row_findings(task: DecisionTask) -> list[tuple[str, str]]:
             if aid not in alt.values:
                 continue
             value, kind = alt.values[aid], kinds[aid]
-            if not isinstance(value, AttributeValue) or _tagless(value):
-                findings.append(("kind-mismatch", f"alternative {alt.id!r} carries {value!r}, not a value, on {kind} attribute {aid}"))
-            elif value.kind not in FITS[kind][1]:
-                findings.append(("kind-mismatch", f"alternative {alt.id!r} carries {A_KIND[value.kind]} value on {kind} attribute {aid}"))
-            else:
+            tag = _tag(value)
+            if tag is not None and tag == KIND_TAG.get(value.kind):
+                if value.kind in FITS[kind][1]:
+                    fitting += 1
+                else:
+                    findings.append(("kind-mismatch", f"alternative {alt.id!r} carries {A_KIND[value.kind]} value on {kind} attribute {aid}"))
+            elif tag == TAG[kind]:
                 fitting += 1
+            else:
+                findings.append(("kind-mismatch", f"alternative {alt.id!r} carries {value!r}, not a value, on {kind} attribute {aid}"))
         if fitting == len(declared):
             comparable.append(alt)
     for i, first in enumerate(comparable):
@@ -667,13 +677,14 @@ def naive_row_findings(task: DecisionTask) -> list[tuple[str, str]]:
     return findings
 
 
-def _tagless(value: AttributeValue) -> bool:
-    """Whether the key of a value built by the raw constructor has no first item."""
+def _tag(value: object) -> object:
+    """The first item of a value's key; None for a cell that is no value, or whose key, built by the raw constructor, has no first item."""
+    if not isinstance(value, AttributeValue):
+        return None
     try:
-        value.key[0]
+        return value.key[0]
     except (LookupError, TypeError):
-        return True
-    return False
+        return None
 
 
 def naive_duplicate_messages(task: DecisionTask) -> list[str]:
@@ -828,27 +839,23 @@ class TestColumnScreen:
         assert [(v.code, v.message) for v in validate_task(task)] == task_level + naive_row_findings(task)
 
     @pytest.mark.parametrize(
-        "key,finding",
-        [
-            (5, "carries AttributeValue(kind='ordinal', key=5), not a value,"),
-            ((), "carries AttributeValue(kind='ordinal', key=()), not a value,"),
-            ([["n"]], "carries an ordinal value"),
-        ],
-        ids=["no-sequence", "empty", "unhashable-tag"],
+        "key", [5, (), [["n"]], ("n", 3.0, 3.0)], ids=["no-sequence", "empty", "unhashable-tag", "another-family"]
     )
-    def test_a_key_the_screen_cannot_read_ends_as_the_row_loop_does(self, key, finding):
-        # the raw constructor checks nothing, so a cell's key may hold no tag at all; the
-        # screen gives such a task to _report_row, which reads the tag as key[0] and
-        # reports a key with no first item as a cell that holds no value
+    def test_a_key_the_screen_cannot_read_ends_as_the_row_loop_does(self, key):
+        # the raw constructor checks nothing, so a cell's key may hold no tag at all, or a tag
+        # of another family than its kind's; the screen gives such a task to _report_row,
+        # which reads the tag as key[0] and reports either as a cell that holds no value,
+        # never naming the ordinal kind that fits the attribute
+        value = AttributeValue("ordinal", key)
         task = make_task(
             alternatives=(
                 Alternative("a", {1: crisp(50), 2: ordinal(4)}),
-                Alternative("b", {1: crisp(60), 2: AttributeValue("ordinal", key)}),
+                Alternative("b", {1: crisp(60), 2: value}),
             )
         )
-        assert [str(v) for v in validate_task(task)] == [f"kind-mismatch: alternative 'b' {finding} on ordinal attribute 2"]
-        if finding.endswith("not a value,"):
-            assert [(v.code, v.message) for v in validate_task(task)] == naive_row_findings(task)
+        finding = f"kind-mismatch: alternative 'b' carries {value!r}, not a value, on ordinal attribute 2"
+        assert [str(v) for v in validate_task(task)] == [finding]
+        assert [(v.code, v.message) for v in validate_task(task)] == naive_row_findings(task)
 
     def test_every_row_finding_is_drawn_and_rows_take_several(self):
         codes: set[str] = set()

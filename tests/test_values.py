@@ -1,8 +1,8 @@
 """Ordering semantics: pinned examples plus hypothesis property suites.
 
-Value order is asserted on the code that decides: :func:`ladder.dominates` on
-a task of one attribute, whose rows a ladder rung builds from
-:func:`signed_columns`.
+Value order is asserted on the code that decides: a ladder rung,
+:func:`ladder.dominant_set`, over two alternatives on a task of one
+attribute, in both modes, whose rows it builds from :func:`signed_columns`.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from ladderchoice import (
     Alternative,
     Attribute,
     DecisionTask,
+    DominanceMode,
     DominancePartition,
     Threshold,
     at_least,
@@ -32,6 +33,8 @@ from ladderchoice.ladder import signed_columns
 from ladderchoice.model import label_level
 from ladderchoice.oracle import _naive_strictly_better, _naive_weakly_better
 from ladderchoice.sift import satisfies_threshold
+
+from conftest import dominates
 
 finite = st.one_of(
     st.integers(min_value=-50, max_value=50).map(float),
@@ -74,9 +77,11 @@ def lone_attribute(a, b, polarity):
 
 
 def beats(a, b, polarity):
-    """Whether ``a`` strictly dominates ``b`` on a lone attribute of their family."""
+    """Whether ``a`` strictly dominates ``b`` on a lone attribute of their family: a rung of the two keeps ``a`` alone, in both modes."""
     s, t, task = lone_attribute(a, b, polarity)
-    return ladder.dominates(s, t, {1}, task)
+    answers = {dominates(s, t, {1}, mode, task) for mode in DominanceMode}
+    assert len(answers) == 1, f"the two modes disagree on {a} against {b}"
+    return answers.pop()
 
 
 def same_row(a, b, polarity):
