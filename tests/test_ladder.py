@@ -116,6 +116,18 @@ class TestDominates:
             assert not dominates(m1, clone, {4, 5}, mode, task)
             assert not dominates(clone, m1, {4, 5}, mode, task)
 
+    @pytest.mark.parametrize("mode", [GLOBAL, UNDOM], ids=["global", "undominated"])
+    def test_every_pair_of_every_level_matches_the_oracle(self, mode):
+        # every ordered pair of distinct alternatives, on each level of 400 random tasks
+        for seed in range(400):
+            task = random_task(seed, 5, 4, 2)
+            for r in range(1, task.partition.level_count + 1):
+                attrs = task.partition.level(r)
+                for s in task.alternatives:
+                    for t in task.alternatives:
+                        if s is not t:
+                            assert dominates(s, t, attrs, mode, task) == _naive_dominates(s, t, attrs, task), (seed, r, s.id, t.id)
+
 
 class TestDominantSet:
     def test_case1_global(self, case1):
