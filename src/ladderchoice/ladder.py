@@ -33,10 +33,15 @@ two.  Cost of one rung over n candidates and m attributes:
   row stays; with one, the maximum, O(d).  With more, Kung, Luccio and
   Preparata (JACM 1975) sort the rows in descending order and sweep them
   once against staircases of the kept rows, so a trade-off does not cost d
-  squared and no pair of rows is compared.  Two and three coordinates sweep
-  one staircase, O(d log d).  Four or more keep a staircase per value of
-  the coordinates past the third and test a row against each staircase
-  whose key is at least its own, O(d·k log d) for k such values.
+  squared and no pair of rows is compared.  The sweep has two loops, which
+  share the step that puts a kept row into a staircase (:func:`_cover`).
+  Two and three coordinates sweep one staircase, O(d log d), and test no
+  key.  Four or more keep a staircase per value of the coordinates past the
+  third and test a row against each staircase whose key is at least its
+  own, O(d·k log d) for k such values.  The keyed loop gives the same
+  answer on fewer coordinates, with the one key ``()``, but its key test on
+  every row is about half the time of a two- or three-coordinate rung, the
+  most common width, so those rungs keep a loop without it.
 """
 
 from __future__ import annotations
@@ -128,11 +133,14 @@ def _front(rows: list[tuple]) -> list[tuple]:
     coordinate, and the rows are distinct, so a row is beaten exactly when an
     earlier kept row is at least as large on the rest.  One coordinate keeps
     the maximum.  More sweep once in that order (Kung, Luccio and Preparata,
-    JACM 1975): each kept row goes into a staircase of (second, third) pairs
-    keyed by its coordinates past the third, and a row is beaten when the
-    staircase of some key at least as large as its own holds a pair at least
-    as large as its own.  Two and three coordinates have the one key ``()``,
-    so they sweep a single staircase.
+    JACM 1975) against staircases of the (second, third) pairs of kept rows,
+    and a row is beaten when a staircase it is tested against holds a pair at
+    least as large as its own.  Two and three coordinates sweep one staircase.
+    Four or more keep a staircase per key, a row's coordinates past the
+    third, and test a row against the staircase of each key at least as large
+    as its own.  The keyed loop would give the same answer on two and three
+    coordinates, but its key test on every row, against the one key ``()``,
+    made those rungs take about twice as long.
     """
     if len(rows) == 1:
         return rows
@@ -146,6 +154,16 @@ def _front(rows: list[tuple]) -> list[tuple]:
     # the entries whose second is at least a row's, the first has the largest
     # third, so it alone decides whether the staircase beats the row
     front = []
+    if width <= 3:
+        seconds, lasts = [], []
+        for row in rows:
+            second, last = row[1], row[third]
+            i = bisect_left(seconds, second)
+            if i < len(lasts) and lasts[i] >= last:
+                continue
+            front.append(row)
+            _cover(seconds, lasts, second, last)
+        return front
     stairs: dict[tuple, tuple[list, list]] = {}
     for row in rows:
         second, last, key = row[1], row[third], row[3:]
@@ -156,17 +174,23 @@ def _front(rows: list[tuple]) -> list[tuple]:
                     break
         else:
             front.append(row)
-            # the new pair covers the run before its position whose thirds are
-            # no larger, and the entry at it if that has the same second
-            seconds, lasts = stairs.setdefault(key, ([], []))
-            start = end = bisect_left(seconds, second)
-            if end < len(seconds) and seconds[end] == second:
-                end += 1
-            while start and lasts[start - 1] <= last:
-                start -= 1
-            seconds[start:end] = [second]
-            lasts[start:end] = [last]
+            _cover(*stairs.setdefault(key, ([], [])), second, last)
     return front
+
+
+def _cover(seconds: list, lasts: list, second, last) -> None:
+    """Put a kept row's pair into a staircase, removing the entries it covers.
+
+    The pair covers the run before its position whose thirds are no larger,
+    and the entry at it if that has the same second.
+    """
+    start = end = bisect_left(seconds, second)
+    if end < len(seconds) and seconds[end] == second:
+        end += 1
+    while start and lasts[start - 1] <= last:
+        start -= 1
+    seconds[start:end] = [second]
+    lasts[start:end] = [last]
 
 
 def dominant_set(

@@ -178,8 +178,9 @@ class AttributeValue(_Record):
     keys are; ``==`` also compares the kind, so ``crisp(5) != interval(5, 5)``.
 
     Build values with :func:`crisp`, :func:`interval`, :func:`at_least`,
-    :func:`ordinal` and :func:`category`, each of which checks its own shape;
-    the raw constructor checks nothing.
+    :func:`ordinal` and :func:`category`, each of which checks its own shape.
+    The raw constructor checks only that the key is a non-empty tuple whose
+    tag is the family of the kind, so a value's kind and tag always agree.
     """
 
     __slots__ = ("kind", "key")
@@ -187,6 +188,8 @@ class AttributeValue(_Record):
     key: tuple
 
     def __init__(self, kind: str, key: tuple) -> None:
+        if not isinstance(key, tuple) or not key or (kind, key[0]) not in _KIND_TAGS:
+            raise ValueError(f"a value of kind {kind!r} cannot have the key {key!r}")
         _set(self, "kind", kind)
         _set(self, "key", key)
 
@@ -752,11 +755,9 @@ def _report_row(
     ``cells`` holds the (id, kind, family tag) of each declared attribute in
     id order.  This is the one place that builds a row's findings: a repeated
     id, missing values, values on undeclared attributes, then each cell that
-    holds no value or a value of another family.  A value whose key has no
-    first item to read as its tag, or whose tag is not the family of its kind,
-    counts as no value; only the raw constructor can build either, and a
-    misfit is named by its kind only when that kind is of its tag's family.
-    The row's keys are complete exactly when every cell gave one.
+    holds no value or a value of another family.  A misfit value is named by
+    its kind, and a cell that holds no value by its repr.  The row's keys are
+    complete exactly when every cell gave one.
     """
     violations = []
     if repeated:
@@ -780,12 +781,12 @@ def _report_row(
         value = values[aid]
         try:
             tag = value.key[0]
-        except (LookupError, AttributeError, TypeError):  # no value, or one whose key has no tag
+        except (LookupError, AttributeError, TypeError):  # a cell that holds no value
             tag = None
         if tag == family:
             keys.append(value.key)
             continue
-        if (getattr(value, "kind", None), tag) in _KIND_TAGS:
+        if isinstance(value, AttributeValue):
             carried = f"{with_article(value.kind)} value"
         else:
             carried = f"{value!r}, not a value,"

@@ -386,8 +386,9 @@ class TestModeArgument:
 class TestComparisonCount:
     """UNDOMINATED sweeps staircases and compares no pair of rows, so a wide rung of many rows stays cheap.
 
-    Its front is checked against the oracle on many tied rows, and the
-    four-coordinate sweep compares a row's key only with the staircases' keys.
+    Its front is checked against the oracle on many tied rows, the
+    four-coordinate sweep compares a row's key only with the staircases' keys,
+    and three coordinates test no key at all.
     """
 
     def test_three_coordinates_match_the_oracle(self):
@@ -431,6 +432,28 @@ class TestComparisonCount:
         kept = dominant_set([a.id for a in task.alternatives], attrs, UNDOM, task)
         assert 0 < compared <= len(rows) * len(keys)
         assert len(kept) > 500
+
+    def test_three_coordinates_test_no_key(self, monkeypatch):
+        # a key test is all(map(ge, above, key)); on three coordinates every key would be
+        # (), and map calls ge on no pair of an empty key, so the test counts all as well
+        task = crisp_antichain(1200)
+        attrs = {1, 2, 3}
+        rows = set(ladder._rows(task.alternatives, attrs, task)[0])
+        assert {len(row) for row in rows} == {3} and len(rows) >= 1000
+        calls = {"ge": 0, "all": 0}
+
+        def counting(name, function):
+            def count(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return count
+
+        monkeypatch.setattr(ladder, "ge", counting("ge", ge))
+        monkeypatch.setattr(ladder, "all", counting("all", all), raising=False)
+        kept = dominant_set([a.id for a in task.alternatives], attrs, UNDOM, task)
+        assert calls == {"ge": 0, "all": 0}
+        assert len(kept) > 900
 
 
 def four_coordinate_antichain(n):

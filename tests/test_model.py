@@ -55,6 +55,17 @@ def make_task(**overrides) -> DecisionTask:
 
 
 class TestValueConstruction:
+    @pytest.mark.parametrize(
+        "kind,key",
+        [("ordinal", 5), ("ordinal", ()), ("ordinal", [["n"]]), ("ordinal", ("n", 3.0, 3.0)), ("crisp", ("o", 1))],
+        ids=["no-sequence", "empty", "unhashable-tag", "another-family", "tag-of-another-kind"],
+    )
+    def test_the_raw_constructor_refuses_a_key_whose_tag_is_not_its_kinds(self, kind, key):
+        # so a cell's value always has a tag, of its kind's family: the screen reads no
+        # value by its tag alone, and a misfit is named by a kind that does not fit
+        with pytest.raises(ValueError, match=rf"^a value of kind '{kind}' cannot have the key "):
+            AttributeValue(kind, key)
+
     def test_interval_requires_ordered_bounds(self):
         with pytest.raises(ValueError):
             interval(5, 3)
@@ -403,9 +414,6 @@ VALUES = {
     "category": category("red"),
 }
 POLARITY = {"numeric": "cost", "ordinal": "cost", "categorical": "none"}
-# the family tag that starts the keys of each attribute kind's values, and of each value kind's
-TAG = {"numeric": "n", "ordinal": "o", "categorical": "c"}
-KIND_TAG = {shape: value.key[0] for shape, value in VALUES.items()}
 # each value kind as a message names it, with its article
 A_KIND = {"crisp": "a crisp", "interval": "an interval", "at_least": "an at_least", "ordinal": "an ordinal", "category": "a category"}
 
@@ -493,8 +501,17 @@ class TestValidateTask:
         extra = make_task(thresholds=(Threshold(1, "max", 100), Threshold(2, "min_level", 2)))
         assert any(v.code == "threshold-coverage" for v in validate_task(extra))
 
-    def test_two_thresholds_on_one_attribute_flagged(self):
-        task = make_task(thresholds=(Threshold(1, "max", 100), Threshold(1, "max", 50)))
+    @pytest.mark.parametrize(
+        "basic_ids,thresholds",
+        [
+            ({1}, (Threshold(1, "max", 100), Threshold(1, "max", 50))),
+            ({1, 2}, (Threshold(1, "max", 100), Threshold(2, "min_level", 3), Threshold(1, "max", 50))),
+        ],
+        ids=["repeated", "beside-an-unrepeated-one"],
+    )
+    def test_two_thresholds_on_one_attribute_flagged(self, basic_ids, thresholds):
+        # the finding names the repeated attribute only
+        task = make_task(basic_ids=frozenset(basic_ids), thresholds=thresholds)
         assert [str(v) for v in validate_task(task)] == [
             "threshold-coverage: multiple thresholds for attribute(s) [1]"
         ]
@@ -619,13 +636,9 @@ def naive_row_findings(task: DecisionTask) -> list[tuple[str, str]]:
     Per row, in order: a repeated id, missing values, values on undeclared
     keys (int ids in numeric order, then any other key by repr), then each
     declared attribute, by id, whose cell holds no value or a value whose shape
-    its kind does not take (FITS).  A value whose key has no first item holds
-    no value.  A raw value whose key starts with another tag than its kind's
-    (KIND_TAG) is read by that tag alone, as the screen reads every cell: it
-    fits when the tag is the attribute's (TAG), and holds no value otherwise.
-    A row holding a fitting value on every declared attribute is comparable,
-    and every pair of comparable rows equal on all of them is a duplicate, in
-    (i, j) order.
+    its kind does not take (FITS).  A row holding a fitting value on every
+    declared attribute is comparable, and every pair of comparable rows equal
+    on all of them is a duplicate, in (i, j) order.
     """
     declared = task.attribute_ids()
     kinds: dict[int, str] = {}
@@ -653,16 +666,12 @@ def naive_row_findings(task: DecisionTask) -> list[tuple[str, str]]:
             if aid not in alt.values:
                 continue
             value, kind = alt.values[aid], kinds[aid]
-            tag = _tag(value)
-            if tag is not None and tag == KIND_TAG.get(value.kind):
-                if value.kind in FITS[kind][1]:
-                    fitting += 1
-                else:
-                    findings.append(("kind-mismatch", f"alternative {alt.id!r} carries {A_KIND[value.kind]} value on {kind} attribute {aid}"))
-            elif tag == TAG[kind]:
+            if not isinstance(value, AttributeValue):
+                findings.append(("kind-mismatch", f"alternative {alt.id!r} carries {value!r}, not a value, on {kind} attribute {aid}"))
+            elif value.kind in FITS[kind][1]:
                 fitting += 1
             else:
-                findings.append(("kind-mismatch", f"alternative {alt.id!r} carries {value!r}, not a value, on {kind} attribute {aid}"))
+                findings.append(("kind-mismatch", f"alternative {alt.id!r} carries {A_KIND[value.kind]} value on {kind} attribute {aid}"))
         if fitting == len(declared):
             comparable.append(alt)
     for i, first in enumerate(comparable):
@@ -675,16 +684,6 @@ def naive_row_findings(task: DecisionTask) -> list[tuple[str, str]]:
                     )
                 )
     return findings
-
-
-def _tag(value: object) -> object:
-    """The first item of a value's key; None for a cell that is no value, or whose key, built by the raw constructor, has no first item."""
-    if not isinstance(value, AttributeValue):
-        return None
-    try:
-        return value.key[0]
-    except (LookupError, TypeError):
-        return None
 
 
 def naive_duplicate_messages(task: DecisionTask) -> list[str]:
@@ -782,7 +781,7 @@ MISFITS = {"numeric": (ordinal(2), category("x")), "ordinal": (crisp(2), categor
 
 
 # what an anomaly puts in a cell that holds no value
-NOT_VALUES = (None, "x", 3, (("n", 1.0, 1.0),), AttributeValue("ordinal", 5), AttributeValue("crisp", ()))
+NOT_VALUES = (None, "x", 3, (("n", 1.0, 1.0),))
 # keys no attribute declares, and keys equal to id 1 that are not the int 1
 UNDECLARED_KEYS = (9, "x", 2.5, (1,), None)
 EQUAL_KEYS = (True, 1.0)
@@ -837,25 +836,6 @@ class TestColumnScreen:
     def test_the_findings_are_the_row_loops(self, task):
         task_level = [(v.code, v.message) for v in validate_task(dataclasses.replace(task, alternatives=()))]
         assert [(v.code, v.message) for v in validate_task(task)] == task_level + naive_row_findings(task)
-
-    @pytest.mark.parametrize(
-        "key", [5, (), [["n"]], ("n", 3.0, 3.0)], ids=["no-sequence", "empty", "unhashable-tag", "another-family"]
-    )
-    def test_a_key_the_screen_cannot_read_ends_as_the_row_loop_does(self, key):
-        # the raw constructor checks nothing, so a cell's key may hold no tag at all, or a tag
-        # of another family than its kind's; the screen gives such a task to _report_row,
-        # which reads the tag as key[0] and reports either as a cell that holds no value,
-        # never naming the ordinal kind that fits the attribute
-        value = AttributeValue("ordinal", key)
-        task = make_task(
-            alternatives=(
-                Alternative("a", {1: crisp(50), 2: ordinal(4)}),
-                Alternative("b", {1: crisp(60), 2: value}),
-            )
-        )
-        finding = f"kind-mismatch: alternative 'b' carries {value!r}, not a value, on ordinal attribute 2"
-        assert [str(v) for v in validate_task(task)] == [finding]
-        assert [(v.code, v.message) for v in validate_task(task)] == naive_row_findings(task)
 
     def test_every_row_finding_is_drawn_and_rows_take_several(self):
         codes: set[str] = set()

@@ -1,8 +1,10 @@
-"""The exported names and the README's Library section agree, and its example runs."""
+"""The exported names and the README's Library section agree, its example runs, and the benchmark finds its names."""
 
 from __future__ import annotations
 
 import re
+import subprocess
+import sys
 
 import ladderchoice
 
@@ -29,3 +31,11 @@ def test_readme_example_prints_what_it_promises(monkeypatch, capsys):
     monkeypatch.chdir(REPO)
     exec(compile(snippet, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines() == promised
+
+
+def test_the_benchmark_finds_every_engine_name_it_reads():
+    # bench/run.py reads the engine through import_engine(), in a fresh interpreter with
+    # bench/ on its path; a deleted or renamed name would fail every benchmark run
+    code = "import sys; sys.path.insert(0, 'bench'); import run; run.import_engine()"
+    done = subprocess.run([sys.executable, "-c", code], cwd=REPO, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
