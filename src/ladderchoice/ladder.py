@@ -12,6 +12,14 @@ alternative remains.  Two dominance modes are supported:
   rival; the set can never become empty, but may stay plural all the way
   down, ending in ``NoUniqueChoice``.
 
+The ladder reads rows: a candidate is its id and its value map, and one rung
+(:func:`_kept`) says which candidates survive, so each rung narrows the ids
+and the maps together.  :func:`decide_task` ranks the value maps the sift
+returns (:func:`~ladderchoice.sift.sift_rows`) and builds no id index.  Ids
+are read only by the id-based entry points, :func:`lsp` and
+:func:`dominant_set`, which look each one up once in the task, and by the
+trace.
+
 Both modes read a rung through one function, :func:`_columns`, and one order:
 dominance is strict componentwise order on the polarity-signed coordinates
 :func:`signed_columns` gives, with equal category keys.  Each column is read
@@ -62,7 +70,7 @@ from .model import (
     SiftResult,
     Verdict,
 )
-from .sift import psp, satisfies_threshold
+from .sift import satisfies_threshold, sift_rows
 
 _tag, _lo, _hi = itemgetter(0), itemgetter(1), itemgetter(2)
 
@@ -98,15 +106,14 @@ def signed_columns(keys: Sequence[tuple], attr: Attribute) -> list[list]:
     return columns
 
 
-def _columns(alts: Sequence[Alternative], attrs: Iterable[int], task: DecisionTask) -> Iterator[tuple[bool, list]]:
-    """The columns of ``alts`` on ``attrs``, attribute by attribute in id order, each with whether it holds labels.
+def _columns(cells: Sequence[dict], attrs: Iterable[int], task: DecisionTask) -> Iterator[tuple[bool, list]]:
+    """The columns of the value maps ``cells`` on ``attrs``, in attribute id order, each with whether it holds labels.
 
     A categorical attribute gives one column, its value keys, used as labels;
     an ordered one its signed coordinate columns (:func:`signed_columns`),
     read when it is reached.
     """
     by_id = task._by_id
-    cells = [alt.values for alt in alts]
     for aid in sorted(attrs):
         attr = by_id[aid]
         keys = [values[aid].key for values in cells]
@@ -117,13 +124,13 @@ def _columns(alts: Sequence[Alternative], attrs: Iterable[int], task: DecisionTa
                 yield False, column
 
 
-def _rows(alts: Sequence[Alternative], attrs: Iterable[int], task: DecisionTask) -> tuple[list[tuple], int]:
-    """Each alternative's row on ``attrs``, its labels then its signed coordinates; and how many labels lead."""
+def _rows(cells: Sequence[dict], attrs: Iterable[int], task: DecisionTask) -> tuple[list[tuple], int]:
+    """Each value map's row on ``attrs``, its labels then its signed coordinates; and how many labels lead."""
     labels: list[list] = []
     coords: list[list] = []
-    for is_label, column in _columns(alts, attrs, task):
+    for is_label, column in _columns(cells, attrs, task):
         (labels if is_label else coords).append(column)
-    return list(zip(*labels, *coords)) or [()] * len(alts), len(labels)
+    return list(zip(*labels, *coords)) or [()] * len(cells), len(labels)
 
 
 def _front(rows: list[tuple]) -> list[tuple]:
@@ -208,32 +215,42 @@ def dominant_set(
     """
     mode = DominanceMode(mode)
     by_id = task._alternative_by_id
-    alts = [by_id[cid] for cid in candidates]
-    if len(alts) < 2:
+    cells = [by_id[cid].values for cid in candidates]
+    if len(cells) < 2:
         return tuple(candidates)
+    return tuple(compress(candidates, _kept(candidates, cells, attrs, mode, task)))
+
+
+def _kept(
+    ids: Sequence[str], cells: Sequence[dict], attrs: Iterable[int], mode: DominanceMode, task: DecisionTask
+) -> list[bool]:
+    """Whether each of two or more candidates, ids ``ids`` with value maps ``cells``, survives the rung on ``attrs``."""
     if mode is DominanceMode.GLOBAL:
-        return _global_winner(alts, attrs, task)
-    rows, n_labels = _rows(alts, attrs, task)
+        kept = [False] * len(ids)
+        for i in _global_winner(ids, cells, attrs, task):
+            kept[i] = True
+        return kept
+    rows, n_labels = _rows(cells, attrs, task)
     distinct = set(rows)
     if n_labels:
         # rows with different labels never beat each other
         groups: dict[tuple, list[tuple]] = {}
         for row in distinct:
             groups.setdefault(row[:n_labels], []).append(row[n_labels:])
-        kept = {labels + row for labels, group in groups.items() for row in _front(group)}
+        front = {labels + row for labels, group in groups.items() for row in _front(group)}
     else:
-        kept = set(_front(list(distinct)))
-    return tuple(compress(candidates, map(kept.__contains__, rows)))
+        front = set(_front(list(distinct)))
+    return list(map(front.__contains__, rows))
 
 
-def _global_winner(alts: list[Alternative], attrs: Iterable[int], task: DecisionTask) -> tuple[str, ...]:
-    """The ids of ``alts`` at the maximum of every coordinate column, if they are one id; else ``()``.
+def _global_winner(ids: Sequence[str], cells: Sequence[dict], attrs: Iterable[int], task: DecisionTask) -> Sequence[int]:
+    """The positions in ``cells`` at the maximum of every coordinate column, if they hold one id; else ``()``.
 
     A categorical column must hold a single label.  The read stops at the
     first column that holds two labels or leaves no position.
     """
-    held: Sequence[int] = range(len(alts))
-    for is_label, column in _columns(alts, attrs, task):
+    held: Sequence[int] = range(len(cells))
+    for is_label, column in _columns(cells, attrs, task):
         if is_label:
             if len(set(column)) > 1:
                 return ()  # two labels never beat each other
@@ -243,8 +260,7 @@ def _global_winner(alts: list[Alternative], attrs: Iterable[int], task: Decision
             if not held:
                 return ()
     # two different ids on the winning vector do not beat each other
-    ids = [alts[i].id for i in held]
-    return tuple(ids) if len(set(ids)) == 1 else ()
+    return held if len({ids[i] for i in held}) == 1 else ()
 
 
 def single_plan_gate(alt: Alternative, task: DecisionTask) -> LadderOutcome:
@@ -272,30 +288,39 @@ def lsp(
     :func:`single_plan_gate`.  Otherwise levels are visited from most to
     least important, each filtering the current survivor set, so the trace
     never exceeds the level count.  ``mode`` may also be a mode's value.
+    Each candidate is ranked on the values of the first alternative with its
+    id.
     """
     mode = DominanceMode(mode)
-    if not feasible:
-        return LadderOutcome(Verdict.ABSTAIN)
-    if len(feasible) == 1:
-        return single_plan_gate(task.alternative(feasible[0]), task)
+    by_id = task._alternative_by_id
+    ids = tuple(feasible)
+    return _climb(task, ids, [by_id[cid].values for cid in ids], mode)
 
-    survivors = tuple(feasible)
+
+def _climb(task: DecisionTask, ids: tuple[str, ...], cells: list[dict], mode: DominanceMode) -> LadderOutcome:
+    """:func:`lsp` over the candidates ``ids``, ranked on their value maps ``cells``; each rung narrows both."""
+    if not ids:
+        return LadderOutcome(Verdict.ABSTAIN)
+    if len(ids) == 1:
+        return single_plan_gate(Alternative(ids[0], cells[0]), task)
+
     trace: list[LevelRecord] = []
     for r in range(task.partition.level_count, 0, -1):
         attrs = task.partition.level(r)
-        after = dominant_set(survivors, attrs, mode, task)
-        trace.append(LevelRecord(r, attrs, survivors, after))
+        kept = _kept(ids, cells, attrs, mode, task)
+        after = tuple(compress(ids, kept))
+        trace.append(LevelRecord(r, attrs, ids, after))
         if len(after) == 1:
             return LadderOutcome(Verdict.CHOSEN, chosen=after[0], trace=tuple(trace))
         if not after:
             return LadderOutcome(Verdict.REPARTITION, trace=tuple(trace))
-        survivors = after
+        ids, cells = after, list(compress(cells, kept))
     return LadderOutcome(Verdict.NO_UNIQUE_CHOICE, trace=tuple(trace))
 
 
 def decide_task(
     task: DecisionTask, mode: DominanceMode = DominanceMode.GLOBAL
 ) -> tuple[SiftResult, LadderOutcome]:
-    """Full pipeline: sift, then ladder-search the feasible set."""
-    sifted = psp(task)
-    return sifted, lsp(task, sifted.feasible, mode)
+    """Full pipeline: sift, then ladder-search the feasible set, each ranked on the values the sift judged."""
+    sifted, cells = sift_rows(task)
+    return sifted, _climb(task, sifted.feasible, cells, DominanceMode(mode))

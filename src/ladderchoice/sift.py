@@ -42,9 +42,19 @@ def psp(task: DecisionTask) -> SiftResult:
     (alternative, attribute, threshold, value) tuple, not just the first, so
     rejection reasons are fully auditable.
     """
+    return sift_rows(task)[0]
+
+
+def sift_rows(task: DecisionTask) -> tuple[SiftResult, list[dict]]:
+    """:func:`psp`'s result, and the value maps of its feasible alternatives in the same order.
+
+    Each survivor's row is the map the sift judged, so the ladder ranks it on
+    those values, even where a hand-built task repeats its id.
+    """
     # one verdict map per threshold, value key -> passes; it lives for this call only
     judged = [(t, t.attribute_id, {}) for t in task.thresholds]
     feasible: list[str] = []
+    rows: list[dict] = []
     eliminations: list[Elimination] = []
     for alt in task.alternatives:
         values = alt.values
@@ -58,4 +68,5 @@ def psp(task: DecisionTask) -> SiftResult:
                 eliminations.append(Elimination(alt.id, aid, t, value))
         if len(eliminations) == before:
             feasible.append(alt.id)
-    return SiftResult(feasible=tuple(feasible), eliminations=tuple(eliminations))
+            rows.append(values)
+    return SiftResult(feasible=tuple(feasible), eliminations=tuple(eliminations)), rows

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TIE_PARTITIONS, dominates, tie_heavy_task
+from conftest import CASES, TIE_PARTITIONS, dominates, load_case, tie_heavy_task
 from ladderchoice import ladder
 from ladderchoice import (
     Alternative,
@@ -355,6 +355,82 @@ class TestLadderGuarantees:
             lsp(case1, ["missing"], GLOBAL)
 
 
+def seeded_tasks():
+    """Seeded random tasks of one to eight alternatives, whose sift keeps none, one or several."""
+    return [random_task(seed, n_alternatives=1 + seed % 8, n_attributes=2 + seed % 4, n_levels=1 + seed % 3) for seed in range(400)]
+
+
+class TestSiftedRows:
+    """``decide_task`` ranks the rows the sift kept and reads no id index; ``lsp`` and ``dominant_set`` look ids up."""
+
+    @pytest.mark.parametrize("mode", [GLOBAL, UNDOM], ids=["global", "undominated"])
+    def test_decide_task_builds_no_id_index(self, mode):
+        # each task is built afresh, so no earlier call has indexed it
+        tasks = [
+            replace(deadlock_task(), thresholds=(Threshold(1, "max", 10),)),
+            gated_task(3),
+            deadlock_task(),
+            edge_task(),
+            *(load_case(name) for name in CASES),
+            tie_heavy_task(21, 300),
+            *seeded_tasks()[:40],
+        ]
+        sizes = set()
+        for task in tasks:
+            sifted, _ = decide_task(task, mode)
+            sizes.add(min(len(sifted.feasible), 2))
+            assert "_alternative_by_id" not in vars(task)
+        assert sizes == {0, 1, 2}
+
+    def test_decide_task_agrees_with_psp_then_lsp(self):
+        for task in [load_case(name) for name in CASES] + seeded_tasks():
+            for mode in (GLOBAL, UNDOM):
+                sifted = psp(task)
+                assert decide_task(task, mode) == (sifted, lsp(task, sifted.feasible, mode))
+
+    @pytest.mark.parametrize("candidates", [["missing"], ["m1", "missing"], ["missing", "m1", "m3"]], ids=["one", "two", "three"])
+    def test_an_unknown_id_is_a_key_error(self, candidates, case1):
+        for mode in (GLOBAL, UNDOM):
+            with pytest.raises(KeyError, match="missing"):
+                lsp(case1, candidates, mode)
+            with pytest.raises(KeyError, match="missing"):
+                dominant_set(candidates, {4, 5}, mode, case1)
+
+    def test_a_repeated_id_is_ranked_on_the_row_the_sift_judged(self):
+        # validate_task refuses a repeated id, so only a hand-built task reaches this; psp
+        # judges each alternative on its own values, and so does decide_task's ladder, while
+        # lsp and dominant_set, given ids, read the first alternative with each id
+        def twice(bound):
+            return DecisionTask(
+                task_id="twice",
+                attributes=(Attribute(1, "x", "numeric", "benefit"),),
+                basic_ids=frozenset({1}),
+                thresholds=(Threshold(1, "min", bound),),
+                partition=DominancePartition([[1]]),
+                alternatives=(Alternative("a", {1: crisp(1)}), Alternative("a", {1: crisp(9)}), Alternative("b", {1: crisp(5)})),
+            )
+
+        assert [v.code for v in validate_task(twice(0))] == ["duplicate-alternative-id"]
+        for mode in (GLOBAL, UNDOM):
+            task = twice(0)  # both a's pass the sift; the second beats b, the first does not
+            sifted, outcome = decide_task(task, mode)
+            assert sifted.feasible == ("a", "a", "b")
+            assert (outcome.verdict, outcome.chosen) == (Verdict.CHOSEN, "a")
+            assert outcome.trace[0].survivors_after == ("a",)
+            assert lsp(task, sifted.feasible, mode).chosen == "b"
+            task = twice(2)  # the first a fails the sift, the second passes
+            sifted, outcome = decide_task(task, mode)
+            assert sifted.feasible == ("a", "b")
+            assert (outcome.verdict, outcome.chosen) == (Verdict.CHOSEN, "a")
+            assert lsp(task, sifted.feasible, mode).chosen == "b"
+        # a lone survivor meets the aspiration on its own values, 9, not on the first a's 1
+        task = replace(twice(6), aspiration=(Threshold(1, "min", 8),))
+        sifted, outcome = decide_task(task)
+        assert sifted.feasible == ("a",)
+        assert (outcome.verdict, outcome.chosen) == (Verdict.CHOSEN, "a")
+        assert lsp(task, sifted.feasible).verdict is Verdict.ABSTAIN
+
+
 class TestModeArgument:
     """A mode is a DominanceMode or its value; anything else is a ValueError."""
 
@@ -418,7 +494,7 @@ class TestComparisonCount:
         # there is one staircase per distinct key
         task = four_coordinate_antichain(600)
         attrs = {1, 2, 3, 4}
-        rows = set(ladder._rows(task.alternatives, attrs, task)[0])
+        rows = set(ladder._rows([a.values for a in task.alternatives], attrs, task)[0])
         keys = {row[3:] for row in rows}
         assert {len(row) for row in rows} == {4} and len(keys) == 2
         compared = 0
@@ -438,7 +514,7 @@ class TestComparisonCount:
         # (), and map calls ge on no pair of an empty key, so the test counts all as well
         task = crisp_antichain(1200)
         attrs = {1, 2, 3}
-        rows = set(ladder._rows(task.alternatives, attrs, task)[0])
+        rows = set(ladder._rows([a.values for a in task.alternatives], attrs, task)[0])
         assert {len(row) for row in rows} == {3} and len(rows) >= 1000
         calls = {"ge": 0, "all": 0}
 
@@ -770,7 +846,7 @@ class TestUndominatedFront:
         )
         everyone = [a.id for a in task.alternatives]
         for attrs in ({1, 2, 3}, {4, 5, 6}, {7, 8}):
-            assert {len(row) for row in ladder._rows(task.alternatives, attrs, task)[0]} == {3}
+            assert {len(row) for row in ladder._rows([a.values for a in task.alternatives], attrs, task)[0]} == {3}
             assert len(self.undominated_rung(task, everyone, attrs, self.oracle)) > n // 10
 
     @pytest.mark.parametrize("polarity", ["benefit", "cost"])
@@ -791,7 +867,7 @@ class TestUndominatedFront:
         )
         everyone = [a.id for a in task.alternatives]
         for attrs, width in (({1, 2, 3}, 4), ({4, 5, 6, 7}, 4), ({1, 8}, 4), ({1, 2, 3, 7}, 5), ({1, 3, 7, 8}, 6)):
-            assert {len(row) for row in ladder._rows(task.alternatives, attrs, task)[0]} == {width}
+            assert {len(row) for row in ladder._rows([a.values for a in task.alternatives], attrs, task)[0]} == {width}
             assert len(self.undominated_rung(task, everyone, attrs, self.oracle)) > n // 10
 
     def test_a_four_coordinate_antichain_of_2000_against_the_window_pass(self):
@@ -892,7 +968,7 @@ class TestRungProperty:
         candidates = [a.id for a in task.alternatives]
         rng.shuffle(candidates)
         candidates += rng.choices(candidates, k=rng.randint(0, 3))
-        rows, labels = ladder._rows([task.alternative(cid) for cid in candidates], attrs, task)
+        rows, labels = ladder._rows([task.alternative(cid).values for cid in candidates], attrs, task)
         assert {len(row) - labels for row in rows} == {width}
         for mode in (GLOBAL, UNDOM):
             assert dominant_set(candidates, attrs, mode, task) == brute_force_dominant(candidates, attrs, mode.value, task)

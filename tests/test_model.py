@@ -29,9 +29,12 @@ from ladderchoice import (
     serialize_task,
     validate_task,
 )
+from ladderchoice import model
 from ladderchoice.model import AttributeValue, LadderOutcome
 from ladderchoice.oracle import random_task
 from ladderchoice.sift import satisfies_threshold
+
+from conftest import CASES, load_case, tie_heavy_task
 
 
 def make_task(**overrides) -> DecisionTask:
@@ -858,3 +861,21 @@ class TestColumnScreen:
         assert codes == {"duplicate-alternative-id", "missing-value", "unknown-reference", "kind-mismatch", "duplicate-alternative"}
         assert covered == {True, False}
         assert most >= 3
+
+    def test_a_clean_task_reads_no_row_again(self, monkeypatch):
+        # the screen alone passes a clean task; only a task it refuses goes row by row
+        reported = []
+        report_row = model._report_row
+
+        def counting(alt, *rest):
+            reported.append(alt.id)
+            return report_row(alt, *rest)
+
+        monkeypatch.setattr(model, "_report_row", counting)
+        clean = [load_case(name) for name in CASES] + [random_task(7, n_alternatives=40, n_attributes=6, n_levels=3), tie_heavy_task(3, 200)]
+        for task in clean:
+            assert validate_task(task) == []
+        assert reported == []
+        repeated = dataclasses.replace(clean[0], alternatives=clean[0].alternatives * 2)
+        assert validate_task(repeated)
+        assert len(reported) == len(repeated.alternatives)

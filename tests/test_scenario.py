@@ -29,6 +29,7 @@ from ladderchoice import (
     serialize_task,
     validate_task,
 )
+from ladderchoice import scenario
 from ladderchoice.cli import main
 from ladderchoice.model import LadderOutcome, LevelRecord
 from ladderchoice.scenario import decision_to_json
@@ -72,6 +73,21 @@ class TestParseFixtures:
         )
         task = parse_scenario(text)
         assert task.alternative("a").values[1].level == 3
+
+    def test_fixtures_take_the_attribute_and_alternative_fast_paths(self, monkeypatch):
+        # the checked path of an attribute or an alternative names what is unknown through
+        # _refuse_unknown_keys; the fast path, which a well-formed object takes, does not
+        contexts = []
+        refuse = scenario._refuse_unknown_keys
+
+        def recording(mapping, known, context):
+            contexts.append(context)
+            return refuse(mapping, known, context)
+
+        monkeypatch.setattr(scenario, "_refuse_unknown_keys", recording)
+        for name in CASES:
+            parse_scenario(fixture_path(name).read_text(encoding="utf-8"))
+        assert set(contexts) == {"scenario", "basic", "dominance"}
 
 
 # (file under tests/data, its category, its whole message): every validator message and its order, pinned per file

@@ -87,7 +87,7 @@ def beats(a, b, polarity):
 def same_row(a, b, polarity):
     """Whether a rung gives ``a`` and ``b`` one row on a lone attribute of their family, and so groups them."""
     s, t, task = lone_attribute(a, b, polarity)
-    (row_s, row_t), _ = ladder._rows((s, t), {1}, task)
+    (row_s, row_t), _ = ladder._rows((s.values, t.values), {1}, task)
     return row_s == row_t
 
 
