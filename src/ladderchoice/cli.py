@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Callable
 
 from .ladder import DominanceMode, decide_task
 from .model import DecisionTask, Verdict
@@ -113,22 +112,10 @@ def cmd_validate(paths: list[str]) -> int:
     return 0 if ok else 1
 
 
-def _engine_verdict(task: DecisionTask, mode: DominanceMode) -> tuple[str, str | None]:
-    _, outcome = decide_task(task, mode)
-    return (outcome.verdict.value, outcome.chosen)
+def run_batch(seed: int, count: int, mode: DominanceMode = DominanceMode.GLOBAL) -> tuple[int, str]:
+    """Sweep generated tasks through :func:`decide_task` and the naive reference.
 
-
-def run_batch(
-    seed: int,
-    count: int,
-    mode: DominanceMode = DominanceMode.GLOBAL,
-    engine: Callable[[DecisionTask, DominanceMode], tuple[str, str | None]] = _engine_verdict,
-) -> tuple[int, str]:
-    """Sweep generated tasks through the engine and the naive reference.
-
-    Returns (exit code, report).  ``mode`` may also be a mode's value.  The
-    ``engine`` hook exists so the harness itself can be checked: swapping in
-    a broken engine must be caught.
+    Returns (exit code, report).  ``mode`` may also be a mode's value.
     """
     mode = DominanceMode(mode)
     import random
@@ -145,18 +132,13 @@ def run_batch(
             n_attributes=dims.randint(1, 5),
             n_levels=dims.randint(1, 3),
         )
-        got = engine(task, mode)
+        _, outcome = decide_task(task, mode)
+        got = (outcome.verdict.value, outcome.chosen)
         expected = brute_force_lt(task, mode.value)
         if got != expected:
             return (4, f"disagreement at seed {task_seed}: engine={got} reference={expected}")
         agreements += 1
     return (0, f"{agreements}/{count} agree")
-
-
-def cmd_batch(seed: int, count: int, mode: DominanceMode) -> int:
-    code, report = run_batch(seed, count, mode)
-    print(report)
-    return code
 
 
 class _UsageError(Exception):
@@ -229,7 +211,9 @@ def main(argv: list[str] | None = None) -> int:
             )
         if args.command == "validate":
             return cmd_validate(args.paths)
-        return cmd_batch(args.seed, args.count, DominanceMode(args.mode))
+        code, report = run_batch(args.seed, args.count, DominanceMode(args.mode))
+        print(report)
+        return code
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return 1

@@ -62,7 +62,6 @@ from operator import ge, itemgetter, neg
 
 from .model import (
     KIND_FAMILY,
-    Alternative,
     Attribute,
     DecisionTask,
     LadderOutcome,
@@ -263,18 +262,18 @@ def _global_winner(ids: Sequence[str], cells: Sequence[dict], attrs: Iterable[in
     return held if len({ids[i] for i in held}) == 1 else ()
 
 
-def single_plan_gate(alt: Alternative, task: DecisionTask) -> LadderOutcome:
-    """Accept-or-abstain rule for a sole feasible alternative.
+def single_plan_gate(alt_id: str, values: dict, task: DecisionTask) -> LadderOutcome:
+    """Accept-or-abstain rule for a sole feasible alternative, id ``alt_id`` with value map ``values``.
 
-    With an aspiration block present, the plan is chosen only if it clears
-    every aspiration threshold on the top level; otherwise the verdict is
-    Abstain.  Without one, surviving the sift is enough.
+    With an aspiration block present, the plan is chosen only if its values
+    clear every aspiration threshold on the top level; otherwise the verdict
+    is Abstain.  Without one, surviving the sift is enough.
     """
     if task.aspiration is not None:
         for t in task.aspiration:
-            if not satisfies_threshold(alt.values[t.attribute_id], t):
+            if not satisfies_threshold(values[t.attribute_id], t):
                 return LadderOutcome(Verdict.ABSTAIN)
-    return LadderOutcome(Verdict.CHOSEN, chosen=alt.id)
+    return LadderOutcome(Verdict.CHOSEN, chosen=alt_id)
 
 
 def lsp(
@@ -302,7 +301,7 @@ def _climb(task: DecisionTask, ids: tuple[str, ...], cells: list[dict], mode: Do
     if not ids:
         return LadderOutcome(Verdict.ABSTAIN)
     if len(ids) == 1:
-        return single_plan_gate(Alternative(ids[0], cells[0]), task)
+        return single_plan_gate(ids[0], cells[0], task)
 
     trace: list[LevelRecord] = []
     for r in range(task.partition.level_count, 0, -1):

@@ -356,7 +356,7 @@ class Threshold(_Record):
     op: str
     bound: float | int | frozenset[str]
 
-    def __init__(self, attribute_id: int, op: str, bound: float | int | frozenset[str] = 0.0) -> None:
+    def __init__(self, attribute_id: int, op: str, bound: float | int | frozenset[str]) -> None:
         if not _is_int(attribute_id):
             raise ValueError(f"threshold attribute id must be an integer, got {attribute_id!r}")
         if not isinstance(op, str) or op not in OP_FAMILY:

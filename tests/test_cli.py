@@ -1,4 +1,4 @@
-"""Command-line behavior: exit codes, output shapes, determinism, batch hook."""
+"""Command-line behavior: exit codes, output shapes, determinism, batch sweep."""
 
 from __future__ import annotations
 
@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from ladderchoice import cli
 from ladderchoice.cli import main, run_batch
-from ladderchoice import DominanceMode
+from ladderchoice import DominanceMode, Verdict
+from ladderchoice.model import LadderOutcome
 
 from conftest import fixture_path
 
@@ -303,11 +305,12 @@ class TestBatch:
         with pytest.raises(ValueError, match="^'foo' is not a valid DominanceMode$"):
             run_batch(1, 5, "foo")
 
-    def test_mutant_engine_is_caught(self):
+    def test_mutant_engine_is_caught(self, monkeypatch):
         def mutant(task, mode):
-            return ("Chosen", "wrong-id")
+            return None, LadderOutcome(Verdict.CHOSEN, chosen="wrong-id")
 
-        code, report = run_batch(seed=1, count=30, mode=DominanceMode.GLOBAL, engine=mutant)
+        monkeypatch.setattr(cli, "decide_task", mutant)
+        code, report = run_batch(seed=1, count=30, mode=DominanceMode.GLOBAL)
         assert code == 4
         assert "seed" in report
 

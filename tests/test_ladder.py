@@ -6,10 +6,10 @@ import random
 import re
 from dataclasses import replace
 from itertools import combinations
-from operator import ge
+from operator import ge, gt, lt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CASES, TIE_PARTITIONS, dominates, load_case, tie_heavy_task
@@ -212,18 +212,46 @@ class TestLspGoldenCases:
 class TestSinglePlanGate:
     def test_meeting_the_aspiration_accepts(self):
         task = gated_task(aspiration_bound=3)
-        assert single_plan_gate(task.alternatives[0], task).verdict is Verdict.CHOSEN
+        alt = task.alternatives[0]
+        assert single_plan_gate(alt.id, alt.values, task).verdict is Verdict.CHOSEN
 
     def test_failing_the_aspiration_abstains(self):
         task = gated_task(aspiration_bound=10**6)
         # at_least reaches any minimum, so force failure with a cost bound instead
         failing = replace(task, aspiration=(Threshold(1, "max", 2),))
-        assert single_plan_gate(failing.alternatives[0], failing).verdict is Verdict.ABSTAIN
+        alt = failing.alternatives[0]
+        assert single_plan_gate(alt.id, alt.values, failing).verdict is Verdict.ABSTAIN
 
     def test_no_aspiration_accepts_by_default(self):
         task = replace(gated_task(3), aspiration=None)
-        outcome = single_plan_gate(task.alternatives[0], task)
+        alt = task.alternatives[0]
+        outcome = single_plan_gate(alt.id, alt.values, task)
         assert (outcome.verdict, outcome.chosen) == (Verdict.CHOSEN, "only")
+
+    @pytest.mark.parametrize("mode", [GLOBAL, UNDOM], ids=["global", "undominated"])
+    def test_a_lone_survivor_is_judged_without_building_an_alternative(self, mode, monkeypatch):
+        # "out" fails the sift, so the gate judges "only" on the value map the sift kept
+        sifted_to_one = replace(
+            gated_task(3), alternatives=(Alternative("only", {1: at_least(3)}), Alternative("out", {1: crisp(0)}))
+        )
+        cases = [
+            (sifted_to_one, Verdict.CHOSEN),
+            (replace(sifted_to_one, aspiration=(Threshold(1, "max", 2),)), Verdict.ABSTAIN),
+            (replace(sifted_to_one, aspiration=None), Verdict.CHOSEN),
+        ]
+        built = []
+        init = Alternative.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Alternative, "__init__", counting)
+        for task, verdict in cases:
+            sifted, outcome = decide_task(task, mode)
+            assert sifted.feasible == ("only",)
+            assert (outcome.verdict, outcome.chosen) == (verdict, "only" if verdict is Verdict.CHOSEN else None)
+        assert built == []
 
     def test_lsp_routes_single_survivor_through_the_gate(self):
         task = replace(gated_task(3), aspiration=(Threshold(1, "max", 2),))
@@ -956,6 +984,24 @@ def assert_modes_agree(candidates, attrs, task):
     """
     undominated = dominant_set(candidates, attrs, UNDOM, task)
     assert dominant_set(candidates, attrs, GLOBAL, task) == (undominated if len(set(undominated)) == 1 else ())
+
+
+class TestStaircase:
+    """``_cover`` keeps a staircase of the pairs it is handed, each covered by no other."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=30))
+    @example([(1, 5), (2, 5)])  # an equal third: the first pair is covered and must go
+    def test_cover_keeps_a_strict_staircase_that_covers_every_pair(self, pairs):
+        seconds, lasts = [], []
+        for n, (second, last) in enumerate(pairs, 1):
+            # like the sweep, hand over only a pair that no held pair covers
+            if not any(s >= second and t >= last for s, t in zip(seconds, lasts)):
+                ladder._cover(seconds, lasts, second, last)
+            assert all(map(lt, seconds, seconds[1:]))
+            assert all(map(gt, lasts, lasts[1:]))
+            held = list(zip(seconds, lasts))
+            assert all(any(s >= second and t >= last for s, t in held) for second, last in pairs[:n])
 
 
 class TestRungProperty:

@@ -155,6 +155,10 @@ class TestAttributeAndThreshold:
         with pytest.raises(ValueError):
             Threshold(1, "allowed", set())
 
+    def test_a_threshold_needs_its_bound(self):
+        with pytest.raises(TypeError, match="bound"):
+            Threshold(1, "max")
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match=r"^unknown attribute kind 'text'$"):
             Attribute(1, "x", "text", "cost")

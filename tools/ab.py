@@ -1,6 +1,8 @@
 """Time one engine function on one workload's seeded inputs, in two checkouts, in alternating fresh processes.
 
-    python tools/ab.py PARENT CHANGE --workload regroup --function ladder._front
+    python tools/ab.py PARENT CHANGE --workload regroup --function ladder.decide_task
+
+``--function ladder._kept`` times one rung of the ladder on its own.
 
 Each checkout is the root of a source tree.  A round starts one fresh
 interpreter per checkout, in alternating order (the parent first in odd
@@ -140,7 +142,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkouts", nargs="*", type=Path, help="the parent's checkout, then the change's")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--function", required=True, help="module.name in ladderchoice, e.g. ladder.lsp")
+    parser.add_argument("--function", required=True, help="module.name in ladderchoice, e.g. ladder.decide_task, or ladder._kept for one rung")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
