@@ -17,8 +17,9 @@ The ladder reads rows: a candidate is its id and its value map, and one rung
 and the maps together.  :func:`decide_task` ranks the value maps the sift
 returns (:func:`~ladderchoice.sift.sift_rows`) and builds no id index.  Ids
 are read only by the id-based entry points, :func:`lsp` and
-:func:`dominant_set`, which look each one up once in the task, and by the
-trace.
+:func:`dominant_set`, which index the task's alternatives by id on each call
+(:func:`~ladderchoice.model.first_by_id`) and look each candidate up once,
+and by the trace.  No call writes to the task.
 
 Both modes read a rung through one function, :func:`_columns`, and one order:
 dominance is strict componentwise order on the polarity-signed coordinates
@@ -68,6 +69,7 @@ from .model import (
     LevelRecord,
     SiftResult,
     Verdict,
+    first_by_id,
 )
 from .sift import satisfies_threshold, sift_rows
 
@@ -213,7 +215,7 @@ def dominant_set(
     a mode's value, ``"global"`` or ``"undominated"``.
     """
     mode = DominanceMode(mode)
-    by_id = task._alternative_by_id
+    by_id = first_by_id(task.alternatives)
     cells = [by_id[cid].values for cid in candidates]
     if len(cells) < 2:
         return tuple(candidates)
@@ -291,7 +293,7 @@ def lsp(
     id.
     """
     mode = DominanceMode(mode)
-    by_id = task._alternative_by_id
+    by_id = first_by_id(task.alternatives)
     ids = tuple(feasible)
     return _climb(task, ids, [by_id[cid].values for cid in ids], mode)
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from enum import Enum
-from functools import cached_property
 from itertools import combinations
 from operator import attrgetter, itemgetter
 
@@ -459,7 +458,9 @@ class DecisionTask(_Record):
     must cover exactly those ids.  ``partition`` groups the dominance
     attributes; the two id sets may overlap or coincide.  ``aspiration``
     optionally sets the accept/abstain standard applied when sifting leaves a
-    single alternative, restricted to the top partition level.
+    single alternative, restricted to the top partition level.  ``__init__``
+    also indexes the attributes by id for :meth:`attribute`; the index has no
+    annotation, so it is not a field, and nothing writes to a task after it.
     """
 
     task_id: str
@@ -498,10 +499,7 @@ class DecisionTask(_Record):
         if aspiration is not None:
             aspiration = tuple(sorted(_records(aspiration, Threshold, "aspiration"), key=by_attribute))
         _set(self, "aspiration", aspiration)
-
-    @cached_property
-    def _by_id(self) -> dict[int, Attribute]:
-        return first_by_id(self.attributes)
+        _set(self, "_by_id", first_by_id(self.attributes))
 
     def attribute(self, attribute_id: int) -> Attribute:
         return self._by_id[attribute_id]
@@ -509,13 +507,12 @@ class DecisionTask(_Record):
     def attribute_ids(self) -> frozenset[int]:
         return frozenset(a.id for a in self.attributes)
 
-    @cached_property
-    def _alternative_by_id(self) -> dict[str, Alternative]:
-        return first_by_id(self.alternatives)
-
     def alternative(self, alt_id: str) -> Alternative:
         """The first alternative with this id; ``KeyError`` if there is none."""
-        return self._alternative_by_id[alt_id]
+        for alt in self.alternatives:
+            if alt.id == alt_id:
+                return alt
+        raise KeyError(alt_id)
 
 
 class Elimination(_Record):

@@ -6,6 +6,8 @@ import importlib.util
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
+
 from conftest import load_case
 from ladderchoice import DominanceMode, ladder
 
@@ -52,37 +54,28 @@ def test_record_sees_calls_through_the_engine_namespace():
     assert len(calls) == 3 and calls[0][0][0] == workload.everyone
 
 
-class TwoTasks(Workload):
-    """Four operations, each an UNDOMINATED rung over all of one task's alternatives, the two tasks in turn."""
 
-    cycle = 4
-
-    def __init__(self):
-        super().__init__()
-        self.tasks = [self.task, load_case("case1")]
-
-    def run(self, item):
-        task = self.tasks[item % 2]
-        attrs = task.partition.level(task.partition.level_count)
-        return self.engine.dominant_set([a.id for a in task.alternatives], attrs, DominanceMode.UNDOMINATED, task)
-
-
-def test_each_pass_gives_the_calls_of_one_task_one_fresh_copy():
-    workload = TwoTasks()
+def test_replay_hands_every_pass_the_recorded_task_itself():
+    workload = Workload()
     calls = ab.record(workload, ladder, "dominant_set")
-    assert all("_alternative_by_id" in vars(task) for task in workload.tasks)  # the recording built each index
+    built = dict(vars(workload.task))
     seen = []
 
     def spy(candidates, attrs, mode, task):
-        seen.append((task, "_alternative_by_id" in vars(task)))
+        seen.append(task)
         return ladder.dominant_set(candidates, attrs, mode, task)
 
     ab.replay(spy, calls)
     ab.replay(spy, calls)
-    passes = [seen[:4], seen[4:]]
-    for one_pass in passes:
-        tasks = [task for task, _ in one_pass]
-        assert [indexed for _, indexed in one_pass] == [False, False, True, True]  # each copy starts with no index
-        assert tasks[0] is tasks[2] and tasks[1] is tasks[3] and tasks[0] is not tasks[1]
-        assert tasks[:2] == workload.tasks and not any(copy is task for copy, task in zip(tasks, workload.tasks))
-    assert not any(a[0] is b[0] for a, b in zip(*passes))  # and each pass has its own copies
+    # no call writes to a task, so replay needs no copy of it
+    assert len(seen) == 6 and all(task is workload.task for task in seen)
+    assert vars(workload.task) == built
+
+
+def test_replay_expects_only_what_a_call_raised_when_recorded():
+    def refuse(kind):
+        raise kind("refused")
+
+    assert ab.replay(refuse, [((KeyError,), KeyError)]) >= 0
+    with pytest.raises(ValueError):
+        ab.replay(refuse, [((ValueError,), KeyError)])

@@ -30,10 +30,14 @@ from ladderchoice import (
     lsp,
     ordinal,
     psp,
+    serialize_task,
     validate_task,
 )
+from ladderchoice.baselines import compare_theories
 from ladderchoice.ladder import dominant_set, single_plan_gate
 from ladderchoice.oracle import _naive_dominates, brute_force_dominant, random_task
+from ladderchoice.scenario import decision_text, decision_to_json
+from ladderchoice.sift import sift_rows
 
 GLOBAL = DominanceMode.GLOBAL
 UNDOM = DominanceMode.UNDOMINATED
@@ -388,27 +392,47 @@ def seeded_tasks():
     return [random_task(seed, n_alternatives=1 + seed % 8, n_attributes=2 + seed % 4, n_levels=1 + seed % 3) for seed in range(400)]
 
 
-class TestSiftedRows:
-    """``decide_task`` ranks the rows the sift kept and reads no id index; ``lsp`` and ``dominant_set`` look ids up."""
+def unvalidated_task():
+    """A hand-built task of two levels, which nothing has validated: a threshold removes one alternative and the ladder ranks three."""
+    return DecisionTask(
+        task_id="by-hand",
+        attributes=(Attribute(1, "price", "numeric", "cost"), Attribute(2, "mood", "ordinal", "benefit")),
+        basic_ids=frozenset({1}),
+        thresholds=(Threshold(1, "max", 100),),
+        partition=DominancePartition([[1], [2]]),
+        alternatives=(
+            Alternative("a", {1: crisp(10), 2: ordinal(3)}),
+            Alternative("b", {1: interval(5, 20), 2: ordinal(4)}),
+            Alternative("c", {1: crisp(20), 2: ordinal(4)}),
+            Alternative("d", {1: crisp(200), 2: ordinal(5)}),
+        ),
+    )
 
-    @pytest.mark.parametrize("mode", [GLOBAL, UNDOM], ids=["global", "undominated"])
-    def test_decide_task_builds_no_id_index(self, mode):
-        # each task is built afresh, so no earlier call has indexed it
-        tasks = [
-            replace(deadlock_task(), thresholds=(Threshold(1, "max", 10),)),
-            gated_task(3),
-            deadlock_task(),
-            edge_task(),
-            *(load_case(name) for name in CASES),
-            tie_heavy_task(21, 300),
-            *seeded_tasks()[:40],
-        ]
-        sizes = set()
-        for task in tasks:
-            sifted, _ = decide_task(task, mode)
-            sizes.add(min(len(sifted.feasible), 2))
-            assert "_alternative_by_id" not in vars(task)
-        assert sizes == {0, 1, 2}
+
+class TestSiftedRows:
+    """``decide_task`` ranks the rows the sift kept; ``lsp`` and ``dominant_set`` look ids up; no call writes to the task."""
+
+    @pytest.mark.parametrize(
+        "build, risk", [(unvalidated_task, 1), (lambda: load_case("case2"), 5)], ids=["built", "parsed"]
+    )
+    def test_no_entry_point_writes_to_a_task(self, build, risk):
+        task = build()
+        built = dict(vars(task))
+        validate_task(task)
+        psp(task)
+        sift_rows(task)
+        serialize_task(task)
+        everyone = [a.id for a in task.alternatives]
+        for mode in (GLOBAL, UNDOM):
+            sifted, outcome = decide_task(task, mode)
+            decision_text(sifted, outcome)
+            decision_to_json(task, sifted, outcome)
+            lsp(task, sifted.feasible, mode)
+            for r in range(1, task.partition.level_count + 1):
+                dominant_set(everyone, task.partition.level(r), mode, task)
+        compare_theories(task, pt_risk_attr=risk)
+        assert vars(task).keys() == built.keys()
+        assert all(vars(task)[name] is value for name, value in built.items())
 
     def test_decide_task_agrees_with_psp_then_lsp(self):
         for task in [load_case(name) for name in CASES] + seeded_tasks():

@@ -302,12 +302,21 @@ def test_copies_and_pickles_are_equal():
 
 def test_a_parsed_task_copies_and_pickles_to_an_equal_task():
     for task in tasks():
-        task.attribute(1)  # fill the task's cached lookups before copying
         expected = decide_task(task)
-        for twin in (copy.copy(task), copy.deepcopy(task), pickle.loads(pickle.dumps(task))):
+        twins = [copy.copy(task), copy.deepcopy(task), pickle.loads(pickle.dumps(task))]
+        for twin in twins:
             assert twin == task
             assert decide_task(twin) == expected
             assert [alt.values for alt in twin.alternatives] == [alt.values for alt in task.alternatives]
+        # the attribute index is no field, so every way to build a task again must build it too
+        regrouped = DominancePartition(task.partition.levels[::-1])
+        changed = [dataclasses.replace(task, partition=regrouped)]
+        if sys.version_info >= (3, 13):
+            changed.append(copy.replace(task, partition=regrouped))
+        assert all(twin.partition == regrouped for twin in changed)
+        for twin in twins + changed:
+            assert vars(twin).keys() == vars(task).keys(), twin
+            assert all(twin.attribute(aid) == task.attribute(aid) for aid in task.attribute_ids())
 
 
 # each way to read a record's metadata or to be refused a change, as the first use of a record

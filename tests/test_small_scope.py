@@ -14,13 +14,14 @@ on one level or on two in either order.  Two attributes holding intervals give
 a rung four coordinates, so every branch of ``ladder._front`` and of
 ``ladder._global_winner`` runs.  The tests decide every ``STRIDE``-th task.
 
-The second, :func:`threshold_tasks`, is every task of one to three distinct
+The second, :func:`threshold_tasks`, is every task of one to four distinct
 alternatives over one attribute, which is basic and the one level.  Its
 threshold is each op that fits the kind at each edge of the domain (numeric
 0, 1 or 2, ordinal 1, 2 or 3, ``allowed`` red, blue or both), and its
 aspiration is none or each such threshold.  So ``psp`` removes alternatives
-and the single-plan gate judges aspirations.  The tests decide all of it,
-16,704 decisions.
+and the single-plan gate judges aspirations.  Only the numeric domain holds
+more than three values, so only numeric tasks hold four alternatives.  The
+tests decide all of it, 28,464 decisions.
 
 The third, :func:`triple_tasks`, is every task of three distinct alternatives
 over three attributes on one level, with no threshold.  The attributes are
@@ -81,7 +82,7 @@ EDGES = {
     "ordinal": tuple(Threshold(1, op, bound) for op in ("min_level", "max_level") for bound in (1, 2, 3)),
     "categorical": tuple(Threshold(1, "allowed", bound) for bound in ({"red"}, {"blue"}, {"red", "blue"})),
 }
-THRESHOLD_DECISIONS = 16_704  # 8,352 tasks of the second space, in both modes
+THRESHOLD_DECISIONS = 28_464  # 14,232 tasks of the second space, in both modes
 TRIPLE_DOMAINS = {
     "numeric": (crisp(0), crisp(1), interval(0, 1), at_least(1)),
     "ordinal": (ordinal(1), ordinal(2)),
@@ -128,7 +129,7 @@ def threshold_tasks() -> Iterator[DecisionTask]:
     """Every task of the second space, in a fixed order: kind, alternatives, threshold, then aspiration."""
     for kind, polarity in KINDS:
         edges = EDGES[kind]
-        for size in (1, 2, 3):
+        for size in (1, 2, 3, 4):
             for values, threshold, aspiration in product(combinations(DOMAINS[kind], size), edges, (None, *edges)):
                 yield DecisionTask(
                     task_id="edge",

@@ -13,14 +13,10 @@ arguments of every call to ``--function`` (``module.name`` in the
 ``ladderchoice`` package).  It then replays those calls five times, after
 one pass that warms the caches, and reports its fastest pass.  A list
 argument is copied before each call, since a callee may sort it in place,
-and the copies are timed too.  A task argument is copied before each pass,
-outside the timed region: the calls that shared one ``DecisionTask`` object
-in the recording share one fresh copy of it (``copy.copy``, which builds the
-record again through ``__init__``).  So each pass builds a task's cached
-indexes, such as ``_alternative_by_id``, as the workload does for each fresh
-task, where the recorded object holds the ones the recording built.  The
-tool prints each round's pair, then the minimum and median per call of each
-side, and how many rounds the change won.
+and the copies are timed too.  Other arguments, tasks among them, are passed
+as recorded: no engine call writes to a task, so a recorded task is the same
+as a fresh one.  The tool prints each round's pair, then the minimum and
+median per call of each side, and how many rounds the change won.
 
 Use it where a whole benchmark run is too coarse to show one function, and
 where in-process timings swing between back-to-back runs: only rounds that
@@ -33,7 +29,6 @@ calls to record.
 from __future__ import annotations
 
 import argparse
-import copy
 import importlib
 import json
 import statistics
@@ -81,21 +76,9 @@ def record(workload, module, name: str) -> list[tuple]:
 
 
 def replay(function, calls: list[tuple]) -> float:
-    """Seconds to make every recorded call once, copying each list argument first.
-
-    Each task object recorded is copied once, before the clock starts, and
-    every call that took it takes the copy.
-    """
-    from ladderchoice.model import DecisionTask
-
-    copies: dict[int, DecisionTask] = {}  # id of a recorded task -> its copy for this pass
-    for args, _ in calls:
-        for a in args:
-            if isinstance(a, DecisionTask) and id(a) not in copies:
-                copies[id(a)] = copy.copy(a)
-    fresh = [(tuple(copies.get(id(a), a) for a in args), raised) for args, raised in calls]
+    """Seconds to make every recorded call once, copying each list argument first."""
     start = perf_counter()
-    for args, raised in fresh:
+    for args, raised in calls:
         args = [list(a) if isinstance(a, list) else a for a in args]
         if raised is None:
             function(*args)
