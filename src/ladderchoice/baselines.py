@@ -1,9 +1,10 @@
 """Baseline choosers: a prospect-theory proxy and an image-theory screen-and-rank.
 
 Two fidelities of prospect theory live here.  The quantitative layer is the
-standard value and weighting functions: :func:`pt_value`, a power value
-function with loss aversion set by :class:`PtParams`, and :func:`pt_weight`,
-an inverse-S probability weighting that takes its own curvature.  The
+standard value and weighting functions.  :func:`pt_value` is a power value
+function with the fixed Tversky and Kahneman (1992) constants: curvature
+0.88 on gains and on losses, and loss aversion 2.25.  :func:`pt_weight` is an
+inverse-S probability weighting that takes its own curvature.  The
 comparison harness never uses them.  The qualitative layer is
 :func:`pt_proxy_choose`: under a gain frame a risk-averse chooser simply
 minimizes a designated risk attribute across all alternatives, with no
@@ -18,7 +19,6 @@ reports Undecidable.
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 
 from .ladder import DominanceMode, decide_task, dominant_set
@@ -26,33 +26,16 @@ from .model import DecisionTask, Verdict, _Record, _set
 from .sift import psp
 
 
-class PtParams(_Record):
-    """Curvature and loss-aversion parameters of :func:`pt_value`.
-
-    Defaults are the conventional experimentally estimated constants
-    (0.88, 0.88, 2.25); they are configuration, not results.
-    """
-
-    alpha: float = 0.88
-    beta: float = 0.88
-    loss_aversion: float = 2.25
-
-    def __init__(self, alpha: float = 0.88, beta: float = 0.88, loss_aversion: float = 2.25) -> None:
-        for name, value in (("alpha", alpha), ("beta", beta), ("loss_aversion", loss_aversion)):
-            if value <= 0:
-                raise ValueError(f"{name} must be strictly positive")
-        if loss_aversion < 1:
-            warnings.warn("loss_aversion below 1 models loss tolerance, not aversion", stacklevel=2)
-        _set(self, "alpha", alpha)
-        _set(self, "beta", beta)
-        _set(self, "loss_aversion", loss_aversion)
+# the Tversky and Kahneman (1992) estimates: one curvature on gains and losses (alpha = beta), and loss aversion lambda
+_CURVATURE = 0.88
+_LAMBDA = 2.25
 
 
-def pt_value(x: float, params: PtParams = PtParams()) -> float:
-    """Reference-dependent value: x^alpha on gains, -loss_aversion*(-x)^beta on losses."""
+def pt_value(x: float) -> float:
+    """Reference-dependent value: x^0.88 on gains, -2.25*(-x)^0.88 on losses."""
     if x >= 0:
-        return x**params.alpha
-    return -params.loss_aversion * (-x) ** params.beta
+        return x**_CURVATURE
+    return -_LAMBDA * (-x) ** _CURVATURE
 
 
 def pt_weight(prob: float, gamma: float) -> float:

@@ -76,6 +76,11 @@ def _records(items: object, cls: type, what: str) -> tuple:
     return items
 
 
+def _first_repeat(items: tuple | list) -> object:
+    """The first item of ``items`` that repeats an earlier one; ``items`` must hold a repeat."""
+    return next(item for index, item in enumerate(items) if item in items[:index])
+
+
 def first_by_id(records: Iterable) -> dict:
     """Each record under its ``id``, in declaration order; where an id is declared twice, the first declaration wins."""
     index: dict = {}
@@ -393,8 +398,8 @@ class DominancePartition(_Record):
     ``levels[0]`` is the least important group and ``levels[-1]`` the most
     important one; the ladder search walks them top-down.  ``levels`` is a
     list or tuple, since its order is the ranking, and each level a list,
-    tuple or set of integer attribute ids.  Disjointness across levels is a
-    task invariant checked by :func:`validate_task`.
+    tuple or set of integer attribute ids, each listed once.  Disjointness
+    across levels is a task invariant checked by :func:`validate_task`.
     """
 
     levels: tuple[frozenset[int], ...]
@@ -414,6 +419,9 @@ class DominancePartition(_Record):
             raise ValueError("partition needs at least one level")
         if any(not level for level in normalized):
             raise ValueError("partition levels must be non-empty")
+        for index, (level, ids) in enumerate(zip(levels, normalized), start=1):
+            if len(ids) < len(level):
+                raise ValueError(f"level {index} lists attribute id {_first_repeat(level)} twice")
         _set(self, "levels", normalized)
 
     @property
@@ -491,7 +499,10 @@ class DecisionTask(_Record):
         for aid in basic_ids:
             if not _is_int(aid):
                 raise ValueError(f"basic ids must be integer attribute ids, got {aid!r}")
-        _set(self, "basic_ids", frozenset(basic_ids))
+        basic = frozenset(basic_ids)
+        if len(basic) < len(basic_ids):
+            raise ValueError(f"basic ids list attribute id {_first_repeat(basic_ids)} twice")
+        _set(self, "basic_ids", basic)
         by_attribute = attrgetter("attribute_id")
         _set(self, "thresholds", tuple(sorted(_records(thresholds, Threshold, "thresholds"), key=by_attribute)))
         _set(self, "partition", partition)

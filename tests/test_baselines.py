@@ -10,7 +10,6 @@ import pytest
 
 from ladderchoice import baselines, compare_theories, psp
 from ladderchoice.baselines import (
-    PtParams,
     TheoryRow,
     compatibility_screen,
     it_choose,
@@ -18,6 +17,7 @@ from ladderchoice.baselines import (
     pt_value,
     pt_weight,
 )
+from ladderchoice.model import Violation
 from ladderchoice.oracle import _naive_passes, brute_force_dominant, random_task
 
 # frozen against independent exp/log evaluation of the closed forms
@@ -39,12 +39,11 @@ class TestValueFunction:
 
     def test_sign_preserving_and_increasing(self):
         rng = random.Random(3)
-        params = PtParams()
         for _ in range(300):
             x = rng.uniform(-500, 500)
-            assert (pt_value(x, params) > 0) == (x > 0)
+            assert (pt_value(x) > 0) == (x > 0)
             step = abs(x) * 0.01 + 0.1
-            assert pt_value(x + step, params) > pt_value(x, params)
+            assert pt_value(x + step) > pt_value(x)
 
 
 class TestWeightingFunction:
@@ -73,32 +72,11 @@ class TestWeightingFunction:
             pt_weight(1.5, 0.61)
 
 
-class TestParams:
-    def test_params_must_be_positive(self):
-        with pytest.raises(ValueError):
-            PtParams(alpha=0.0)
-
-    def test_loss_tolerance_warns(self):
-        with pytest.warns(UserWarning):
-            PtParams(loss_aversion=0.5)
-
-    def test_defaults_checks_and_warning_read_as_pinned(self):
-        assert (PtParams().alpha, PtParams().beta, PtParams().loss_aversion) == (0.88, 0.88, 2.25)
-        assert PtParams(0.5, 0.6, 1.5) == PtParams(alpha=0.5, beta=0.6, loss_aversion=1.5)
-        # each field is checked in order, so the first non-positive one is named
-        for fields, name in [((0, 0, 0), "alpha"), ((1, -1, 0), "beta"), ((1, 1, 0), "loss_aversion")]:
-            with pytest.raises(ValueError, match=f"^{name} must be strictly positive$"):
-                PtParams(*fields)
-        with pytest.warns(UserWarning, match="^loss_aversion below 1 models loss tolerance, not aversion$"):
-            PtParams(loss_aversion=0.5)
-
-
 class TestRecords:
-    """``PtParams`` and ``TheoryRow``: repr, equality, hashing and refused changes."""
+    """``TheoryRow``: repr, equality, hashing and refused changes."""
 
     def test_repr_equality_and_hash(self):
         for record, text, fields in [
-            (PtParams(), "PtParams(alpha=0.88, beta=0.88, loss_aversion=2.25)", (0.88, 0.88, 2.25)),
             (
                 TheoryRow("pt", "chosen", "m1"),
                 "TheoryRow(theory='pt', status='chosen', chosen='m1', detail='')",
@@ -111,22 +89,20 @@ class TestRecords:
             ),
         ]:
             assert repr(record) == text
-            twin = eval(text, {"PtParams": PtParams, "TheoryRow": TheoryRow})
+            twin = eval(text, {"TheoryRow": TheoryRow})
             assert twin is not record and twin == record and not twin != record
             assert hash(twin) == hash(record) == hash(fields)
             assert record != fields and record.__eq__(fields) is NotImplemented
-        assert PtParams() != PtParams(alpha=0.5)
         assert TheoryRow("pt", "chosen", "m1") != TheoryRow("pt", "chosen", "m2")
-        assert PtParams().__eq__(TheoryRow("pt", "chosen")) is NotImplemented
+        assert TheoryRow("pt", "chosen").__eq__(Violation("pt", "chosen")) is NotImplemented
 
     def test_fields_cannot_be_assigned_or_deleted(self):
-        for record in (PtParams(), TheoryRow("lt", "chosen", "m3")):
-            for name in [field.name for field in dataclasses.fields(record)] + ["extra"]:
-                with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
-                    setattr(record, name, 1)
-                with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
-                    delattr(record, name)
-        assert [field.name for field in dataclasses.fields(PtParams)] == ["alpha", "beta", "loss_aversion"]
+        record = TheoryRow("lt", "chosen", "m3")
+        for name in [field.name for field in dataclasses.fields(record)] + ["extra"]:
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+                setattr(record, name, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+                delattr(record, name)
         assert dataclasses.replace(TheoryRow("pt", "chosen", "m1"), chosen="m2") == TheoryRow("pt", "chosen", "m2")
 
 

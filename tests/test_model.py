@@ -275,6 +275,11 @@ class TestMalformedArguments:
         with pytest.raises(ValueError, match=rf"^{field} must hold {record} records, got {re.escape(repr(bad))}$"):
             make_task(**{field: [good, bad, 5]})
 
+    @pytest.mark.parametrize("basic_ids", [[1, 2, 1], (2, 1, 2, 1)], ids=["list", "tuple"])
+    def test_basic_ids_listing_an_id_twice(self, basic_ids):
+        with pytest.raises(ValueError, match=f"^basic ids list attribute id {basic_ids[0]} twice$"):
+            make_task(basic_ids=basic_ids)
+
     def test_task_partition(self):
         with pytest.raises(ValueError, match=r"^partition must be a DominancePartition, got \[\[1\], \[2\]\]$"):
             make_task(partition=[[1], [2]])
@@ -391,6 +396,19 @@ class TestPartition:
         p = DominancePartition([[1], (2,), {3}, frozenset({4})])
         assert p.levels == (frozenset({1}), frozenset({2}), frozenset({3}), frozenset({4}))
         assert DominancePartition(([1], (2,), {3}, frozenset({4}))) == p
+
+    @pytest.mark.parametrize(
+        "levels,message",
+        [
+            ([[1, 2, 3, 1], [4]], "level 1 lists attribute id 1 twice"),
+            ([[1], (2, 3, 3, 2)], "level 2 lists attribute id 3 twice"),
+        ],
+        ids=["level-1", "level-2"],
+    )
+    def test_an_id_listed_twice_in_a_level_is_refused(self, levels, message):
+        # the first entry that repeats an earlier one is named
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DominancePartition(levels)
 
     def test_level_indexing_least_first(self):
         p = DominancePartition([[1, 2], [3]])

@@ -328,8 +328,9 @@ FIRST_USES = {
     ),
     "fields": ("import dataclasses; print([field.name for field in dataclasses.fields(crisp(5))])", "['kind', 'key']"),
     "fields with defaults": (
-        "import dataclasses; print([(field.name, field.default) for field in dataclasses.fields(PtParams)])",
-        "[('alpha', 0.88), ('beta', 0.88), ('loss_aversion', 2.25)]",
+        "import dataclasses\n"
+        "print([(field.name, field.default) for field in dataclasses.fields(TheoryRow) if field.default is not dataclasses.MISSING])",
+        "[('chosen', None), ('detail', '')]",
     ),
     "replace": (
         "import dataclasses; print(repr(dataclasses.replace(Threshold(1, 'max', 50), bound=40)))",
@@ -371,7 +372,7 @@ def fresh(code: str) -> str:
     """What ``code`` prints in a fresh interpreter that has imported the record classes and used none of them."""
     imports = (
         f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
-        "from ladderchoice.baselines import PtParams\n"
+        "from ladderchoice.baselines import TheoryRow\n"
         "from ladderchoice.model import AttributeValue, Elimination, Threshold, Violation, crisp\n"
     )
     run = subprocess.run([sys.executable, "-c", imports + code], capture_output=True, text=True)

@@ -116,6 +116,8 @@ REJECTIONS = [
     ("category_label_unprintable.json", "value", "value: alternative 'a', attribute 1: category label 'whi\\nte | attribute 9' holds a character that is not printable"),
     ("allowed_label_unprintable.json", "value", "value: basic.thresholds[1]: allowed label 'blu\\te' holds a character that is not printable"),
     ("attribute_name_unprintable.json", "schema", "schema: attribute 1: attribute name 'pri\\nce' holds a character that is not printable"),
+    ("level_repeated_id.json", "schema", "schema: dominance.levels: level 2 lists attribute id 3 twice"),
+    ("basic_ids_repeated_id.json", "schema", "schema: scenario: basic ids list attribute id 1 twice"),
 ]
 
 
@@ -183,6 +185,9 @@ class TestRejections:
         (("alternatives",), {"m1": {}}, "schema: alternatives must be a list"),
         (("alternatives", 0, "values"), [40, 50], "schema: alternative 'm1': values must map attribute ids"),
         (("alternatives", 0, "values", "1"), {"interval": [40, math.inf]}, "value: alternative 'm1', attribute 1: interval bounds must be finite"),
+        # an id listed twice in one list; the same id on two levels is the partition-overlap finding instead
+        (("dominance", "levels", 0), [1, 2, 3, 1], "schema: dominance.levels: level 1 lists attribute id 1 twice"),
+        (("basic", "ids"), [1, 2, 3, 4, 5, 1], "schema: scenario: basic ids list attribute id 1 twice"),
     ]
 
     @pytest.mark.parametrize(
@@ -191,7 +196,7 @@ class TestRejections:
         ids=["empty-attributes", "object-attributes", "no-name", "no-kind", "no-polarity", "unknown-kind",
              "list-labels", "number-labels", "number-basic-ids", "list-thresholds", "list-aspiration",
              "infinite-max", "infinite-min", "object-levels", "object-alternatives", "list-values",
-             "infinite-interval"],
+             "infinite-interval", "repeated-level-id", "repeated-basic-id"],
     )
     def test_a_misshapen_entry_is_named(self, path, replacement, message, tmp_path, capsys):
         error = assert_case1_refused(path, replacement, tmp_path, capsys)
