@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from enum import Enum
-from itertools import combinations
 from operator import attrgetter, itemgetter
 
 ORDINAL_LABELS = ("very_low", "low", "moderate", "high", "very_high")
@@ -77,8 +76,12 @@ def _records(items: object, cls: type, what: str) -> tuple:
 
 
 def _first_repeat(items: tuple | list) -> object:
-    """The first item of ``items`` that repeats an earlier one; ``items`` must hold a repeat."""
-    return next(item for index, item in enumerate(items) if item in items[:index])
+    """The first item of ``items`` that repeats an earlier one, found in one pass; ``items`` must hold a repeat."""
+    seen = set()
+    for item in items:
+        if item in seen:
+            return item
+        seen.add(item)
 
 
 def first_by_id(records: Iterable) -> dict:
@@ -120,7 +123,8 @@ class _Record:
     """What every record shares: equality, hashing, ``repr``, refusing changes, and copying and pickling.
 
     Each record writes its own ``__init__``, which checks the arguments and
-    sets each field with ``object.__setattr__`` (``_set``); its fields are its
+    sets each field with ``object.__setattr__`` (``_set``), or with the slot's
+    own setter where construction is hottest; its fields are its
     annotations, in order.  Equality and hashing read the fields in order, as
     a tuple, and only a record of the same class compares equal.  Every
     assignment or deletion raises ``dataclasses.FrozenInstanceError``.  A copy
@@ -185,17 +189,23 @@ class AttributeValue(_Record):
     :func:`ordinal` and :func:`category`, each of which checks its own shape.
     The raw constructor checks only that the key is a non-empty tuple whose
     tag is the family of the kind, so a value's kind and tag always agree.
+
+    ``__init__`` also stores the value's identity as an int, ``_token``, which
+    the sift keys its verdicts by (:func:`~ladderchoice.sift.sift_rows`).  It
+    has no annotation, so it is not a field: equality, hashing, ``repr``,
+    copying and pickling ignore it, and every copy gets its own.
     """
 
-    __slots__ = ("kind", "key")
+    __slots__ = ("kind", "key", "_token")
     kind: str
     key: tuple
 
     def __init__(self, kind: str, key: tuple) -> None:
         if not isinstance(key, tuple) or not key or (kind, key[0]) not in _KIND_TAGS:
             raise ValueError(f"a value of kind {kind!r} cannot have the key {key!r}")
-        _set(self, "kind", kind)
-        _set(self, "key", key)
+        _set_kind(self, kind)
+        _set_key(self, key)
+        _set_token(self, id(self))
 
     @property
     def lo(self) -> float | None:
@@ -227,6 +237,11 @@ class AttributeValue(_Record):
         if self.kind == "ordinal":
             return f"ordinal({self.level})"
         return f"category({self.label})"
+
+
+# AttributeValue's slot setters, bound once: the hottest constructor writes each slot directly, without the
+# name lookup of object.__setattr__
+_set_kind, _set_key, _set_token = (slot.__set__ for slot in (AttributeValue.kind, AttributeValue.key, AttributeValue._token))
 
 
 def format_number(x: float) -> str:
@@ -351,8 +366,8 @@ class Threshold(_Record):
 
     Ops: ``max``/``min`` bound a numeric value, ``min_level``/``max_level``
     bound an ordinal level, ``allowed`` lists admissible category labels,
-    each printable as :func:`category` requires.  The op's family tag in
-    :data:`OP_FAMILY` decides how the bound is read.
+    each printable as :func:`category` requires and each listed once.  The
+    op's family tag in :data:`OP_FAMILY` decides how the bound is read.
     """
 
     __slots__ = ("attribute_id", "op", "bound")
@@ -381,6 +396,8 @@ class Threshold(_Record):
             for lab in bound:
                 if not lab.isprintable():
                     raise ValueError(f"allowed label {lab!r} holds a character that is not printable")
+            if len(set(bound)) < len(bound):
+                raise ValueError(f"allowed threshold lists label {_first_repeat(bound)!r} twice")
             bound = frozenset(bound)
         _set(self, "attribute_id", attribute_id)
         _set(self, "op", op)
@@ -624,9 +641,11 @@ def validate_task(task: DecisionTask) -> list[Violation]:
     a row's findings.  The duplicate screen is linear: it groups equal rows of
     value keys over the declared attributes, zipped from the columns of a
     clean task or given by the row reading of any other, where a row missing a
-    value or holding one of another family has none.  Its message says "every
-    screened attribute": on a task that passes the ``coverage`` check, every
-    declared attribute is basic or in the partition, so the two sets are one.
+    value or holding one of another family has none.  It reports each group of
+    equal rows once, naming its ids in position order, and lists the groups
+    by their first members.  Its message says "every screened attribute": on
+    a task that passes the ``coverage`` check, every declared attribute is
+    basic or in the partition, so the two sets are one.
     """
     violations: list[Violation] = []
 
@@ -736,18 +755,21 @@ def validate_task(task: DecisionTask) -> list[Violation]:
             keyrows.append(keyrow)
 
     if len(set(keyrows)) < len(keyrows):
-        groups: dict[tuple, list[int]] = {}  # value keys -> positions of the complete rows holding them
-        for position, keyrow in enumerate(keyrows):
+        # value keys -> ids of the complete rows holding them, in position order; a group is
+        # listed where its first member stands
+        groups: dict[tuple, list[str]] = {}
+        for alt, keyrow in zip(alts, keyrows):
             if keyrow is not None:
-                groups.setdefault(keyrow, []).append(position)
-        pairs = sorted(pair for group in groups.values() for pair in combinations(group, 2))
-        for i, j in pairs:
-            violations.append(
-                Violation(
-                    "duplicate-alternative",
-                    f"alternatives {alts[i].id!r} and {alts[j].id!r} are completely equal on every screened attribute",
+                groups.setdefault(keyrow, []).append(alt.id)
+        for ids in groups.values():
+            if len(ids) > 1:
+                *rest, last = map(repr, ids)
+                violations.append(
+                    Violation(
+                        "duplicate-alternative",
+                        f"alternatives {', '.join(rest)} and {last} are completely equal on every screened attribute",
+                    )
                 )
-            )
 
     return violations
 

@@ -6,9 +6,14 @@ depends only on its own values, never on the rest of the field.
 
 Thresholds use best-case endpoints, so an interval passes a bound whenever
 some point of it does (:func:`satisfies_threshold`).  A verdict depends only
-on the value, so :func:`psp` judges once per threshold per distinct value key
-and looks every other cell up: O(n·t) lookups plus one judgement per distinct
-(threshold, key) pair.  An audit entry is built only for a failing cell.
+on the value, so :func:`psp` judges once per threshold per value object and
+looks every other cell up: O(n·t) lookups plus one judgement per (threshold,
+value object) pair.  A parsed task shares one object among the equal cells of
+an attribute (:mod:`~ladderchoice.scenario`), so there that is about once per
+distinct value; equal values that are distinct objects are each judged once,
+with the same verdict.  The lookup key is the value's ``_token``, its
+identity as an int, read from a slot: an int hashes far faster than a key
+tuple.  An audit entry is built only for a failing cell.
 """
 
 from __future__ import annotations
@@ -51,7 +56,8 @@ def sift_rows(task: DecisionTask) -> tuple[SiftResult, list[dict]]:
     Each survivor's row is the map the sift judged, so the ladder ranks it on
     those values, even where a hand-built task repeats its id.
     """
-    # one verdict map per threshold, value key -> passes; it lives for this call only
+    # one verdict map per threshold, value token -> passes; it lives for this call only, and the
+    # task keeps every value alive for the call, so no token is reused within it
     judged = [(t, t.attribute_id, {}) for t in task.thresholds]
     feasible: list[str] = []
     rows: list[dict] = []
@@ -61,9 +67,9 @@ def sift_rows(task: DecisionTask) -> tuple[SiftResult, list[dict]]:
         before = len(eliminations)
         for t, aid, verdicts in judged:
             value = values[aid]
-            verdict = verdicts.get(value.key)
+            verdict = verdicts.get(value._token)
             if verdict is None:
-                verdict = verdicts[value.key] = satisfies_threshold(value, t)
+                verdict = verdicts[value._token] = satisfies_threshold(value, t)
             if not verdict:
                 eliminations.append(Elimination(alt.id, aid, t, value))
         if len(eliminations) == before:

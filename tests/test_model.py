@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
 import random
 import re
 
@@ -177,6 +179,14 @@ class TestAttributeAndThreshold:
     @pytest.mark.parametrize("bound", [[["white"]], ("white", 1), set()], ids=["nested-list", "number-label", "empty"])
     def test_allowed_labels_must_be_strings(self, bound):
         with pytest.raises(ValueError, match=r"^allowed threshold needs a non-empty set of labels$"):
+            Threshold(1, "allowed", bound)
+
+    @pytest.mark.parametrize(
+        "bound,label", [(["legal", "legal"], "legal"), (("red", "blue", "blue", "red"), "blue")], ids=["list", "tuple"]
+    )
+    def test_an_allowed_label_listed_twice_is_refused(self, bound, label):
+        # the first label that repeats an earlier one is named
+        with pytest.raises(ValueError, match=f"^allowed threshold lists label '{label}' twice$"):
             Threshold(1, "allowed", bound)
 
     @pytest.mark.parametrize("labels", [5, ["meh"], "meh"], ids=["int", "list", "string"])
@@ -416,6 +426,46 @@ class TestPartition:
         assert p.level(1) == frozenset({1, 2})
         assert p.level(2) == frozenset({3})
         assert frozenset().union(*p.levels) == frozenset({1, 2, 3})
+
+
+class TestFirstRepeat:
+    def test_names_the_first_item_that_repeats_an_earlier_one(self):
+        assert model._first_repeat([3, 1, 2, 1, 3]) == 1
+        assert model._first_repeat(("a", "b", "a", "b")) == "a"
+        assert model._first_repeat(["x", "x"]) == "x"
+
+    def test_makes_a_linear_count_of_comparisons(self):
+        # a count, not a clock: ``item in items[:index]`` at every index makes about n*n/2
+        comparisons = []
+
+        class Item:
+            def __init__(self, n: int) -> None:
+                self.n = n
+
+            def __hash__(self) -> int:
+                return hash(self.n)
+
+            def __eq__(self, other: object) -> bool:
+                comparisons.append(other)
+                return self.n == other.n
+
+        n = 5000
+        items = [Item(i) for i in range(n)] + [Item(1234)]
+        assert model._first_repeat(items).n == 1234
+        assert 0 < len(comparisons) < 2 * n
+
+
+class TestToken:
+    # the sift keys its verdicts by a value's token; the token is never a field
+    @pytest.mark.parametrize(
+        "value", [crisp(3), interval(1, 2), at_least(4), ordinal(2), category("red")], ids=lambda v: v.kind
+    )
+    def test_every_copy_is_equal_and_carries_its_own_token(self, value):
+        assert value._token == id(value)
+        for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)), dataclasses.replace(value)):
+            assert other == value and hash(other) == hash(value) and repr(other) == repr(value)
+            assert other._token == id(other) != value._token
+        assert [field.name for field in dataclasses.fields(value)] == ["kind", "key"]
 
 
 # what fits what, spelled out by kind: the threshold ops and the value shapes each attribute kind takes
@@ -662,8 +712,10 @@ def naive_row_findings(task: DecisionTask) -> list[tuple[str, str]]:
     keys (int ids in numeric order, then any other key by repr), then each
     declared attribute, by id, whose cell holds no value or a value whose shape
     its kind does not take (FITS).  A row holding a fitting value on every
-    declared attribute is comparable, and every pair of comparable rows equal
-    on all of them is a duplicate, in (i, j) order.
+    declared attribute is comparable.  Every pair (i, j) of comparable rows is
+    compared, and the rows equal on all declared attributes form groups: each
+    group is one duplicate finding, its ids in row order, listed where its
+    first row stands.
     """
     declared = task.attribute_ids()
     kinds: dict[int, str] = {}
@@ -699,20 +751,25 @@ def naive_row_findings(task: DecisionTask) -> list[tuple[str, str]]:
                 findings.append(("kind-mismatch", f"alternative {alt.id!r} carries {A_KIND[value.kind]} value on {kind} attribute {aid}"))
         if fitting == len(declared):
             comparable.append(alt)
-    for i, first in enumerate(comparable):
-        for second in comparable[i + 1 :]:
-            if all(_naive_same(first.values[aid], second.values[aid]) for aid in declared):
-                findings.append(
-                    (
-                        "duplicate-alternative",
-                        f"alternatives {first.id!r} and {second.id!r} are completely equal on every screened attribute",
-                    )
-                )
+    n = len(comparable)
+    equal = {
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if all(_naive_same(comparable[i].values[aid], comparable[j].values[aid]) for aid in declared)
+    }
+    for i in range(n):
+        if any((k, i) in equal for k in range(i)):
+            continue  # row i is in the group of an earlier row
+        group = [comparable[i].id] + [comparable[j].id for j in range(i + 1, n) if (i, j) in equal]
+        if len(group) > 1:
+            named = ", ".join(map(repr, group[:-1])) + f" and {group[-1]!r}"
+            findings.append(("duplicate-alternative", f"alternatives {named} are completely equal on every screened attribute"))
     return findings
 
 
 def naive_duplicate_messages(task: DecisionTask) -> list[str]:
-    """The complete-equality screen as a pairwise loop over every (i, j), i < j."""
+    """The complete-equality screen as a pairwise loop over every (i, j), i < j, reported once per group."""
     return [message for code, message in naive_row_findings(task) if code == "duplicate-alternative"]
 
 
@@ -731,6 +788,7 @@ def _twin(value):
 
 class TestDuplicateScreen:
     def test_interleaved_groups_keep_pair_order(self):
+        # one finding per group of equal rows, its ids in row order, the groups in order of their first rows
         a, b = {1: crisp(50), 2: ordinal(4)}, {1: crisp(60), 2: ordinal(3)}
         task = make_task(
             alternatives=(
@@ -743,10 +801,8 @@ class TestDuplicateScreen:
         )
         assert duplicate_messages(task) == naive_duplicate_messages(task)
         assert [m.split(" are ")[0] for m in duplicate_messages(task)] == [
-            "alternatives 'p0' and 'p3'",
-            "alternatives 'p0' and 'p4'",
+            "alternatives 'p0', 'p3' and 'p4'",
             "alternatives 'p1' and 'p2'",
-            "alternatives 'p3' and 'p4'",
         ]
 
     @pytest.mark.parametrize(
@@ -781,6 +837,7 @@ class TestDuplicateScreen:
 
     def test_matches_pairwise_screen_on_large_tasks(self):
         rng = random.Random(29)
+        sizes = []  # how many rows each finding names
         for seed, n in [(1, 40), (2, 120), (3, 300), (4, 300)]:
             base = random_task(seed, n_alternatives=n, n_attributes=4, n_levels=2)
             alternatives = list(base.alternatives)
@@ -797,8 +854,12 @@ class TestDuplicateScreen:
                 alternatives=tuple(alternatives),
             )
             expected = naive_duplicate_messages(task)
-            assert len(expected) >= n // 10
+            named = [len(re.findall(r"'(.*?)'", message)) for message in expected]
+            # every inserted copy is named after the first row of its group
+            assert sum(named) - len(named) >= n // 10
             assert duplicate_messages(task) == expected
+            sizes += named
+        assert max(sizes) >= 3  # some source was copied twice, so a group holds three rows
 
 
 # a value of another family for each attribute kind

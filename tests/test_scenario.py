@@ -115,6 +115,7 @@ REJECTIONS = [
     ("level_shape.json", "schema", "schema: dominance.levels: level 2 must be a list of attribute ids, got '2'"),
     ("category_label_unprintable.json", "value", "value: alternative 'a', attribute 1: category label 'whi\\nte | attribute 9' holds a character that is not printable"),
     ("allowed_label_unprintable.json", "value", "value: basic.thresholds[1]: allowed label 'blu\\te' holds a character that is not printable"),
+    ("allowed_label_repeated.json", "value", "value: basic.thresholds[1]: allowed threshold lists label 'legal' twice"),
     ("attribute_name_unprintable.json", "schema", "schema: attribute 1: attribute name 'pri\\nce' holds a character that is not printable"),
     ("level_repeated_id.json", "schema", "schema: dominance.levels: level 2 lists attribute id 3 twice"),
     ("basic_ids_repeated_id.json", "schema", "schema: scenario: basic ids list attribute id 1 twice"),

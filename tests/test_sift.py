@@ -7,7 +7,8 @@ from dataclasses import replace
 import pytest
 
 from conftest import tie_heavy_task
-from ladderchoice import Alternative, Threshold, crisp, interval, psp
+from ladderchoice import Alternative, Threshold, crisp, interval, parse_scenario, psp, serialize_task
+from ladderchoice import sift
 from ladderchoice.model import Elimination, SiftResult
 from ladderchoice.oracle import random_task
 from ladderchoice.sift import satisfies_threshold
@@ -148,6 +149,31 @@ class TestRepeatedValues:
         assert {(e.attribute_id, e.value.key) for e in result.eliminations} >= {(5, ("n", 1.0, 1.0))}
         assert any(a.values[4].key == ("n", 1.0, 1.0) for a in task.alternatives if a.id in result.feasible)
         assert 0 < len(result.feasible) < len(task.alternatives)
+
+    def test_equal_values_that_are_distinct_objects_get_the_same_verdict(self, monkeypatch):
+        # a built task holds a value object per cell; parsing its text shares one among equal cells
+        fresh = tie_heavy_task(6, 300)
+        shared = parse_scenario(serialize_task(fresh))
+        column = [alt.values[4] for alt in fresh.alternatives]
+        assert len(set(map(id, column))) == len(column) > len(set(column))
+        assert psp(fresh) == psp(shared) == per_cell(fresh)
+
+        judged = []  # (attribute id, value) of each judgement the sift makes
+
+        def counting(value, threshold):
+            judged.append((threshold.attribute_id, value))
+            return satisfies_threshold(value, threshold)
+
+        monkeypatch.setattr(sift, "satisfies_threshold", counting)
+        # once per threshold per value object: every cell of the built task, fewer of the parsed one
+        cells = len(fresh.alternatives) * len(fresh.thresholds)
+        psp(fresh)
+        assert len(judged) == cells
+        judged.clear()
+        psp(shared)
+        objects = {(t.attribute_id, id(alt.values[t.attribute_id])) for alt in shared.alternatives for t in shared.thresholds}
+        assert sorted((aid, id(value)) for aid, value in judged) == sorted(objects)
+        assert len(objects) < cells
 
     def test_crisp_and_degenerate_interval_share_a_verdict(self):
         task = tie_heavy_task(4, 200)
