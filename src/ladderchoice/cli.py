@@ -3,7 +3,9 @@
 Commands: ``decide`` (sift + ladder search with a full trace), ``compare``
 (run the ladder engine against the baseline choosers), ``validate`` (check
 scenario files), ``batch`` (sweep generated tasks against the brute-force
-reference).
+reference).  Each subparser names its command with ``set_defaults(run=...)``;
+:func:`main` calls ``args.run(args)``, and each command reads its own options
+from the parsed namespace, passing ``--mode``'s value on as the mode.
 
 Exit codes: 0 a plan was chosen / all files valid / sweep agreed;
 1 usage, parse or validation error; 2 abstain; 3 repartition or no unique
@@ -45,41 +47,33 @@ def _load(path: str) -> DecisionTask:
     return parse_scenario(text)
 
 
-def cmd_decide(path: str, mode: DominanceMode, as_json: bool) -> int:
-    task = _load(path)
-    sifted, outcome = decide_task(task, mode)
-    if as_json:
+def cmd_decide(args: argparse.Namespace) -> int:
+    task = _load(args.path)
+    sifted, outcome = decide_task(task, args.mode)
+    if args.as_json:
         print(json.dumps(decision_to_json(task, sifted, outcome), indent=2, ensure_ascii=False))
     else:
         print(decision_text(sifted, outcome))
     return _VERDICT_EXIT[outcome.verdict]
 
 
-def cmd_compare(
-    path: str,
-    theories: list[str] | None,
-    pt_risk_attr: int | None,
-    it_profit_attr: int | None,
-    it_budget: int,
-    mode: DominanceMode,
-) -> int:
-    """Print one row per theory; ``theories`` None runs every one of ``baselines.THEORIES``."""
+def cmd_compare(args: argparse.Namespace) -> int:
+    """Print one row per theory; with no ``--theories``, every one of ``baselines.THEORIES``."""
     from .baselines import THEORIES, compare_theories
 
-    if theories is None:
-        theories = list(THEORIES)
-    if "pt" in theories and pt_risk_attr is None:
+    theories = list(THEORIES) if args.theories is None else [t.strip() for t in args.theories.split(",") if t.strip()]
+    if "pt" in theories and args.pt_risk_attr is None:
         print("error: pt requested without --pt-risk-attr", file=sys.stderr)
         return 1
-    task = _load(path)
+    task = _load(args.path)
     try:
         rows = compare_theories(
             task,
             theories=theories,
-            pt_risk_attr=pt_risk_attr,
-            it_profit_attr=it_profit_attr,
-            it_budget=it_budget,
-            mode=mode,
+            pt_risk_attr=args.pt_risk_attr,
+            it_profit_attr=args.it_profit_attr,
+            it_budget=args.it_budget,
+            mode=args.mode,
         )
     except ValueError as exc:  # a theory list or designation the task cannot serve
         print(f"error: {exc}", file=sys.stderr)
@@ -89,9 +83,9 @@ def cmd_compare(
     return 0
 
 
-def cmd_validate(paths: list[str]) -> int:
+def cmd_validate(args: argparse.Namespace) -> int:
     ok = True
-    for path in paths:
+    for path in args.paths:
         try:
             _load(path)
         except FileNotFoundError:
@@ -141,6 +135,12 @@ def run_batch(seed: int, count: int, mode: DominanceMode = DominanceMode.GLOBAL)
     return (0, f"{agreements}/{count} agree")
 
 
+def cmd_batch(args: argparse.Namespace) -> int:
+    code, report = run_batch(args.seed, args.count, args.mode)
+    print(report)
+    return code
+
+
 class _UsageError(Exception):
     """A malformed command line, reported by :func:`main` with exit code 1 (argparse's 2 means abstain here)."""
 
@@ -175,6 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     decide.add_argument("path", type=_path)
     decide.add_argument("--mode", choices=[m.value for m in DominanceMode], default="global")
     decide.add_argument("--json", action="store_true", dest="as_json")
+    decide.set_defaults(run=cmd_decide)
 
     compare = sub.add_parser("compare", help="run the engine and baseline choosers side by side")
     compare.add_argument("path", type=_path)
@@ -183,14 +184,17 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--it-profit-attr", type=int, default=None)
     compare.add_argument("--it-budget", type=_count, default=0)
     compare.add_argument("--mode", choices=[m.value for m in DominanceMode], default="global")
+    compare.set_defaults(run=cmd_compare)
 
     validate = sub.add_parser("validate", help="parse and validate scenario files")
     validate.add_argument("paths", nargs="+", type=_path)
+    validate.set_defaults(run=cmd_validate)
 
     batch = sub.add_parser("batch", help="sweep generated tasks against the naive reference")
     batch.add_argument("--seed", type=int, default=1)
     batch.add_argument("--count", type=_count, default=1000)
     batch.add_argument("--mode", choices=[m.value for m in DominanceMode], default="global")
+    batch.set_defaults(run=cmd_batch)
 
     return parser
 
@@ -202,18 +206,7 @@ def main(argv: list[str] | None = None) -> int:
         print(exc, file=sys.stderr)
         return 1
     try:
-        if args.command == "decide":
-            return cmd_decide(args.path, DominanceMode(args.mode), args.as_json)
-        if args.command == "compare":
-            theories = None if args.theories is None else [t.strip() for t in args.theories.split(",") if t.strip()]
-            return cmd_compare(
-                args.path, theories, args.pt_risk_attr, args.it_profit_attr, args.it_budget, DominanceMode(args.mode)
-            )
-        if args.command == "validate":
-            return cmd_validate(args.paths)
-        code, report = run_batch(args.seed, args.count, DominanceMode(args.mode))
-        print(report)
-        return code
+        return args.run(args)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return 1

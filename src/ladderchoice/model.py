@@ -299,13 +299,19 @@ def ordinal(level_or_label: int | str) -> AttributeValue:
 
 
 def category(label: str) -> AttributeValue:
-    """A category value; its label is a non-empty printable string, so a line that shows it stays one line."""
+    """A category value.
+
+    Its label is a non-empty printable string without ``,`` or ``|``, so a
+    trace line that shows it stays one line and splits back into its fields.
+    """
     if not isinstance(label, str):
         raise ValueError(f"category label must be a string, got {label!r}")
     if not label:
         raise ValueError("category needs a non-empty label")
     if not label.isprintable():
         raise ValueError(f"category label {label!r} holds a character that is not printable")
+    if "," in label or "|" in label:
+        raise ValueError(f"category label {label!r} holds ',' or '|'")
     return AttributeValue("category", ("c", label))
 
 
@@ -366,7 +372,7 @@ class Threshold(_Record):
 
     Ops: ``max``/``min`` bound a numeric value, ``min_level``/``max_level``
     bound an ordinal level, ``allowed`` lists admissible category labels,
-    each printable as :func:`category` requires and each listed once.  The
+    each a label :func:`category` accepts and each listed once.  The
     op's family tag in :data:`OP_FAMILY` decides how the bound is read.
     """
 
@@ -398,6 +404,9 @@ class Threshold(_Record):
                     raise ValueError(f"allowed label {lab!r} holds a character that is not printable")
             if len(set(bound)) < len(bound):
                 raise ValueError(f"allowed threshold lists label {_first_repeat(bound)!r} twice")
+            for lab in bound:
+                if "," in lab or "|" in lab:
+                    raise ValueError(f"allowed label {lab!r} holds ',' or '|'")
             bound = frozenset(bound)
         _set(self, "attribute_id", attribute_id)
         _set(self, "op", op)
@@ -686,9 +695,9 @@ def validate_task(task: DecisionTask) -> list[Violation]:
             )
         )
 
-    thresholded = [t.attribute_id for t in task.thresholds]
+    thresholded = [t.attribute_id for t in task.thresholds]  # in id order, so a repeat follows what it repeats
     if len(set(thresholded)) != len(thresholded):
-        dupes = sorted({aid for aid in thresholded if thresholded.count(aid) > 1})
+        dupes = sorted({aid for aid, after in zip(thresholded, thresholded[1:]) if aid == after})
         violations.append(Violation("threshold-coverage", f"multiple thresholds for attribute(s) {dupes}"))
     missing = task.basic_ids - set(thresholded)
     if missing:

@@ -147,6 +147,17 @@ class TestDecide:
         assert code == 1
         assert "not found" in err
 
+    @pytest.mark.parametrize(
+        "name,label",
+        [("category_label_delimiter", "white | attribute 9"), ("allowed_label_delimiter", "blue,red")],
+        ids=["category", "allowed"],
+    )
+    def test_a_label_holding_a_delimiter_is_a_value_error(self, name, label, capsys):
+        # the label would otherwise print a field or list item too many on a trace line
+        code, out, err = run(capsys, "decide", str(DATA / f"{name}.json"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: value: ") and repr(label) in err
+
 
 def unreadable(kind: str, tmp_path: Path) -> str:
     """A path that is not a readable scenario text: a directory, non-UTF-8 bytes, or 200,000-deep nesting."""
@@ -315,11 +326,18 @@ class TestBatch:
         assert "seed" in report
 
 
+COMMANDS = ("decide", "compare", "validate", "batch")
+
 # command lines that must end in exit 1 (2 means abstain) with an error line and no traceback
 USAGE_ERRORS = {
     "no-command": [],
+    "unknown-command": ["frob"],
     "decide-without-path": ["decide"],
+    "compare-without-path": ["compare"],
+    "validate-without-path": ["validate"],
+    "seed-not-an-integer": ["batch", "--seed", "x"],
     "unknown-mode": ["decide", CASE1, "--mode", "foo"],
+    "compare-unknown-mode": ["compare", CASE2, "--mode", "foo"],
     "budget-not-an-integer": ["compare", CASE2, "--it-budget", "x"],
     "negative-budget": ["compare", CASE2, "--theories", "it", "--it-budget", "-1"],
     "unknown-profit-attribute": ["compare", CASE2, "--pt-risk-attr", "5", "--it-profit-attr", "99"],
@@ -342,7 +360,8 @@ class TestUsageErrors:
         assert code == 1
         assert out == ""
         assert "Traceback" not in err
-        prog = " ".join(["ladderchoice", *argv[:1]])
+        # an unknown command is refused by the top-level parser, a known one's options by its own
+        prog = " ".join(["ladderchoice", *[word for word in argv[:1] if word in COMMANDS]])
         assert err.splitlines()[-1].startswith(("error: ", f"{prog}: error: "))
 
 

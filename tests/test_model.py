@@ -9,6 +9,7 @@ import math
 import pickle
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -188,6 +189,15 @@ class TestAttributeAndThreshold:
         # the first label that repeats an earlier one is named
         with pytest.raises(ValueError, match=f"^allowed threshold lists label '{label}' twice$"):
             Threshold(1, "allowed", bound)
+
+    @pytest.mark.parametrize("label", ["blue,red", "white | attribute 9", ",", "|"])
+    def test_a_label_holding_a_delimiter_is_refused_by_name(self, label):
+        # ',' and '|' split a trace line into fields and lists; brackets, braces and parentheses split nothing
+        with pytest.raises(ValueError, match=f"^category label {re.escape(repr(label))} holds ',' or '\\|'$"):
+            category(label)
+        with pytest.raises(ValueError, match=f"^allowed label {re.escape(repr(label))} holds ',' or '\\|'$"):
+            Threshold(1, "allowed", ["red", label])
+        assert str(Threshold(1, "allowed", ["(a)", "[b]", "{c}"])) == "allowed {(a),[b],{c}}"
 
     @pytest.mark.parametrize("labels", [5, ["meh"], "meh"], ids=["int", "list", "string"])
     def test_labels_must_be_a_map(self, labels):
@@ -591,6 +601,21 @@ class TestValidateTask:
             "threshold-coverage: multiple thresholds for attribute(s) [1]"
         ]
 
+    def test_repeated_thresholds_are_found_in_one_pass(self):
+        # 50,000 thresholds on 49,998 ids: a count per id takes about 30 s here, one pass well under a second
+        ids = range(1, 49_999)
+        task = make_task(
+            attributes=tuple(Attribute(aid, f"a{aid}", "numeric", "cost") for aid in ids),
+            basic_ids=frozenset(ids),
+            thresholds=(*(Threshold(aid, "max", 100) for aid in ids), Threshold(40_000, "max", 1), Threshold(7, "max", 2)),
+            partition=DominancePartition([[1]]),
+            alternatives=(Alternative("a", dict.fromkeys(ids, crisp(50))),),
+        )
+        start = time.perf_counter()
+        findings = [str(v) for v in validate_task(task)]
+        assert time.perf_counter() - start < 5.0
+        assert findings == ["threshold-coverage: multiple thresholds for attribute(s) [7, 40000]"]
+
     def test_threshold_kind_mismatch_flagged(self):
         task = make_task(thresholds=(Threshold(1, "min_level", 3),))
         assert any(v.code == "kind-mismatch" for v in validate_task(task))
@@ -880,7 +905,8 @@ def anomalous_tasks(draw):
 
     ``twin`` copies an earlier row's values, which then take the row's other
     anomalies; on the uncovered attribute a twin may differ, and then it is no
-    duplicate.  ``repeat-id`` takes an earlier row's id.
+    duplicate.  Half the time a twin copies an earlier twin, so groups of three
+    or more equal rows are drawn too.  ``repeat-id`` takes an earlier row's id.
     """
     base = random_task(draw(st.integers(0, 2**16)), n_alternatives=draw(st.integers(1, 8)), n_attributes=draw(st.integers(1, 4)))
     attributes = base.attributes
@@ -889,13 +915,15 @@ def anomalous_tasks(draw):
         attributes += (Attribute(len(attributes) + 1, "aside", "numeric", "cost"),)
     kinds = {attr.id: attr.kind for attr in attributes}
     rows: list[Alternative] = []
+    twins: list[Alternative] = []
     for alt in base.alternatives:
         alt_id, values = alt.id, dict(alt.values)
         if uncovered:
             values[len(attributes)] = crisp(draw(st.integers(0, 1)))
-        for anomaly in draw(st.lists(st.sampled_from(ANOMALIES), max_size=3)):
+        anomalies = draw(st.lists(st.sampled_from(ANOMALIES), max_size=3))
+        for anomaly in anomalies:
             if anomaly == "twin" and rows:
-                values = dict(draw(st.sampled_from(rows)).values)
+                values = dict(draw(st.sampled_from(twins if twins and draw(st.booleans()) else rows)).values)
                 if uncovered and len(attributes) in values:
                     values[len(attributes)] = crisp(draw(st.integers(0, 1)))
             elif anomaly == "repeat-id" and rows:
@@ -913,6 +941,8 @@ def anomalous_tasks(draw):
                 choices = MISFITS[kinds[aid]] if anomaly == "misfit" else NOT_VALUES
                 values[aid] = draw(st.sampled_from(choices))
         rows.append(Alternative(alt_id, values))
+        if "twin" in anomalies:
+            twins.append(rows[-1])
     return dataclasses.replace(base, attributes=attributes, alternatives=tuple(rows))
 
 
@@ -927,16 +957,19 @@ class TestColumnScreen:
         codes: set[str] = set()
         covered: set[bool] = set()  # whether a task passed the coverage check
         most = 0  # the most codes one row's findings have
+        largest = 0  # the most ids one duplicate-alternative finding names
 
         @settings(max_examples=200, derandomize=True, database=None, deadline=None)
         @given(anomalous_tasks())
         def record(task):
-            nonlocal most
+            nonlocal most, largest
             covered.add(all(v.code != "coverage" for v in validate_task(task)))
             by_row: dict[str, set[str]] = {}
             for code, message in naive_row_findings(task):
                 codes.add(code)
-                if code != "duplicate-alternative":
+                if code == "duplicate-alternative":
+                    largest = max(largest, len(re.findall(r"'(.*?)'", message)))
+                else:
                     by_row.setdefault(re.search(r"'(.*?)'", message).group(1), set()).add(code)
             most = max([most, *map(len, by_row.values())])
 
@@ -944,6 +977,7 @@ class TestColumnScreen:
         assert codes == {"duplicate-alternative-id", "missing-value", "unknown-reference", "kind-mismatch", "duplicate-alternative"}
         assert covered == {True, False}
         assert most >= 3
+        assert largest >= 3
 
     def test_a_clean_task_reads_no_row_again(self, monkeypatch):
         # the screen alone passes a clean task; only a task it refuses goes row by row

@@ -1,6 +1,7 @@
-"""Hypothesis properties of the scenario format and the command line: malformed
-text only ever raises ScenarioError, serialized tasks read back to the same
-text, and ``cli.main`` answers any command line with an exit code."""
+"""Hypothesis properties of the scenario format, the text trace and the command
+line: malformed text only ever raises ScenarioError, serialized tasks read back
+to the same text, every trace line splits back into the fields it was built
+from, and ``cli.main`` answers any command line with an exit code."""
 
 from __future__ import annotations
 
@@ -17,12 +18,15 @@ from ladderchoice import (
     Alternative,
     Attribute,
     DecisionTask,
+    DominanceMode,
     DominancePartition,
     ScenarioError,
     Threshold,
+    Verdict,
     at_least,
     category,
     crisp,
+    decide_task,
     interval,
     ordinal,
     parse_scenario,
@@ -30,6 +34,8 @@ from ladderchoice import (
     validate_task,
 )
 from ladderchoice.cli import main
+from ladderchoice.model import Elimination, LadderOutcome, LevelRecord, SiftResult
+from ladderchoice.scenario import decision_text
 from conftest import CASES, fixture_path
 
 FIXTURES = {name: json.loads(fixture_path(name).read_text(encoding="utf-8")) for name in CASES}
@@ -115,7 +121,7 @@ labels = st.sampled_from(["red", "blue", "white", "x y", "é"])
 
 
 @st.composite
-def values_for(draw, attr):
+def values_for(draw, attr, labels=labels):
     if attr.kind == "ordinal":
         return ordinal(draw(st.integers(min_value=1, max_value=5)))
     if attr.kind == "categorical":
@@ -130,7 +136,7 @@ def values_for(draw, attr):
 
 
 @st.composite
-def thresholds_for(draw, attr):
+def thresholds_for(draw, attr, labels=labels):
     if attr.kind == "ordinal":
         op = draw(st.sampled_from(["min_level", "max_level"]))
         return Threshold(attr.id, op, draw(st.integers(min_value=1, max_value=5)))
@@ -140,8 +146,12 @@ def thresholds_for(draw, attr):
 
 
 @st.composite
-def tasks(draw):
-    """A valid task whose values repeat within an attribute; the last attribute numbers the rows."""
+def tasks(draw, labels=labels, alternative_ids=None):
+    """A valid task whose values repeat within an attribute; the last attribute numbers the rows.
+
+    Category labels are drawn from ``labels``; alternative ids are ``p0``,
+    ``p1``, ... unless ``alternative_ids`` draws them.
+    """
     attributes = []
     for aid in range(1, draw(st.integers(min_value=1, max_value=4)) + 1):
         kind = draw(st.sampled_from(["numeric", "ordinal", "categorical"]))
@@ -159,22 +169,26 @@ def tasks(draw):
     level_of.update({attr.id: None for attr in basic if draw(st.booleans())})
     levels = [[aid for aid, level in level_of.items() if level == index] for index in range(3)]
     levels = [level for level in levels if level] + [[row.id]]
+    count = draw(st.integers(min_value=1, max_value=6))
+    names = [f"p{index}" for index in range(count)]
+    if alternative_ids is not None:
+        names = draw(st.lists(alternative_ids, min_size=count, max_size=count, unique=True))
     alternatives = [
         Alternative(
-            id=f"p{index}",
-            values={**{attr.id: draw(values_for(attr)) for attr in attributes}, row.id: crisp(index)},
+            id=name,
+            values={**{attr.id: draw(values_for(attr, labels)) for attr in attributes}, row.id: crisp(index)},
         )
-        for index in range(draw(st.integers(min_value=1, max_value=6)))
+        for index, name in enumerate(names)
     ]
     top = [attr for attr in [*attributes, row] if attr.id in levels[-1]]
     aspiration = None
     if draw(st.booleans()):
-        aspiration = tuple(draw(thresholds_for(attr)) for attr in top)
+        aspiration = tuple(draw(thresholds_for(attr, labels)) for attr in top)
     return DecisionTask(
         task_id=draw(st.text(max_size=4)),
         attributes=(*attributes, row),
         basic_ids=frozenset(attr.id for attr in basic),
-        thresholds=tuple(draw(thresholds_for(attr)) for attr in basic),
+        thresholds=tuple(draw(thresholds_for(attr, labels)) for attr in basic),
         partition=DominancePartition(levels),
         alternatives=tuple(alternatives),
         aspiration=aspiration,
@@ -190,6 +204,128 @@ class TestRoundTrip:
         parsed = parse_scenario(text)
         assert serialize_task(parsed) == text
         assert parsed == task
+
+
+# printable text rich in the characters a trace line is built from: the delimiters, brackets, braces, parentheses
+TRACE_CHARACTERS = ",|[]{}() :>="
+trace_text = st.text(
+    st.sampled_from(TRACE_CHARACTERS) | st.characters(blacklist_categories=("Cc", "Cf", "Cs", "Co", "Cn", "Z")),
+    min_size=1,
+    max_size=5,
+)
+
+
+def accepted(build, text):
+    """Whether ``build(text)`` is accepted: a refused label or id is skipped, not drawn."""
+    try:
+        build(text)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def traced_tasks(draw):
+    """A task whose category labels and alternative ids are drawn from ``trace_text``, and a dominance mode.
+
+    A task draws its labels from a pool of one to three, so a value meets an
+    ``allowed`` list that holds it as well as one that does not.
+    """
+    pool = draw(st.lists(trace_text.filter(lambda text: accepted(category, text)), min_size=1, max_size=3, unique=True))
+    ids = trace_text.filter(lambda text: accepted(lambda name: Alternative(name, {}), text))
+    task = draw(tasks(labels=st.sampled_from(pool), alternative_ids=ids))
+    return task, draw(st.sampled_from(list(DominanceMode)))
+
+
+def read_value(text):
+    """The value a trace line shows as ``text``, rebuilt through its factory."""
+    if text.startswith("category(") and text.endswith(")"):
+        return category(text[len("category("):-1])
+    if text.startswith("ordinal(") and text.endswith(")"):
+        return ordinal(int(text[len("ordinal("):-1]))
+    if text.startswith("[") and text.endswith("]"):
+        lo, hi = text[1:-1].split(",")
+        return interval(float(lo), float(hi))
+    if text.startswith(">="):
+        return at_least(float(text[2:]))
+    return crisp(float(text))
+
+
+def read_threshold(attribute_id, text):
+    """The threshold a trace line shows as ``text``, rebuilt through its constructor."""
+    op, bound = text.split(" ", 1)
+    if op == "allowed":
+        assert bound.startswith("{") and bound.endswith("}")
+        return Threshold(attribute_id, op, bound[1:-1].split(","))
+    return Threshold(attribute_id, op, int(bound) if op.endswith("_level") else float(bound))
+
+
+def read_ids(text):
+    """The ids of a ``[a,b]`` list."""
+    assert text.startswith("[") and text.endswith("]")
+    return tuple(text[1:-1].split(",")) if text != "[]" else ()
+
+
+def read_prefixed(prefix, text):
+    assert text.startswith(prefix)
+    return text[len(prefix):]
+
+
+def read_decision_text(text):
+    """The sift result and ladder outcome a ``decide`` transcript was built from, read back field by field.
+
+    Each line is split on ``|`` into its fields and each list on ``,``: no
+    label or id holds either, so the split is exact.
+    """
+    lines = text.split("\n")
+    eliminations = []
+    while lines[0].startswith("eliminated "):
+        alternative, attribute, threshold, value = lines.pop(0).split(" | ")
+        attribute_id = int(read_prefixed("attribute ", attribute))
+        eliminations.append(Elimination(
+            read_prefixed("eliminated ", alternative),
+            attribute_id,
+            read_threshold(attribute_id, threshold),
+            read_value(read_prefixed("value ", value)),
+        ))
+    feasible = read_ids(read_prefixed("feasible ", lines.pop(0)))
+    *rungs, verdict = lines
+    trace = []
+    for line in rungs:
+        rank, attrs, before, after = line.split(" | ")
+        attrs = read_prefixed("attrs ", attrs)
+        assert attrs.startswith("{") and attrs.endswith("}")
+        trace.append(LevelRecord(
+            int(read_prefixed("level ", rank)),
+            frozenset(int(aid) for aid in attrs[1:-1].split(",")),
+            read_ids(read_prefixed("before ", before)),
+            read_ids(read_prefixed("after ", after)),
+        ))
+    if verdict.startswith("Chosen: "):
+        outcome = LadderOutcome(Verdict.CHOSEN, read_prefixed("Chosen: ", verdict), tuple(trace))
+    else:
+        outcome = LadderOutcome(Verdict(verdict), None, tuple(trace))
+    return SiftResult(feasible, tuple(eliminations)), outcome
+
+
+class TestTraceFields:
+    def test_every_line_splits_back_into_its_fields(self):
+        # brackets, braces and parentheses stay allowed in a label: the drawn traces must show each of them
+        shown: set[str] = set()
+
+        @given(traced_tasks())
+        @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        def splits_back(case):
+            task, mode = case
+            sifted, outcome = decide_task(task, mode)
+            assert read_decision_text(decision_text(sifted, outcome)) == (sifted, outcome)
+            for elimination in sifted.eliminations:
+                if elimination.threshold.op == "allowed":
+                    for label in (elimination.value.label, *elimination.threshold.bound):
+                        shown.update(set(label) & set("[]{}()"))
+
+        splits_back()
+        assert shown == set("[]{}()")
 
 
 MODES = st.sampled_from(["global", "undominated", "foo", ""])

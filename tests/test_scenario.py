@@ -116,6 +116,8 @@ REJECTIONS = [
     ("category_label_unprintable.json", "value", "value: alternative 'a', attribute 1: category label 'whi\\nte | attribute 9' holds a character that is not printable"),
     ("allowed_label_unprintable.json", "value", "value: basic.thresholds[1]: allowed label 'blu\\te' holds a character that is not printable"),
     ("allowed_label_repeated.json", "value", "value: basic.thresholds[1]: allowed threshold lists label 'legal' twice"),
+    ("category_label_delimiter.json", "value", "value: alternative 'site3', attribute 1: category label 'white | attribute 9' holds ',' or '|'"),
+    ("allowed_label_delimiter.json", "value", "value: basic.thresholds[1]: allowed label 'blue,red' holds ',' or '|'"),
     ("attribute_name_unprintable.json", "schema", "schema: attribute 1: attribute name 'pri\\nce' holds a character that is not printable"),
     ("level_repeated_id.json", "schema", "schema: dominance.levels: level 2 lists attribute id 3 twice"),
     ("basic_ids_repeated_id.json", "schema", "schema: scenario: basic ids list attribute id 1 twice"),
